@@ -28,14 +28,12 @@ from .graphs import (
     ring_stats,
     star_link,
     strategy_transform,
-    unroll,
 )
 from .psmiles import (
     canonical_form,
     parse,
     random_augment,
     random_translation,
-    repeat,
     write,
 )
 from .wl import (
@@ -68,7 +66,7 @@ from .nets import (
     project_spatial,
 )
 from .rsit import ModelPredictor, RsitReport, compare_strategies
-from .verify import theorem1_suite, theorem2_suite, twin_suite
+from .verify import lemma1_suite, theorem1_suite, theorem2_suite, twin_suite
 
 __version__ = "0.1.0"
 

@@ -1,18 +1,20 @@
 """Command-line front end for corpus processing and verification runs.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 verification failure.
-Corpus subcommands process lines with a bounded worker pool but always emit
-results in input order; all randomness derives from --seed.
+Line commands stream: each non-blank input line prints its result as soon as
+it is computed, in input order, and a bad line is reported on stderr as
+"line N: <error type>: <message>", N its line in the file.  All randomness
+derives from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,23 +32,12 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
-_POOL_WORKERS = 8
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _read_lines(path: str) -> list[str]:
-    if path == "-":
-        data = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            data = fh.read()
-    return [ln.strip() for ln in data.splitlines() if ln.strip()]
 
 
 def _read_dataset(path: str) -> list[tuple[str, float]]:
@@ -64,26 +55,39 @@ def _read_dataset(path: str) -> list[tuple[str, float]]:
     return out
 
 
-def _map_lines(lines: list[str], fn) -> tuple[list[str], int]:
-    """Apply fn to each line in a worker pool, preserving order."""
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
-    def safe(args):
-        i, line = args
-        try:
-            return True, fn(i, line)
-        except PolyseqError as exc:
-            return False, f"line {i + 1}: {type(exc).__name__}: {exc}"
 
+def _each_line(fh, fn, emit) -> int:
+    """emit(fn(i, line)) for each non-blank line of fh, read one at a time.
+
+    Lines are stripped and i counts the non-blank ones.  A line whose fn
+    raises PolyseqError is reported on stderr with its line number in the
+    file.  Returns the number of such lines.
+    """
     errors = 0
-    out = []
-    with ThreadPoolExecutor(max_workers=_POOL_WORKERS) as ex:
-        for ok, text in ex.map(safe, enumerate(lines)):
-            if ok:
-                out.append(text)
-            else:
-                errors += 1
-                print(text, file=sys.stderr)
-    return out, errors
+    # str.splitlines, not the file, decides where a line ends, so form feeds
+    # and Unicode line separators end lines too
+    lines = (ln.strip() for chunk in fh for ln in chunk.splitlines())
+    numbered = ((n, s) for n, s in enumerate(lines, 1) if s)
+    for i, (n, s) in enumerate(numbered):
+        try:
+            result = fn(i, s)
+        except PolyseqError as exc:
+            errors += 1
+            print(f"line {n}: {type(exc).__name__}: {exc}", file=sys.stderr,
+                  flush=True)
+        else:
+            emit(result)
+    return errors
+
+
+def _print_now(text: str) -> None:
+    print(text, flush=True)
 
 
 def _monomer_json(g) -> str:
@@ -128,17 +132,17 @@ def build_parser() -> _Parser:
 
     p = cmd("augment")
     p.add_argument("input")
-    p.add_argument("--n-variants", type=int, default=1)
+    p.add_argument("--n-variants", type=_positive_int, default=1)
 
     p = cmd("verify")
     p.add_argument("suite", choices=["theorem1", "theorem2", "theorem3",
                                      "lemma1", "all"])
-    p.add_argument("--count", type=int, default=100,
+    p.add_argument("--count", type=_positive_int, default=100,
                    help="number of random monomers for the oracle suites")
 
     p = cmd("rsit")
     p.add_argument("dataset", help="CSV file with header psmiles,value")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--metric", default="r2", choices=sorted(rsit_mod.METRICS))
     p.add_argument("--compare", action="store_true",
                    help="run all four strategies instead of one")
@@ -159,56 +163,40 @@ def build_parser() -> _Parser:
     return top
 
 
-def _run_corpus_command(args) -> int:
-    lines = _read_lines(args.input)
-    if args.command == "parse":
-        fn = lambda i, s: _monomer_json(parse(s))
-    elif args.command == "canon":
-        fn = lambda i, s: canonical_form(s)
-    elif args.command == "link":
-        fn = lambda i, s: dump_star_graph(star_link(parse(s)))
-    elif args.command == "backbone":
-        def fn(i, s):
-            star = star_link(parse(s))
-            return json.dumps({"psmiles": s,
-                               "backbone": star.backbone,
-                               "auto_repeat_k": star.auto_repeat_k},
-                              separators=(",", ":"))
-    elif args.command == "distances":
-        def fn(i, s):
-            return build_context(star_link(parse(s)).as_graph(),
-                                 args.d_thres).to_json()
-    elif args.command == "augment":
-        def fn(i, s):
-            outs = []
-            for v in range(args.n_variants):
-                rng = random.Random(f"{args.seed}:{i}:{v}")
-                outs.append(write(random_augment(parse(s), rng)))
-            return "\n".join(outs)
-    else:
-        raise AssertionError(args.command)
-    out, errors = _map_lines(lines, fn)
-    for text in out:
-        print(text)
-    return EXIT_INPUT if errors else EXIT_OK
+def _backbone_json(s: str) -> str:
+    star = star_link(parse(s))
+    return json.dumps({"psmiles": s,
+                       "backbone": star.backbone,
+                       "auto_repeat_k": star.auto_repeat_k},
+                      separators=(",", ":"))
 
 
-def _run_stats(args) -> int:
-    lines = _read_lines(args.input)
-    graphs = []
-    for i, s in enumerate(lines):
-        try:
-            graphs.append(parse(s))
-        except PolyseqError as exc:
-            print(f"line {i + 1}: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            graphs.append(None)
-    mean, frac, skipped = ring_stats(graphs)
-    print(json.dumps({"polymers": len(lines) - skipped,
-                      "mean_rings": mean,
-                      "frac_more_than_2_rings": frac,
-                      "skipped": skipped}))
-    return EXIT_INPUT if skipped else EXIT_OK
+def _augment_fn(args):
+    def fn(i, s):
+        outs = []
+        for v in range(args.n_variants):
+            rng = random.Random(f"{args.seed}:{i}:{v}")
+            outs.append(write(random_augment(parse(s), rng)))
+        return "\n".join(outs)
+    return fn
+
+
+def _run_lines(args) -> int:
+    """Run a line command; stats prints one summary, not a line each."""
+    with (contextlib.nullcontext(sys.stdin) if args.input == "-"
+          else open(args.input)) as fh:
+        fn = _LINE_COMMANDS[args.command](args)
+        if args.command != "stats":
+            failed = _each_line(fh, fn, _print_now)
+        else:
+            graphs = []
+            failed = _each_line(fh, fn, graphs.append)
+            mean, frac, _ = ring_stats(graphs)
+            print(json.dumps({"polymers": len(graphs),
+                              "mean_rings": mean,
+                              "frac_more_than_2_rings": frac,
+                              "skipped": failed}))
+    return EXIT_INPUT if failed else EXIT_OK
 
 
 def _run_verify(args) -> int:
@@ -229,14 +217,7 @@ def _run_verify(args) -> int:
     if args.suite in ("theorem3", "lemma1", "all"):
         pairs = corpus_mod.default_twin_pairs()
         if args.suite in ("lemma1", "all"):
-            from .wl import wl_refine
-            rep = verify_mod.SuiteReport("twin-wl-histograms")
-            for idx, p in enumerate(pairs):
-                eq = (wl_refine(star_link(p.monomer_a).as_graph()).histogram
-                      == wl_refine(star_link(p.monomer_b).as_graph())
-                      .histogram)
-                rep.cases.append(verify_mod.CaseResult(f"pair{idx}", 0.0, eq))
-            reports.append(rep)
+            reports.append(verify_mod.lemma1_suite(pairs))
         if args.suite in ("theorem3", "all"):
             # twin seeds need no auto-repeat at d_thres=2, which keeps the
             # linked graphs of a pair literally isomorphic in the forward pass
@@ -324,20 +305,29 @@ def _load_descriptors(args):
         raise PolyseqError("--descriptors requires --groups")
     with open(args.groups) as fh:
         groups = json.load(fh)
+    if not (isinstance(groups, dict)
+            and all(isinstance(cols, list) for cols in groups.values())):
+        raise PolyseqError("--groups must be a JSON object of column lists")
     table = {}
     with open(args.descriptors, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or reader.fieldnames[0] != "psmiles":
             raise PolyseqError("descriptor CSV must start with 'psmiles'")
+        missing = [c for cols in groups.values() for c in cols
+                   if c not in reader.fieldnames[1:]]
+        if missing:
+            raise PolyseqError(f"descriptor CSV has no column {missing[0]!r}")
         for row in reader:
+            if None in row or None in row.values():
+                raise PolyseqError(f"descriptor CSV line {reader.line_num}: "
+                                   "field count differs from the header")
             table[row["psmiles"]] = {k: float(v) for k, v in row.items()
                                      if k != "psmiles"}
     dims = {name: len(cols) for name, cols in groups.items()}
     return (groups, table), dims
 
 
-def _run_forward(args) -> int:
-    lines = _read_lines(args.input)
+def _forward_fn(args):
     desc, dims = _load_descriptors(args)
     model = ReferenceModel.generate(args.seed, d=args.dim, L=args.layers,
                                     d_thres=args.d_thres,
@@ -357,33 +347,33 @@ def _run_forward(args) -> int:
                               strategy=args.strategy,
                               use_backbone=not args.no_backbone)
         return json.dumps({"psmiles": s, "yhat": res.yhat})
+    return fn
 
-    out, errors = _map_lines(lines, fn)
-    for text in out:
-        print(text)
-    return EXIT_INPUT if errors else EXIT_OK
+
+# Line commands: each maps the parsed arguments to its per-line function
+# fn(i, s) of the stripped line s and i, its index among non-blank lines.
+_LINE_COMMANDS = {
+    "parse": lambda args: lambda i, s: _monomer_json(parse(s)),
+    "canon": lambda args: lambda i, s: canonical_form(s),
+    "link": lambda args: lambda i, s: dump_star_graph(star_link(parse(s))),
+    "backbone": lambda args: lambda i, s: _backbone_json(s),
+    "distances": lambda args: lambda i, s: build_context(
+        star_link(parse(s)).as_graph(), args.d_thres).to_json(),
+    "augment": _augment_fn,
+    "stats": lambda args: lambda i, s: parse(s),
+    "forward": _forward_fn,
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = {"verify": _run_verify, "rsit": _run_rsit,
+           "fragcam": _run_fragcam}.get(args.command, _run_lines)
     try:
-        if args.command in ("parse", "canon", "link", "backbone",
-                            "distances", "augment"):
-            return _run_corpus_command(args)
-        if args.command == "stats":
-            return _run_stats(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "rsit":
-            return _run_rsit(args)
-        if args.command == "fragcam":
-            return _run_fragcam(args)
-        if args.command == "forward":
-            return _run_forward(args)
+        return run(args)
     except (OSError, PolyseqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DisconnectedError
-from .graphs import MolGraph, MonomerGraph, unroll
+from .graphs import MolGraph, MonomerGraph, repeat_monomer
 
 EDGE_CODES = ("single", "double", "triple", "aromatic", "link")
 _CODE_INDEX = {c: i for i, c in enumerate(EDGE_CODES)}
@@ -132,7 +132,7 @@ def periodic_context(g: MonomerGraph, k: int, d_thres: int) -> AttentionContext:
     """Context of the k-fold open-chain unroll of the monomer."""
     if k < 1:
         raise ValueError("repeat count must be >= 1")
-    return build_context(unroll(g, k), d_thres)
+    return build_context(repeat_monomer(g, k), d_thres)
 
 
 def fold_equivalent(star_ctx: AttentionContext, unroll_ctx: AttentionContext,

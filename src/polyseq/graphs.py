@@ -227,7 +227,9 @@ class StarLinkGraph:
 
 
 def repeat_monomer(g: MonomerGraph, k: int) -> MonomerGraph:
-    """Open chain of k copies, copy-i tail bonded to copy-(i+1) head."""
+    """Open chain of k copies, copy-i tail bonded to copy-(i+1) head: the
+    k-fold repeat unit, and the finite unroll (no wraparound) of the
+    infinite polymer."""
     if k < 1:
         raise ValueError("repeat count must be >= 1")
     n = g.n
@@ -241,11 +243,6 @@ def repeat_monomer(g: MonomerGraph, k: int) -> MonomerGraph:
             bonds.append(Bond((c - 1) * n + g.tail, off + g.head, "single"))
     return MonomerGraph(atoms, bonds, g.head, (k - 1) * n + g.tail,
                         g.stereo_discarded)
-
-
-def unroll(g: MonomerGraph, k: int) -> MonomerGraph:
-    """Finite open-chain truncation of the infinite polymer (no wraparound)."""
-    return repeat_monomer(g, k)
 
 
 def star_link(g: MonomerGraph) -> StarLinkGraph:

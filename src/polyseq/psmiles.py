@@ -363,11 +363,6 @@ def write(g: MonomerGraph) -> str:
     return "".join(out)
 
 
-def repeat(g: MonomerGraph, k: int) -> MonomerGraph:
-    """Open chain of k monomer copies (junctions are single bonds)."""
-    return repeat_monomer(g, k)
-
-
 def random_translation(g: MonomerGraph, rng: random.Random) -> MonomerGraph:
     """Re-cut the infinite chain at a uniformly chosen period position.
 

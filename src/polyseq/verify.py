@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import build_context
-from .graphs import MonomerGraph, auto_repeat_for_lga, featurize, star_link, unroll
+from .graphs import (MonomerGraph, auto_repeat_for_lga, featurize,
+                     repeat_monomer, star_link)
 from .nets import ReferenceModel, gin_layer, layer_weights, local_attention_layer
 from .wl import TwinPair, wl_refine
 
@@ -65,7 +66,7 @@ def gin_deviation(model: ReferenceModel, g: MonomerGraph, L: int) -> float:
     star = star_link(g)
     n = star.monomer.n
     k = 2 * L + 3
-    chain = unroll(star.monomer, k)
+    chain = repeat_monomer(star.monomer, k)
     x_s, x_u = _tiled_features(model, star.as_graph(), k)
     for l in range(L):
         args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
@@ -89,7 +90,7 @@ def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
     star = star_link(m)
     n = star.monomer.n
     k = 2 * L + 3
-    chain = unroll(star.monomer, k)
+    chain = repeat_monomer(star.monomer, k)
     ctx_s = build_context(star.as_graph(), d_thres)
     ctx_u = build_context(chain, d_thres)
     x_s, x_u = _tiled_features(model, star.as_graph(), k)
@@ -130,6 +131,17 @@ def theorem2_suite(monomers: list[MonomerGraph], model: ReferenceModel,
     neg = lga_deviation(model, negative_control, L, 3, auto_repeat=False)
     rep.cases.append(CaseResult("negative-control", neg, neg > neg_floor,
                                 "precondition violated, must deviate"))
+    return rep
+
+
+def lemma1_suite(pairs: list[TwinPair]) -> SuiteReport:
+    """Each twin pair has identical refinement histograms on its two linked
+    graphs: color refinement alone cannot tell twins apart."""
+    rep = SuiteReport("twin-wl-histograms")
+    for idx, p in enumerate(pairs):
+        eq = (wl_refine(star_link(p.monomer_a).as_graph()).histogram
+              == wl_refine(star_link(p.monomer_b).as_graph()).histogram)
+        rep.cases.append(CaseResult(f"pair{idx}", 0.0, eq))
     return rep
 
 

@@ -10,7 +10,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .graphs import Bond, MolGraph, MonomerGraph, repeat_monomer, star_link, unroll
+from .graphs import Bond, MolGraph, MonomerGraph, repeat_monomer, star_link
 
 NODE_CAP = 64
 
@@ -217,8 +217,6 @@ def separating_bridges(g: MonomerGraph) -> list[tuple[int, int]]:
 
 
 def _component_without(g: MolGraph, edge: tuple[int, int], start: int) -> set[int]:
-    ex = set()
-    ex.add(edge)
     seen = {start}
     stack = [start]
     while stack:
@@ -255,7 +253,7 @@ def primitive_reduce(g: MonomerGraph) -> MonomerGraph:
     """
     n = g.n
     for k in range(n, 1, -1):
-        if n % k != 0 or n // k * k != n:
+        if n % k != 0:
             continue
         usize = n // k
         for (x, y) in separating_bridges(g):
@@ -358,8 +356,8 @@ def generate_twins(h: MolGraph, max_unroll: int = 6) -> list[TwinPair]:
                 continue
             witness = None
             for k in range(2, max_unroll + 1):
-                ha = wl_refine(unroll(a, k)).histogram
-                hb = wl_refine(unroll(b, k)).histogram
+                ha = wl_refine(repeat_monomer(a, k)).histogram
+                hb = wl_refine(repeat_monomer(b, k)).histogram
                 if ha != hb:
                     witness = k
                     break

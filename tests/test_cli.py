@@ -1,8 +1,17 @@
+import io
 import json
+import random
+import sys
 
 import pytest
 
+from polyseq import (canonical_form, forward_polymer, parse, random_augment,
+                     write)
 from polyseq.cli import main
+from polyseq.corpus import default_twin_pairs
+from polyseq.nets import ReferenceModel
+from polyseq.verify import lemma1_suite
+from polyseq.wl import TwinPair
 
 
 def write_lines(tmp_path, name, lines):
@@ -34,6 +43,19 @@ class TestUsage:
             main(["fragcam", "data.csv"])  # --fragments is required
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["augment", "in.txt", "--n-variants", "0"],
+        ["augment", "in.txt", "--n-variants", "-2"],
+        ["verify", "theorem1", "--count", "0"],
+        ["verify", "theorem2", "--count", "-1"],
+        ["rsit", "data.csv", "--trials", "0"],
+    ])
+    def test_non_positive_counts(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "not a positive integer" in capsys.readouterr().err
+
 
 class TestCorpusCommands:
     def test_parse_outputs_json_per_line(self, tmp_path, capsys):
@@ -51,6 +73,29 @@ class TestCorpusCommands:
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 2
         assert "line 2" in captured.err and "ParseError" in captured.err
+
+    def test_error_names_file_line(self, tmp_path, capsys):
+        path = write_lines(tmp_path, "in.txt", ["*CC*", "", "*C(C*", "*CO*"])
+        assert main(["parse", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("line 3: ParseError: ")
+        assert len(captured.out.splitlines()) == 2
+
+    def test_stdin_streams_in_order(self, monkeypatch, capsys):
+        lines = ["*CONO*", "*NOCO*", "*CC(C)O*", "*c1ccc(*)cc1"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines)))
+        assert main(["canon", "-"]) == 0
+        assert (capsys.readouterr().out.splitlines()
+                == [canonical_form(s) for s in lines])
+
+    def test_augment_seeds_skip_blank_lines(self, monkeypatch, capsys):
+        lines = ["*CONO*", "*CC(C)O*", "*CCN*"]
+        text = "\n" + "\n\n".join(lines) + "\n  \n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["augment", "-", "--n-variants", "2", "--seed", "5"]) == 0
+        want = [write(random_augment(parse(s), random.Random(f"5:{i}:{v}")))
+                for i, s in enumerate(lines) for v in range(2)]
+        assert capsys.readouterr().out.splitlines() == want
 
     def test_canon_identifies_translations(self, tmp_path, capsys):
         path = write_lines(tmp_path, "in.txt",
@@ -124,6 +169,19 @@ class TestVerify:
         rc = main(["verify", "lemma1"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_lemma1_suite_api(self, capsys):
+        pairs = default_twin_pairs()
+        rep = lemma1_suite(pairs)
+        assert rep.passed
+        assert [c.label for c in rep.cases] == [f"pair{i}"
+                                                for i in range(len(pairs))]
+        assert main(["verify", "lemma1"]) == 0
+        assert capsys.readouterr().out.splitlines() == rep.lines()
+
+    def test_lemma1_suite_fails_on_distinguishable_pair(self):
+        pair = TwinPair(parse("*CC*"), parse("*CO*"), None, 0)
+        assert not lemma1_suite([pair]).passed
 
 
 class TestRsit:
@@ -218,3 +276,37 @@ class TestForward:
         desc.write_text("psmiles,x1\n*CC*,0.5\n")
         assert main(["forward", path, "--descriptors", str(desc)]) == 2
         assert "requires --groups" in capsys.readouterr().err
+
+    def test_bad_line_in_the_middle(self, tmp_path, capsys):
+        lines = ["*CONO*", "*CC(C)O*", "*C(C*", "*CCN*", "*c1ccc(*)cc1"]
+        path = write_lines(tmp_path, "in.txt", lines)
+        rc = main(["forward", path, "--dim", "16", "--layers", "1",
+                   "--d-thres", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("line 3: ParseError: ")
+        model = ReferenceModel.generate(0, d=16, L=1, d_thres=2)
+        want = [json.dumps({"psmiles": s,
+                            "yhat": forward_polymer(model, parse(s)).yhat})
+                for s in lines if s != "*C(C*"]
+        assert captured.out.splitlines() == want
+
+    @pytest.mark.parametrize("csv_text, groups_doc, fragment", [
+        ("psmiles,x1\n*CC*,0.5\n", {"geom": ["x1", "x2"]},
+         "no column 'x2'"),
+        ("psmiles,x1,x2\n*CC*,0.5\n", {"geom": ["x1", "x2"]}, "line 2"),
+        ("psmiles,x1\n*CC*,0.5\n", {"geom": 5}, "column lists"),
+        ("psmiles,x1\n*CC*,0.5\n", ["x1"], "column lists"),
+    ])
+    def test_descriptor_input_mismatch(self, tmp_path, capsys, csv_text,
+                                       groups_doc, fragment):
+        path = write_lines(tmp_path, "in.txt", ["*CC*"])
+        desc = tmp_path / "desc.csv"
+        desc.write_text(csv_text)
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps(groups_doc))
+        rc = main(["forward", path, "--descriptors", str(desc),
+                   "--groups", str(groups)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err

@@ -12,7 +12,7 @@ from polyseq import (
     parse,
     random_augment,
     random_translation,
-    repeat,
+    repeat_monomer,
     write,
 )
 from polyseq.corpus import random_monomer
@@ -140,7 +140,7 @@ class TestAugment:
         assert out == {"*CONO*", "*ONOC*", "*NOCO*", "*OCON*"}
 
     def test_repeat(self):
-        g = repeat(parse("*CONO*"), 2)
+        g = repeat_monomer(parse("*CONO*"), 2)
         assert write(g) == "*CONOCONO*"
 
     def test_random_translation_preserves_polymer(self):

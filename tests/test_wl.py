@@ -15,7 +15,6 @@ from polyseq import (
     primitive_reduce,
     repeat_monomer,
     star_link,
-    unroll,
     wl_refine,
     write,
 )
@@ -155,13 +154,13 @@ class TestTwins:
             sb = star_link(p.monomer_b).as_graph()
             assert isomorphic(sa, sb)[0]
             assert 2 <= p.witness <= 6
-            ha = wl_refine(unroll(p.monomer_a, p.witness)).histogram
-            hb = wl_refine(unroll(p.monomer_b, p.witness)).histogram
+            ha = wl_refine(repeat_monomer(p.monomer_a, p.witness)).histogram
+            hb = wl_refine(repeat_monomer(p.monomer_b, p.witness)).histogram
             assert ha != hb
             if p.witness > 2:
                 k = p.witness - 1
-                assert (wl_refine(unroll(p.monomer_a, k)).histogram
-                        == wl_refine(unroll(p.monomer_b, k)).histogram)
+                assert (wl_refine(repeat_monomer(p.monomer_a, k)).histogram
+                        == wl_refine(repeat_monomer(p.monomer_b, k)).histogram)
 
     def test_symmetric_cuts_rejected(self):
         # cutting a square with a marker substituent at opposite edges gives
