@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .errors import DisconnectedError
@@ -177,14 +176,91 @@ class MolGraph:
         return out
 
     def sssr(self) -> list[set[int]]:
-        """Smallest set of smallest rings, as atom-index sets."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from((b.u, b.v) for b in self.bonds)
-        return [set(cycle) for cycle in nx.minimum_cycle_basis(g)]
+        """Smallest set of smallest rings: a minimum cycle basis, as atom sets.
+
+        Pendant trees are peeled off down to the 2-core.  A core component
+        with as many bonds as atoms is one ring; any other component takes
+        Horton's candidate cycles (Horton 1987), shortest first, keeping each
+        one that is GF(2)-independent of those kept before it (Kavitha et
+        al. 2009, "Cycle bases in graphs").
+        """
+        adj = self.adjacency()
+        degree = [len(adj[i]) for i in range(self.n)]
+        in_core = [True] * self.n
+        stack = [i for i in range(self.n) if degree[i] < 2]
+        while stack:
+            u = stack.pop()
+            if not in_core[u]:
+                continue
+            in_core[u] = False
+            for v, _ in adj[u]:
+                if in_core[v]:
+                    degree[v] -= 1
+                    if degree[v] == 1:
+                        stack.append(v)
+        rings: list[set[int]] = []
+        seen = [not c for c in in_core]
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            atoms = [start]
+            for u in atoms:
+                for v, _ in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        atoms.append(v)
+            edges = [(u, v) for u in atoms for v, _ in adj[u]
+                     if u < v and in_core[v]]
+            if len(edges) == len(atoms):
+                rings.append(set(atoms))
+            else:
+                rings.extend(_min_cycle_basis(atoms, edges, adj, in_core))
+        return rings
 
     def cyclomatic_number(self) -> int:
         return len(self.bonds) - self.n + 1
+
+
+def _min_cycle_basis(atoms: list[int], edges: list[tuple[int, int]],
+                     adj: dict[int, list[tuple[int, str]]],
+                     in_core: list[bool]) -> list[set[int]]:
+    """Minimum cycle basis of one connected component of the 2-core.
+
+    A cycle is an int whose bit k marks ``edges[k]``.  The candidates are
+    Horton's: for every root r, its BFS tree, and every bond uw whose ends
+    hang in different subtrees of r, the tree path u..r..w closed by uw.
+    """
+    index = {e: k for k, e in enumerate(edges)}
+    candidates: set[int] = set()
+    for root in atoms:
+        path = {root: 0}  # atom -> bonds of its tree path to the root
+        branch = {root: root}
+        order = [root]
+        for u in order:
+            for v, _ in adj[u]:
+                if in_core[v] and v not in path:
+                    path[v] = path[u] | 1 << index[min(u, v), max(u, v)]
+                    branch[v] = v if u == root else branch[u]
+                    order.append(v)
+        for (u, w), k in index.items():
+            if branch[u] != branch[w]:
+                candidates.add(path[u] ^ path[w] ^ 1 << k)
+    candidates.discard(0)  # a tree bond at the root closes no cycle
+    need = len(edges) - len(atoms) + 1
+    rows: dict[int, int] = {}  # leading bit -> reduced row
+    basis: list[set[int]] = []
+    for cycle in sorted(candidates, key=lambda c: (c.bit_count(), c)):
+        x = cycle
+        while x and x.bit_length() - 1 in rows:
+            x ^= rows[x.bit_length() - 1]
+        if x:
+            rows[x.bit_length() - 1] = x
+            basis.append({a for k, e in enumerate(edges) if cycle >> k & 1
+                          for a in e})
+            if len(basis) == need:
+                break
+    return basis
 
 
 class MonomerGraph(MolGraph):

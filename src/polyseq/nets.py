@@ -41,28 +41,34 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(x: int) -> int:
-    z = x & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _normals(seed: int, name: str, count: int) -> np.ndarray:
-    """counter-mix-v1: keyed counter stream -> Box-Muller normals."""
+    """counter-mix-v1: keyed counter stream -> Box-Muller normals.
+
+    Counter i (from 1) gives ``mix64((key + i * golden) mod 2**64)``; the
+    uint64 arithmetic wraps exactly like that.  Numpy's vectorised log, cos
+    and sin may differ from libm in the last bit, so those map ``math`` over
+    lists; the rest is single IEEE operations, equal in numpy and Python.
+    """
     key = seed ^ int.from_bytes(
         hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
-    out = np.empty(count)
-    for p in range((count + 1) // 2):
-        a = _mix64(key + (2 * p + 1) * _GOLDEN)
-        b = _mix64(key + (2 * p + 2) * _GOLDEN)
-        u1 = (a >> 11) * 2.0 ** -53 or 2.0 ** -53
-        u2 = (b >> 11) * 2.0 ** -53
-        r = math.sqrt(-2.0 * math.log(u1))
-        out[2 * p] = r * math.cos(2.0 * math.pi * u2)
-        if 2 * p + 1 < count:
-            out[2 * p + 1] = r * math.sin(2.0 * math.pi * u2)
-    return out
+    pairs = (count + 1) // 2
+    z = (np.uint64(key & _MASK64)
+         + np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    u1 = np.where(u[0::2] == 0.0, 2.0 ** -53, u[0::2])
+    angle = (2.0 * math.pi * u[1::2]).tolist()
+
+    def libm(f, xs: list[float]) -> np.ndarray:
+        return np.fromiter(map(f, xs), np.float64, len(xs))
+
+    r = np.sqrt(-2.0 * libm(math.log, u1.tolist()))
+    out = np.empty(2 * pairs)
+    out[0::2] = r * libm(math.cos, angle)
+    out[1::2] = r * libm(math.sin, angle)
+    return out[:count]
 
 
 N_PATH_CODES = len(EDGE_CODES)
@@ -135,6 +141,15 @@ class ReferenceModel:
         vec("head", d)
         mat("mask_classifier", N_ATOM_CLASSES, d)
         return cls(d, L, d_thres, d_atom, w, seed, spatial_groups)
+
+    def digest(self) -> str:
+        """16-hex-digit blake2b of every weight's name and float64 bytes,
+        in name order: a fingerprint that changes with any weight bit."""
+        h = hashlib.blake2b(digest_size=8)
+        for name in sorted(self.weights):
+            h.update(name.encode())
+            h.update(self.weights[name].tobytes())
+        return h.hexdigest()
 
     def save(self, path: str) -> None:
         doc = {

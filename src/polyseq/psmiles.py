@@ -278,10 +278,8 @@ def _atom_token(atom: Atom) -> str:
     if atom.isotope is not None:
         out += str(atom.isotope)
     out += sym
-    if atom.hcount:
+    if atom.hcount is not None:
         out += "H" if atom.hcount == 1 else f"H{atom.hcount}"
-    elif atom.hcount == 0:
-        pass
     if atom.charge:
         sign = "+" if atom.charge > 0 else "-"
         mag = abs(atom.charge)

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 
 import numpy as np
@@ -20,6 +22,7 @@ from polyseq import (
 )
 from polyseq.graphs import relabel
 from polyseq.nets import (
+    _normals,
     classify_atoms,
     layer_weights,
     normalize_fragmentation,
@@ -37,7 +40,61 @@ def star_ctx(psmiles, d_thres):
     return g, build_context(g, d_thres)
 
 
+def normals_reference(seed, name, count):
+    """counter-mix-v1 one Python int at a time: the reference _normals
+    must match bit for bit."""
+    mask = (1 << 64) - 1
+
+    def mix64(x):
+        z = x & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    key = seed ^ int.from_bytes(
+        hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
+    out = np.empty(count)
+    for p in range((count + 1) // 2):
+        a = mix64(key + (2 * p + 1) * 0x9E3779B97F4A7C15)
+        b = mix64(key + (2 * p + 2) * 0x9E3779B97F4A7C15)
+        u1 = (a >> 11) * 2.0 ** -53 or 2.0 ** -53
+        u2 = (b >> 11) * 2.0 ** -53
+        r = math.sqrt(-2.0 * math.log(u1))
+        out[2 * p] = r * math.cos(2.0 * math.pi * u2)
+        if 2 * p + 1 < count:
+            out[2 * p + 1] = r * math.sin(2.0 * math.pi * u2)
+    return out
+
+
 class TestWeights:
+    @pytest.mark.parametrize("seed", [0, 7, 101, 2 ** 64 + 5, 2 ** 70 - 1,
+                                      -1, -3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 4096])
+    def test_normals_match_reference(self, seed, count):
+        got = _normals(seed, "attn0.wq", count)
+        assert got.shape == (count,)
+        assert got.tobytes() == normals_reference(seed, "attn0.wq",
+                                                  count).tobytes()
+
+    @pytest.mark.parametrize("args,kwargs,digest", [
+        ((0,), dict(d=64, L=3, d_thres=3,
+                    spatial_groups={"shape": 3, "charge": 2}),
+         "43cca928f00c3fc1"),
+        ((101,), dict(d=64, L=3, d_thres=3), "4fbdd21557b88acc"),
+        ((7,), dict(d=16, L=2, d_thres=3), "03b3078096967452"),
+        ((2 ** 64 + 5,), dict(d=16, L=1, d_thres=3), "59f18278926e9b19"),
+        ((-3,), dict(d=16, L=1, d_thres=3), "d034ba5a7dd1c0a7"),
+    ])
+    def test_golden_digest(self, args, kwargs, digest):
+        assert ReferenceModel.generate(*args, **kwargs).digest() == digest
+
+    def test_digest_tracks_weights(self, model, tmp_path):
+        path = str(tmp_path / "model.json")
+        model.save(path)
+        assert ReferenceModel.load(path).digest() == model.digest()
+        other = ReferenceModel.generate(seed=8, d=16, L=2, d_thres=3)
+        assert other.digest() != model.digest()
+
     def test_generation_deterministic(self):
         a = ReferenceModel.generate(seed=3, d=8, L=1)
         b = ReferenceModel.generate(seed=3, d=8, L=1)

@@ -109,6 +109,8 @@ class TestWrite:
         "*[Si](C)(C)O*",
         "*C*",
         "*C#CC[N+](C)(C)[O-]*",
+        "*C[CH0]C*",
+        "*[13CH0]C[NH0+]C*",
     ]
 
     @pytest.mark.parametrize("s", CASES)
