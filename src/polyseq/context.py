@@ -31,10 +31,11 @@ def edge_code(order: str) -> int:
 class AttentionContext:
     """Immutable distance/path/mask bundle for one connected graph.
 
-    One shortest path per pair is fixed by a lowest-index-predecessor rule;
-    ``parent[i, j]`` is node j's predecessor on the chosen path from i, and
-    ``path_counts[i, j]`` holds the per-edge-code counts along that path
-    (their sum equals the distance).
+    One shortest path per pair is fixed by a lowest-index-predecessor rule:
+    ``parent[i, j]``, node j's predecessor on the chosen path from i, is the
+    lowest-index neighbour of j one step closer to i.  ``path_counts[i, j]``
+    holds the per-edge-code counts along that path (their sum equals the
+    distance).
     """
 
     n: int
@@ -70,9 +71,9 @@ class AttentionContext:
         doc = {
             "n": self.n,
             "d_thres": self.d_thres,
-            "dist": [[int(v) for v in row] for row in self.dist],
-            "mask": ["".join("1" if v else "0" for v in row)
-                     for row in self.local_mask],
+            "dist": self.dist.tolist(),
+            "mask": [row.tobytes().decode("ascii")
+                     for row in (self.local_mask + ord("0")).astype(np.uint8)],
         }
         return json.dumps(doc, separators=(",", ":"))
 
@@ -80,52 +81,61 @@ class AttentionContext:
 def build_context(g: MolGraph, d_thres: int) -> AttentionContext:
     """BFS all-pairs context with deterministic shortest-path choice.
 
-    Ties are broken toward the lowest-index predecessor, so identical inputs
-    always produce identical path tables.
+    The BFS runs from every source at once, one numpy step per distance
+    ring, over flat ``(source, atom)`` keys.  Ties go to the lowest-index
+    predecessor: ``parent[s, v]`` is the lowest-index neighbour of v one
+    step closer to s, so identical inputs always produce identical path
+    tables.
     """
     if d_thres < 1:
         raise ValueError("d_thres must be >= 1")
     if not g.is_connected():
         raise DisconnectedError("attention context requires a connected graph")
     n = g.n
-    n_codes = len(EDGE_CODES)
-    ecode = np.full((n, n), -1, dtype=np.int64)
-    for b in g.bonds:
-        c = edge_code(b.order)
-        ecode[b.u, b.v] = c
-        ecode[b.v, b.u] = c
+    adj = g.adjacency()
+    # neighbour table in ascending order, padded with the atom itself (seen
+    # before it is expanded, never one step closer); at least one column so
+    # that a bond-free atom still has a row to take argmax over
+    width = max(1, max(len(adj[u]) for u in range(n)))
+    nbr = np.array([[v for v, _ in adj[u]] + [u] * (width - len(adj[u]))
+                    for u in range(n)], dtype=np.int64)
+    code = np.array([[edge_code(o) for _, o in adj[u]]
+                     + [0] * (width - len(adj[u])) for u in range(n)],
+                    dtype=np.int64)
 
+    # BFS from every source at once over flat keys s * n + v, one ring per
+    # step; rings[d] holds the keys at distance d
     dist = np.full((n, n), INF_SENTINEL, dtype=np.int64)
-    parent = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        level = [src]
-        d = 0
-        while level:
-            nxt = []
-            for u in sorted(level):
-                for v in g.neighbors(u):
-                    if dist[src, v] == INF_SENTINEL:
-                        dist[src, v] = d + 1
-                        parent[src, v] = u
-                        nxt.append(v)
-            level = nxt
-            d += 1
+    flat_dist = dist.reshape(-1)
+    claim = np.empty(n * n, dtype=np.int64)
+    rings = []
+    ring = np.arange(n) * (n + 1)  # the diagonal
+    while ring.size:
+        flat_dist[ring] = len(rings)
+        rings.append(ring)
+        v = ring % n
+        reach = ((ring - v)[:, None] + nbr[v]).ravel()
+        new = reach[flat_dist[reach] == INF_SENTINEL]
+        # keep each key once, at whichever position's write to claim survived
+        at = np.arange(new.size)
+        claim[new] = at
+        ring = new[claim[new] == at]
 
-    # accumulate path code counts one distance ring at a time, fully
-    # vectorized: counts to a node = counts to its predecessor + last edge
-    counts = np.zeros((n, n, n_codes))
-    eye = np.eye(n_codes)
-    max_d = int(dist.max(initial=0))
-    for d in range(1, max_d + 1):
-        ss, vv = np.nonzero(dist == d)
-        if ss.size == 0:
-            break
-        pp = parent[ss, vv]
-        counts[ss, vv] = counts[ss, pp] + eye[ecode[pp, vv]]
+    # predecessor: the first neighbour of v in ascending order that is one
+    # step closer to s, the atom a sorted per-source BFS reaches v from
+    atoms = np.arange(n)
+    j = (dist[:, nbr] == dist[:, :, None] - 1).argmax(axis=2)
+    parent = nbr[atoms, j]
+    parent[atoms, atoms] = -1
+    step = np.eye(len(EDGE_CODES))[code[atoms, j]].reshape(n * n, -1)
+    pkey = (parent + atoms[:, None] * n).ravel()
+    # counts to a node = counts to its predecessor + last edge
+    counts = np.zeros((n * n, len(EDGE_CODES)))
+    for ring in rings[1:]:
+        counts[ring] = counts[pkey[ring]] + step[ring]
 
-    mask = dist < d_thres
-    return AttentionContext(n, dist, parent, counts, mask, d_thres)
+    return AttentionContext(n, dist, parent, counts.reshape(n, n, -1),
+                            dist < d_thres, d_thres)
 
 
 def periodic_context(g: MonomerGraph, k: int, d_thres: int) -> AttentionContext:

@@ -102,18 +102,24 @@ class MolGraph:
     def has_bond(self, u: int, v: int) -> bool:
         return any(j == v for j, _ in self.adjacency()[u])
 
+    def n_components(self) -> int:
+        seen = [False] * self.n
+        count = 0
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = True
+            stack = [start]
+            while stack:
+                for v in self.neighbors(stack.pop()):
+                    if not seen[v]:
+                        seen[v] = True
+                        stack.append(v)
+        return count
+
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        return self.n > 0 and self.n_components() == 1
 
     def bfs_distances(self, source: int) -> list[int]:
         dist = [-1] * self.n
@@ -219,7 +225,8 @@ class MolGraph:
         return rings
 
     def cyclomatic_number(self) -> int:
-        return len(self.bonds) - self.n + 1
+        """Independent ring count: bonds - atoms + connected components."""
+        return len(self.bonds) - self.n + self.n_components()
 
 
 def _min_cycle_basis(atoms: list[int], edges: list[tuple[int, int]],

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -9,12 +10,27 @@ from polyseq import (
     auto_repeat_for_lga,
     build_context,
     fold_equivalent,
+    forward_polymer,
     parse,
     periodic_context,
+    repeat_monomer,
     star_link,
+    strategy_transform,
 )
-from polyseq.context import EDGE_CODES, edge_code
-from polyseq.graphs import Atom, Bond, MolGraph
+from polyseq.cli import main
+from polyseq.context import EDGE_CODES, INF_SENTINEL, edge_code
+from polyseq.corpus import corpus
+from polyseq.graphs import Atom, Bond, MolGraph, relabel
+from polyseq.nets import ReferenceModel
+
+# Ring systems with many tied shortest paths, written with the boundary
+# path running through the rings.
+TIED_RING_SYSTEMS = {
+    "norbornane": "*C1CC2CCC1C2*",
+    "cubane": "*C12C3C4C1C5C2C3C45*",
+    "anthracene": "*c1ccc2cc3cc(*)ccc3cc2c1",
+    "adamantane cage": "*CC12CC3CC(CC(C3)C1)C2*",
+}
 
 
 def ctx_of(psmiles, d_thres=3, linked=True):
@@ -137,3 +153,130 @@ class TestSerialization:
         assert doc["dist"][0] == [0, 1, 2, 1]
         assert doc["mask"][0] == "1101"
         assert len(EDGE_CODES) == 5
+
+
+def _reference_context(g, d_thres):
+    """One BFS per source, each level visited in ascending atom order; the
+    first atom to reach v is its predecessor."""
+    n = g.n
+    ecode = np.full((n, n), -1, dtype=np.int64)
+    for b in g.bonds:
+        ecode[b.u, b.v] = ecode[b.v, b.u] = edge_code(b.order)
+    dist = np.full((n, n), INF_SENTINEL, dtype=np.int64)
+    parent = np.full((n, n), -1, dtype=np.int64)
+    for src in range(n):
+        dist[src, src] = 0
+        level = [src]
+        d = 0
+        while level:
+            nxt = []
+            for u in sorted(level):
+                for v in g.neighbors(u):
+                    if dist[src, v] == INF_SENTINEL:
+                        dist[src, v] = d + 1
+                        parent[src, v] = u
+                        nxt.append(v)
+            level = nxt
+            d += 1
+    counts = np.zeros((n, n, len(EDGE_CODES)))
+    eye = np.eye(len(EDGE_CODES))
+    for d in range(1, int(dist.max(initial=0)) + 1):
+        ss, vv = np.nonzero(dist == d)
+        pp = parent[ss, vv]
+        counts[ss, vv] = counts[ss, pp] + eye[ecode[pp, vv]]
+    return AttentionContext(n, dist, parent, counts, dist < d_thres, d_thres)
+
+
+def _reference_to_json(ctx):
+    return json.dumps({
+        "n": ctx.n,
+        "d_thres": ctx.d_thres,
+        "dist": [[int(v) for v in row] for row in ctx.dist],
+        "mask": ["".join("1" if v else "0" for v in row)
+                 for row in ctx.local_mask],
+    }, separators=(",", ":"))
+
+
+def _assert_same_context(g):
+    for d_thres in (1, 2, 3, 4):
+        got = build_context(g, d_thres)
+        want = _reference_context(g, d_thres)
+        assert got.n == want.n and got.d_thres == d_thres
+        for name in ("dist", "parent", "path_counts", "local_mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), (name, d_thres)
+
+
+def _lga_chains(s):
+    """The (2L+3)-fold chains lga_deviation builds, L=3, d_thres 2 and 3."""
+    for d_thres in (2, 3):
+        m, _ = auto_repeat_for_lga(parse(s), d_thres)
+        yield repeat_monomer(star_link(m).monomer, 2 * 3 + 3)
+
+
+class TestReferenceBFS:
+    """build_context is byte-identical to a plain per-source BFS."""
+
+    def test_corpus_star_links(self):
+        for s in corpus(200, seed=15):
+            _assert_same_context(star_link(parse(s)).as_graph())
+
+    @pytest.mark.parametrize("strategy", ["remove", "keep", "substitute"])
+    def test_strategy_graphs(self, strategy):
+        for s in corpus(60, seed=16):
+            _assert_same_context(strategy_transform(parse(s), strategy))
+
+    def test_lga_chains(self):
+        for s in corpus(4, seed=17) + ["*C1CC2CCC1C2*"]:
+            for chain in _lga_chains(s):
+                _assert_same_context(chain)
+
+    @pytest.mark.parametrize("s", list(TIED_RING_SYSTEMS.values()),
+                             ids=list(TIED_RING_SYSTEMS))
+    def test_tied_ring_systems(self, s):
+        g = star_link(parse(s)).as_graph()
+        rng = random.Random(3)
+        for _ in range(6):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            _assert_same_context(relabel(g, perm))
+        _assert_same_context(g)
+        _assert_same_context(parse(s))
+
+    def test_single_atom(self):
+        g = MolGraph([Atom("C")], [])
+        _assert_same_context(g)
+        ctx = build_context(g, 2)
+        assert ctx.dist.tolist() == [[0]]
+        assert ctx.parent.tolist() == [[-1]]
+        assert ctx.path_counts.shape == (1, 1, len(EDGE_CODES))
+
+    def test_relabel_permutes_dist_and_mask(self):
+        rng = random.Random(4)
+        for s in list(TIED_RING_SYSTEMS.values()) + corpus(20, seed=18):
+            g = star_link(parse(s)).as_graph()
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            base = build_context(g, 3)
+            moved = build_context(relabel(g, perm), 3)
+            assert np.array_equal(moved.dist, base.dist[np.ix_(perm, perm)])
+            assert np.array_equal(moved.local_mask,
+                                  base.local_mask[np.ix_(perm, perm)])
+
+    def test_forward_single_atom_pin(self):
+        res = forward_polymer(ReferenceModel.generate(0), parse("*C*"),
+                              strategy="remove")
+        assert res.yhat == 1.3747160975733588
+
+
+def test_distances_output_matches_reference(tmp_path, capsys):
+    lines = corpus(30, seed=19) + ["*C12C3C4C1C5C2C3C45*"]
+    path = tmp_path / "in.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["distances", str(path), "--d-thres", "3"]) == 0
+    want = "".join(
+        _reference_to_json(_reference_context(
+            star_link(parse(s)).as_graph(), 3)) + "\n" for s in lines)
+    assert capsys.readouterr().out == want

@@ -264,6 +264,17 @@ class TestGraphBasics:
         assert len(rings) == 2
         assert all(len(r) == 6 for r in rings)
 
+    def test_cyclomatic_number_counts_components(self):
+        tri_and_atom = MolGraph([Atom("C")] * 4,
+                                [Bond(0, 1), Bond(1, 2), Bond(0, 2)])
+        assert len(tri_and_atom.sssr()) == 1
+        assert tri_and_atom.cyclomatic_number() == 1
+        assert not tri_and_atom.is_connected()
+        for s, rings in RING_FIXTURE:
+            g = parse(s)
+            assert g.cyclomatic_number() == len(g.sssr()) == rings, s
+        assert MolGraph([], []).cyclomatic_number() == 0
+
     def test_duplicate_bond_rejected(self):
         with pytest.raises(ValueError):
             MolGraph([Atom("C"), Atom("C")],
