@@ -2,6 +2,10 @@
 
 Colors are 16-byte blake2b digests built from canonical signatures, so
 coloring results are directly comparable across graphs, runs, and platforms.
+A refinement round hashes each distinct signature once, and the round that
+confirms a stable partition hashes nothing: it compares the count of
+distinct signatures with the count of color classes.  Colors and keys are
+those of hashing every atom's signature in every round.
 """
 
 from __future__ import annotations
@@ -19,14 +23,24 @@ def _digest(payload: str) -> bytes:
     return hashlib.blake2b(payload.encode(), digest_size=16).digest()
 
 
-def initial_colors(g: MolGraph, extra=None) -> list[bytes]:
+def _repr_digests(keys) -> list[bytes]:
+    """``_digest(repr(key))`` per key, hashing each distinct repr once."""
+    memo: dict[str, bytes] = {}
     out = []
-    for i, atom in enumerate(g.atoms):
-        key = atom.attr_key()
-        if extra is not None:
-            key = key + (extra(i),)
-        out.append(_digest(repr(key)))
+    for key in keys:
+        r = repr(key)
+        d = memo.get(r)
+        if d is None:
+            d = memo[r] = _digest(r)
+        out.append(d)
     return out
+
+
+def initial_colors(g: MolGraph, extra=None) -> list[bytes]:
+    if extra is None:
+        return _repr_digests(atom.attr_key() for atom in g.atoms)
+    return _repr_digests(atom.attr_key() + (extra(i),)
+                         for i, atom in enumerate(g.atoms))
 
 
 @dataclass
@@ -43,49 +57,61 @@ class ColoringResult:
         return sorted((c.hex(), k) for c, k in counts.items())
 
 
-def _refine_once(g: MolGraph, colors: list[bytes]) -> list[bytes]:
-    adj = g.adjacency()
-    out = []
-    for i in range(g.n):
-        nbr = sorted((order, colors[j].hex()) for j, order in adj[i])
-        out.append(_digest(f"{colors[i].hex()}|{nbr}"))
-    return out
+def _signatures(adj: dict[int, list[tuple[int, str]]],
+                colors: list[bytes]) -> list[tuple]:
+    """Per atom: its color and its sorted (bond order, neighbor color) pairs."""
+    return [(colors[i], tuple(sorted([(o, colors[j]) for j, o in adj[i]])))
+            for i in range(len(adj))]
 
 
-def _partition(colors: list[bytes]) -> list[tuple]:
-    groups: dict[bytes, list[int]] = {}
-    for i, c in enumerate(colors):
-        groups.setdefault(c, []).append(i)
-    return sorted(tuple(v) for v in groups.values())
+def _recolor(sigs: list[tuple], distinct: set[tuple]) -> list[bytes]:
+    """Next colors: the digest of each distinct signature, computed once.
+
+    The payload spells colors in hex.  Hex preserves byte order, so the
+    neighbor pairs sorted on raw bytes are already in hex order.
+    """
+    hexes = {c: c.hex() for c, _ in distinct}
+    digests = {}
+    for sig in distinct:
+        color, nbr = sig
+        pairs = [(o, hexes[c]) for o, c in nbr]
+        digests[sig] = _digest(f"{hexes[color]}|{pairs}")
+    return [digests[sig] for sig in sigs]
 
 
 def wl_refine(g: MolGraph, init: list | None = None,
               rounds: int | None = None) -> ColoringResult:
     """1-WL refinement.
 
-    With ``rounds=None`` the refinement runs until the partition is stable
-    (verified by one extra round that changes nothing); otherwise exactly
-    ``rounds`` rounds are applied.  ``init`` may be a list of hashables used
-    as initial colors instead of the atom attributes.
+    With ``rounds=None`` the refinement runs until the partition is stable;
+    the last counted round is the one that would split no color class.  The
+    next colors fold in the current ones, so that round is found by counting
+    distinct signatures against classes, and it computes no digests.
+    Otherwise exactly ``rounds`` rounds are applied.  ``init`` may be a list
+    of hashables used as initial colors instead of the atom attributes.
     """
     if init is None:
         colors = initial_colors(g)
     elif init and isinstance(init[0], bytes):
         colors = list(init)
     else:
-        colors = [_digest(repr(v)) for v in init]
+        colors = _repr_digests(init)
+    adj = g.adjacency()
     if rounds is not None:
         for _ in range(rounds):
-            colors = _refine_once(g, colors)
+            sigs = _signatures(adj, colors)
+            colors = _recolor(sigs, set(sigs))
         return ColoringResult(colors, ColoringResult._hist(colors), rounds)
+    classes = len(set(colors))
     done = 0
     for t in range(1, g.n + 2):
-        nxt = _refine_once(g, colors)
-        if _partition(nxt) == _partition(colors):
-            done = t
-            break
-        colors = nxt
         done = t
+        sigs = _signatures(adj, colors)
+        distinct = set(sigs)
+        if len(distinct) == classes:
+            break
+        colors = _recolor(sigs, distinct)
+        classes = len(distinct)
     return ColoringResult(colors, ColoringResult._hist(colors), done)
 
 
@@ -128,26 +154,26 @@ def isomorphic(g1: MolGraph, g2: MolGraph, extra1=None, extra2=None,
         by_color.setdefault(c, []).append(j)
 
     # Match in BFS order so each new node (after the first) is constrained
-    # by an already-mapped neighbor.
+    # by an already-mapped neighbor.  The order list is the BFS queue.
     order: list[int] = []
     seen = [False] * g1.n
+    pos = 0
     for root in range(g1.n):
         if seen[root]:
             continue
         seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for v in g1.neighbors(u):
+        order.append(root)
+        while pos < len(order):
+            for v in g1.neighbors(order[pos]):
                 if not seen[v]:
                     seen[v] = True
-                    queue.append(v)
+                    order.append(v)
+            pos += 1
 
     adj1 = {i: {j: o for j, o in g1.adjacency()[i]} for i in range(g1.n)}
     adj2 = {i: {j: o for j, o in g2.adjacency()[i]} for i in range(g2.n)}
     mapping = [-1] * g1.n
-    used = [False] * g2.n
+    inverse = [-1] * g2.n  # inverse[mapping[u]] == u for every mapped u
 
     def feasible(u: int, v: int) -> bool:
         if c1.colors[u] != c2.colors[v] or len(adj1[u]) != len(adj2[v]):
@@ -157,10 +183,9 @@ def isomorphic(g1: MolGraph, g2: MolGraph, extra1=None, extra2=None,
             if mw >= 0 and adj2[v].get(mw) != o:
                 return False
         for w2, o in adj2[v].items():
-            if used[w2]:
-                w1 = mapping.index(w2)
-                if adj1[u].get(w1) != o:
-                    return False
+            w1 = inverse[w2]
+            if w1 >= 0 and adj1[u].get(w1) != o:
+                return False
         return True
 
     def backtrack(pos: int) -> bool:
@@ -168,13 +193,13 @@ def isomorphic(g1: MolGraph, g2: MolGraph, extra1=None, extra2=None,
             return True
         u = order[pos]
         for v in by_color.get(c1.colors[u], []):
-            if not used[v] and feasible(u, v):
+            if inverse[v] < 0 and feasible(u, v):
                 mapping[u] = v
-                used[v] = True
+                inverse[v] = u
                 if backtrack(pos + 1):
                     return True
                 mapping[u] = -1
-                used[v] = False
+                inverse[v] = -1
         return False
 
     if backtrack(0):
@@ -208,12 +233,34 @@ def separating_bridges(g: MonomerGraph) -> list[tuple[int, int]]:
     These are exactly the edges of the infinite chain whose cut yields a
     translation of the same polymer.
     """
-    out = []
-    for (x, y) in sorted(g.bridges()):
-        comp = _component_without(g, (x, y), g.head)
-        if g.tail not in comp:
-            out.append((x, y))
-    return out
+    return [edge for edge, _ in _head_sides(g)]
+
+
+def _head_sides(g: MonomerGraph) -> list[tuple[tuple[int, int], set[int]]]:
+    """Boundary-separating bridges, sorted, each with the atoms on head's side.
+
+    When tail is reachable from head, every head-tail path crosses each
+    separating bridge, so only the bridges on one BFS-tree path need a
+    search.  When it is not, every bridge separates the boundary atoms.
+    """
+    bridges = g.bridges()
+    parent = {g.head: g.head}
+    queue = [g.head]
+    for u in queue:
+        for v in g.neighbors(u):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    if g.tail in parent:
+        path = []
+        v = g.tail
+        while v != g.head:
+            u = parent[v]
+            path.append((min(u, v), max(u, v)))
+            v = u
+        bridges = bridges.intersection(path)
+    return [(edge, _component_without(g, edge, g.head))
+            for edge in sorted(bridges)]
 
 
 def _component_without(g: MolGraph, edge: tuple[int, int], start: int) -> set[int]:
@@ -234,10 +281,9 @@ def _component_without(g: MolGraph, edge: tuple[int, int], start: int) -> set[in
 def translation_variants(g: MonomerGraph) -> list[MonomerGraph]:
     """All monomers obtainable by re-cutting the chain of g's polymer."""
     variants = [g]
-    for (x, y) in separating_bridges(g):
-        head_side = _component_without(g, (x, y), g.head)
+    for (x, y), head_side in _head_sides(g):
         hx, ty = (x, y) if x in head_side else (y, x)
-        bonds = [b for b in g.bonds if b.pair() != (min(x, y), max(x, y))]
+        bonds = [b for b in g.bonds if b.pair() != (x, y)]
         bonds.append(Bond(g.head, g.tail, "single"))
         variants.append(MonomerGraph(g.atoms, bonds, ty, hx,
                                      g.stereo_discarded))
@@ -252,12 +298,12 @@ def primitive_reduce(g: MonomerGraph) -> MonomerGraph:
     k-fold repeat against g.  Returns g itself when no reduction applies.
     """
     n = g.n
+    sides = _head_sides(g)
     for k in range(n, 1, -1):
         if n % k != 0:
             continue
         usize = n // k
-        for (x, y) in separating_bridges(g):
-            head_side = _component_without(g, (x, y), g.head)
+        for (x, y), head_side in sides:
             if len(head_side) != usize:
                 continue
             hx = x if x in head_side else y
