@@ -51,7 +51,6 @@ from .context import (
     AttentionContext,
     build_context,
     fold_equivalent,
-    periodic_context,
 )
 from .nets import (
     ReferenceModel,

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 input error, 3 verification failure.
 Line commands stream: each non-blank input line prints its result as soon as
 it is computed, in input order, and a bad line is reported on stderr as
-"line N: <error type>: <message>", N its line in the file.  All randomness
-derives from --seed.
+"line N: <error type>: <message>", N its line in the file.  Each command
+takes only the options it reads; all randomness derives from --seed.
 """
 
 from __future__ import annotations
@@ -49,9 +49,13 @@ def _read_dataset(path: str) -> list[tuple[str, float]]:
             raise PolyseqError(f"{path}: expected CSV header 'psmiles,value'")
         out = []
         for row in reader:
+            where = f"{path} line {reader.line_num}"
             if len(row) < 2:
-                raise PolyseqError(f"{path}: short row {row!r}")
-            out.append((row[0].strip(), float(row[1])))
+                raise PolyseqError(f"{where}: short row {row!r}")
+            try:
+                out.append((row[0].strip(), float(row[1])))
+            except ValueError as exc:
+                raise PolyseqError(f"{where}: {exc}") from None
     return out
 
 
@@ -102,58 +106,63 @@ def _monomer_json(g) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _model_from(args) -> ReferenceModel:
-    return ReferenceModel.generate(args.seed, d=args.dim, L=args.layers,
-                                   d_thres=args.d_thres)
+def _model_from(args, **kw) -> ReferenceModel:
+    return ReferenceModel.generate(args.seed, d=args.dim, L=args.layers, **kw)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d-thres", type=int, default=3, dest="d_thres")
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--strategy", default="link",
-                   choices=["keep", "remove", "substitute", "link"])
-    p.add_argument("--tolerance", type=float, default=None)
+# The options some commands read; each command names the ones it takes.
+_OPTIONS = {
+    "seed": dict(type=int, default=0),
+    "d-thres": dict(type=int, default=3, dest="d_thres"),
+    "layers": dict(type=int, default=3),
+    "dim": dict(type=int, default=64),
+    "strategy": dict(default="link",
+                     choices=["keep", "remove", "substitute", "link"]),
+    "tolerance": dict(type=float, default=1e-9),
+}
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="polyseq", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kw):
-        p = sub.add_parser(name, **kw)
-        _add_common(p)
+    def cmd(name, *options):
+        p = sub.add_parser(name)
+        for opt in options:
+            p.add_argument(f"--{opt}", **_OPTIONS[opt])
         return p
 
-    for name in ("parse", "canon", "link", "backbone", "stats", "distances"):
+    for name in ("parse", "canon", "link", "backbone", "stats"):
         p = cmd(name)
         p.add_argument("input", help="corpus file of P-SMILES lines, or -")
 
-    p = cmd("augment")
+    p = cmd("distances", "d-thres")
+    p.add_argument("input", help="corpus file of P-SMILES lines, or -")
+
+    p = cmd("augment", "seed")
     p.add_argument("input")
     p.add_argument("--n-variants", type=_positive_int, default=1)
 
-    p = cmd("verify")
+    p = cmd("verify", "seed", "layers", "dim", "tolerance")
     p.add_argument("suite", choices=["theorem1", "theorem2", "theorem3",
                                      "lemma1", "all"])
     p.add_argument("--count", type=_positive_int, default=100,
                    help="number of random monomers for the oracle suites")
 
-    p = cmd("rsit")
+    p = cmd("rsit", "seed", "d-thres", "layers", "dim", "strategy")
     p.add_argument("dataset", help="CSV file with header psmiles,value")
     p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--metric", default="r2", choices=sorted(rsit_mod.METRICS))
     p.add_argument("--compare", action="store_true",
-                   help="run all four strategies instead of one")
+                   help="run all four strategies instead of --strategy")
     p.add_argument("--output", default=None, help="write JSON report here")
 
-    p = cmd("fragcam")
+    p = cmd("fragcam", "seed", "d-thres", "layers", "dim")
     p.add_argument("dataset")
     p.add_argument("--fragments", required=True,
                    help="JSON: {psmiles: {label: [atom indices]}}")
 
-    p = cmd("forward")
+    p = cmd("forward", "seed", "d-thres", "layers", "dim", "strategy")
     p.add_argument("input")
     p.add_argument("--no-backbone", action="store_true")
     p.add_argument("--descriptors", default=None,
@@ -200,7 +209,6 @@ def _run_lines(args) -> int:
 
 
 def _run_verify(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else 1e-9
     rng = random.Random(args.seed)
     reports = []
     if args.suite in ("theorem1", "theorem2", "all"):
@@ -209,11 +217,11 @@ def _run_verify(args) -> int:
         model = _model_from(args)
         if args.suite in ("theorem1", "all"):
             reports.append(verify_mod.theorem1_suite(monomers, model,
-                                                     tol=tol))
+                                                     tol=args.tolerance))
         if args.suite in ("theorem2", "all"):
             neg = parse("*CNO*")
             reports.append(verify_mod.theorem2_suite(monomers, model, neg,
-                                                     tol=tol))
+                                                     tol=args.tolerance))
     if args.suite in ("theorem3", "lemma1", "all"):
         pairs = corpus_mod.default_twin_pairs()
         if args.suite in ("lemma1", "all"):
@@ -221,9 +229,8 @@ def _run_verify(args) -> int:
         if args.suite in ("theorem3", "all"):
             # twin seeds need no auto-repeat at d_thres=2, which keeps the
             # linked graphs of a pair literally isomorphic in the forward pass
-            model = ReferenceModel.generate(args.seed, d=args.dim,
-                                            L=args.layers, d_thres=2)
-            reports.append(verify_mod.twin_suite(pairs, model, tol=tol))
+            reports.append(verify_mod.twin_suite(
+                pairs, _model_from(args, d_thres=2), tol=args.tolerance))
     failed = False
     for rep in reports:
         for line in rep.lines():
@@ -234,39 +241,37 @@ def _run_verify(args) -> int:
 
 def _run_rsit(args) -> int:
     samples = _read_dataset(args.dataset)
+    model = _model_from(args, d_thres=args.d_thres)
     if args.compare:
-        rows = rsit_mod.compare_strategies(args.seed, samples, args.trials,
-                                           seed=args.seed, d=args.dim,
-                                           L=args.layers,
-                                           d_thres=args.d_thres,
-                                           metric=args.metric)
+        rows = rsit_mod.compare_strategies(model, samples, args.trials,
+                                           seed=args.seed, metric=args.metric)
         print(rsit_mod.format_table(rows))
         if args.output:
             with open(args.output, "w") as fh:
                 json.dump(rows, fh, indent=2)
-        return EXIT_OK
-    model = _model_from(args)
-    rep = rsit_mod.rsit(rsit_mod.ModelPredictor(model, args.strategy),
-                        samples, args.trials, seed=args.seed,
-                        metric=args.metric)
-    print(rsit_mod.format_table([{
-        "strategy": args.strategy, "clean": rep.clean_metric,
-        "adversarial": rep.adv_metric, "gap": rep.rsit_gap,
-    }]))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(rep.to_json())
-    if rep.failures:
-        print(f"warning: {rep.failures} sample(s) failed and were excluded",
-              file=sys.stderr)
-    return EXIT_OK
+    else:
+        rep = rsit_mod.rsit(rsit_mod.ModelPredictor(model, args.strategy),
+                            samples, args.trials, seed=args.seed,
+                            metric=args.metric)
+        rows = [{"strategy": args.strategy, "clean": rep.clean_metric,
+                 "adversarial": rep.adv_metric, "gap": rep.rsit_gap,
+                 "failures": rep.failures}]
+        print(rsit_mod.format_table(rows))
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(rep.to_json())
+    failed = [r for r in rows if r["failures"]]
+    for r in failed:
+        print(f"warning: {r['strategy']}: {r['failures']} sample(s) failed "
+              "and were excluded", file=sys.stderr)
+    return EXIT_INPUT if failed else EXIT_OK
 
 
 def _run_fragcam(args) -> int:
     samples = _read_dataset(args.dataset)
     with open(args.fragments) as fh:
         frag_map = json.load(fh)
-    model = _model_from(args)
+    model = _model_from(args, d_thres=args.d_thres)
     by_label: dict[str, list[float]] = {}
     errors = 0
     for s, _value in samples:
@@ -329,9 +334,7 @@ def _load_descriptors(args):
 
 def _forward_fn(args):
     desc, dims = _load_descriptors(args)
-    model = ReferenceModel.generate(args.seed, d=args.dim, L=args.layers,
-                                    d_thres=args.d_thres,
-                                    spatial_groups=dims)
+    model = _model_from(args, d_thres=args.d_thres, spatial_groups=dims)
 
     def fn(i, s):
         sd = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DisconnectedError
-from .graphs import MolGraph, MonomerGraph, repeat_monomer
+from .graphs import MolGraph
 
 EDGE_CODES = ("single", "double", "triple", "aromatic", "link")
 _CODE_INDEX = {c: i for i, c in enumerate(EDGE_CODES)}
@@ -31,31 +31,18 @@ def edge_code(order: str) -> int:
 class AttentionContext:
     """Immutable distance/path/mask bundle for one connected graph.
 
-    One shortest path per pair is fixed by a lowest-index-predecessor rule:
-    ``parent[i, j]``, node j's predecessor on the chosen path from i, is the
-    lowest-index neighbour of j one step closer to i.  ``path_counts[i, j]``
-    holds the per-edge-code counts along that path (their sum equals the
-    distance).
+    ``path_counts[i, j]`` holds the per-edge-code counts along one shortest
+    path from i to j (their sum equals the distance).  That path is fixed
+    by a lowest-index-predecessor rule: each step back from j towards i
+    goes to the lowest-index neighbour one step closer to i.
     """
 
     n: int
     dist: np.ndarray         # (n, n) int hop distances
-    parent: np.ndarray       # (n, n) int predecessor, -1 on the diagonal
     path_counts: np.ndarray  # (n, n, len(EDGE_CODES)) edge-code counts
     local_mask: np.ndarray   # (n, n) bool, dist < d_thres
     d_thres: int
     _means: np.ndarray | None = field(default=None, repr=False)
-
-    def path_codes(self, i: int, j: int) -> tuple[int, ...]:
-        """Edge-code sequence along the chosen shortest path from i to j."""
-        codes = []
-        v = j
-        while v != i:
-            u = int(self.parent[i, v])
-            step = self.path_counts[i, v] - self.path_counts[i, u]
-            codes.append(int(np.argmax(step)))
-            v = u
-        return tuple(reversed(codes))
 
     def path_onehot_means(self) -> np.ndarray:
         """(n, n, len(EDGE_CODES)) averaged edge-code one-hots per pair.
@@ -83,9 +70,9 @@ def build_context(g: MolGraph, d_thres: int) -> AttentionContext:
 
     The BFS runs from every source at once, one numpy step per distance
     ring, over flat ``(source, atom)`` keys.  Ties go to the lowest-index
-    predecessor: ``parent[s, v]`` is the lowest-index neighbour of v one
-    step closer to s, so identical inputs always produce identical path
-    tables.
+    predecessor: the path from s to v ends with the step from the
+    lowest-index neighbour of v one step closer to s, so identical inputs
+    always produce identical path tables.
     """
     if d_thres < 1:
         raise ValueError("d_thres must be >= 1")
@@ -123,43 +110,37 @@ def build_context(g: MolGraph, d_thres: int) -> AttentionContext:
 
     # predecessor: the first neighbour of v in ascending order that is one
     # step closer to s, the atom a sorted per-source BFS reaches v from
+    # (meaningless on the diagonal, which is never read)
     atoms = np.arange(n)
     j = (dist[:, nbr] == dist[:, :, None] - 1).argmax(axis=2)
-    parent = nbr[atoms, j]
-    parent[atoms, atoms] = -1
     step = np.eye(len(EDGE_CODES))[code[atoms, j]].reshape(n * n, -1)
-    pkey = (parent + atoms[:, None] * n).ravel()
+    pkey = (nbr[atoms, j] + atoms[:, None] * n).ravel()
     # counts to a node = counts to its predecessor + last edge
     counts = np.zeros((n * n, len(EDGE_CODES)))
     for ring in rings[1:]:
         counts[ring] = counts[pkey[ring]] + step[ring]
 
-    return AttentionContext(n, dist, parent, counts.reshape(n, n, -1),
+    return AttentionContext(n, dist, counts.reshape(n, n, -1),
                             dist < d_thres, d_thres)
-
-
-def periodic_context(g: MonomerGraph, k: int, d_thres: int) -> AttentionContext:
-    """Context of the k-fold open-chain unroll of the monomer."""
-    if k < 1:
-        raise ValueError("repeat count must be >= 1")
-    return build_context(repeat_monomer(g, k), d_thres)
 
 
 def fold_equivalent(star_ctx: AttentionContext, unroll_ctx: AttentionContext,
                     n_unit: int, copy: int) -> bool:
     """Check that a middle copy of the unrolled context folds onto the star
     context: for each atom of that copy, the masked set of
-    (neighbor mod n_unit, distance, path codes) must match the star row.
+    (neighbor mod n_unit, distance, edge-code counts) must match the star
+    row.  These are what the attention bias reads.
     """
     for i in range(n_unit):
         gi = copy * n_unit + i
         folded = {
             (j % n_unit, int(unroll_ctx.dist[gi, j]),
-             unroll_ctx.path_codes(gi, j))
+             tuple(unroll_ctx.path_counts[gi, j].tolist()))
             for j in range(unroll_ctx.n) if unroll_ctx.local_mask[gi, j]
         }
         ref = {
-            (j, int(star_ctx.dist[i, j]), star_ctx.path_codes(i, j))
+            (j, int(star_ctx.dist[i, j]),
+             tuple(star_ctx.path_counts[i, j].tolist()))
             for j in range(star_ctx.n) if star_ctx.local_mask[i, j]
         }
         if folded != ref:

@@ -27,7 +27,6 @@ from .graphs import (
     FEATURE_ELEMENTS,
     MolGraph,
     MonomerGraph,
-    StarLinkGraph,
     apply_backbone_embedding,
     auto_repeat_for_lga,
     detect_backbone,
@@ -100,10 +99,9 @@ class ReferenceModel:
 
     @classmethod
     def generate(cls, seed: int, d: int = 64, L: int = 3, d_thres: int = 3,
-                 d_atom: int | None = None,
                  spatial_groups: dict[str, int] | None = None
                  ) -> "ReferenceModel":
-        d_atom = feature_dim() if d_atom is None else d_atom
+        d_atom = feature_dim()
         spatial_groups = dict(spatial_groups or {})
         scale = 1.0 / math.sqrt(d)
         w: dict[str, np.ndarray] = {}
@@ -230,42 +228,28 @@ def attention_bias(ctx: AttentionContext, dist_table: np.ndarray,
 
 
 def local_attention_layer(ctx: AttentionContext, x: np.ndarray,
-                          w: dict[str, np.ndarray],
-                          mask_mode: str = "pre",
-                          return_attention: bool = False):
+                          w: dict[str, np.ndarray]) -> np.ndarray:
     """One localized attention layer with residual LayerNorm and FFN.
 
-    ``mask_mode="pre"`` (default) applies the locality mask inside the
-    softmax, so each column is a distribution over the masked-in entries
-    only.  ``"post"`` takes the softmax over all entries first and then
-    zeroes the masked-out ones without renormalizing; that variant breaks
-    the finite-unroll equivalence because the normalizer sees the whole
-    graph, and is provided for comparison only.
+    The locality mask is applied inside the softmax, so each attention
+    column is a distribution over the masked-in entries only; an atom's
+    output then depends on nothing outside its ``dist < d_thres`` ball,
+    which the finite-unroll equivalence rests on.
     """
     d = x.shape[0]
     if x.shape[1] != ctx.n:
         raise ValueError("column count does not match context size")
-    if mask_mode not in ("pre", "post"):
-        raise ValueError(f"unknown mask_mode: {mask_mode!r}")
     q = w["wq"] @ x
     k = w["wk"] @ x
     v = w["wv"] @ x
     scores = (k.T @ q) / math.sqrt(d) + attention_bias(ctx, w["dist"],
                                                        w["path"])
-    if mask_mode == "pre":
-        a_hat = softmax_columns(np.where(ctx.local_mask, scores, -np.inf))
-        a_full = a_hat
-    else:
-        a_full = softmax_columns(scores)
-        a_hat = a_full * ctx.local_mask
+    a_hat = softmax_columns(np.where(ctx.local_mask, scores, -np.inf))
     y = v @ a_hat
     x1 = layer_norm(y + x, w["ln1_gain"], w["ln1_bias"])
     ffn = w["ffn_w2"] @ np.maximum(
         w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]
-    out = layer_norm(ffn + x1, w["ln2_gain"], w["ln2_bias"])
-    if return_attention:
-        return out, a_full, a_hat
-    return out
+    return layer_norm(ffn + x1, w["ln2_gain"], w["ln2_bias"])
 
 
 def layer_weights(model: ReferenceModel, prefix: str) -> dict[str, np.ndarray]:
@@ -336,17 +320,14 @@ class ForwardResult:
     xts: np.ndarray       # (d, n) final per-atom representations
     pooled: np.ndarray    # (d,) mean-pooled vector
     yhat: float
-    graph: MolGraph
-    star: StarLinkGraph | None = None
-    unit_n: int = 0       # atoms per original monomer within the graph
 
 
 def forward_polymer(model: ReferenceModel, g: MonomerGraph,
                     descriptors: SpatialDescriptors | None = None,
-                    strategy: str = "link", use_backbone: bool = True,
-                    mask_mode: str = "pre",
-                    layers: str = "attention") -> ForwardResult:
-    """Full forward pass: features, backbone shift, L layers, pooling, head.
+                    strategy: str = "link",
+                    use_backbone: bool = True) -> ForwardResult:
+    """Full forward pass: features, backbone shift, L localized attention
+    layers, optional fusion with spatial descriptors, pooling, head.
 
     Under the ``link`` strategy the monomer is first repeated until its
     boundary distance exceeds 2*d_thres - 1 and then closed by the linking
@@ -354,7 +335,6 @@ def forward_polymer(model: ReferenceModel, g: MonomerGraph,
     infinite chain's, so predictions are invariant under repetition and
     translation of the input.
     """
-    star = None
     if strategy == "link":
         m2, _ = auto_repeat_for_lga(g, model.d_thres)
         star = star_link(m2)
@@ -367,22 +347,14 @@ def forward_polymer(model: ReferenceModel, g: MonomerGraph,
     x = model["input_proj"] @ featurize(graph)
     if use_backbone:
         x = apply_backbone_embedding(x, mask, model["backbone"])
-    if layers == "attention":
-        ctx = build_context(graph, model.d_thres)
-        for l in range(model.L):
-            x = local_attention_layer(ctx, x, layer_weights(model, f"attn{l}"),
-                                      mask_mode=mask_mode)
-    elif layers == "gin":
-        for l in range(model.L):
-            x = gin_layer(graph, x, model[f"gin{l}.w1"], model[f"gin{l}.b1"],
-                          model[f"gin{l}.w2"], model[f"gin{l}.b2"])
-    else:
-        raise ValueError(f"unknown layer stack: {layers!r}")
+    ctx = build_context(graph, model.d_thres)
+    for l in range(model.L):
+        x = local_attention_layer(ctx, x, layer_weights(model, f"attn{l}"))
     if descriptors is not None:
         x = cross_modal_fusion(x, project_spatial(descriptors, model), model)
     h = x.mean(axis=1)
     yhat = float(model["head"] @ h)
-    return ForwardResult(x, h, yhat, graph, star, g.n)
+    return ForwardResult(x, h, yhat)
 
 
 def normalize_fragmentation(frags: list[set[int]], n: int) -> list[list[int]]:

@@ -21,17 +21,13 @@ from .psmiles import parse, random_augment, write
 class ModelPredictor:
     """Reference forward model wrapped as a (P-SMILES -> float) predictor."""
 
-    def __init__(self, model: ReferenceModel, strategy: str = "link",
-                 use_backbone: bool = True):
+    def __init__(self, model: ReferenceModel, strategy: str = "link"):
         self.model = model
         self.strategy = strategy
-        self.use_backbone = use_backbone
-        self.name = f"star-{strategy}"
 
     def predict(self, psmiles: str) -> float:
-        g = parse(psmiles)
-        return forward_polymer(self.model, g, strategy=self.strategy,
-                               use_backbone=self.use_backbone).yhat
+        return forward_polymer(self.model, parse(psmiles),
+                               strategy=self.strategy).yhat
 
 
 def squared_loss(pred: float, label: float) -> float:
@@ -135,12 +131,11 @@ def rsit(predictor, samples: list[tuple[str, float]], T: int,
     return report
 
 
-def compare_strategies(model_seed: int, samples: list[tuple[str, float]],
-                       T: int, seed: int = 0, d: int = 64, L: int = 3,
-                       d_thres: int = 3, metric: str = "r2"
+def compare_strategies(model: ReferenceModel,
+                       samples: list[tuple[str, float]], T: int,
+                       seed: int = 0, metric: str = "r2"
                        ) -> list[dict[str, float | str]]:
     """Clean vs adversarial table for the four endpoint strategies."""
-    model = ReferenceModel.generate(model_seed, d=d, L=L, d_thres=d_thres)
     rows = []
     for strategy in ("keep", "remove", "substitute", "link"):
         rep = rsit(ModelPredictor(model, strategy), samples, T,

@@ -78,8 +78,7 @@ def gin_deviation(model: ReferenceModel, g: MonomerGraph, L: int) -> float:
 
 
 def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
-                  d_thres: int, auto_repeat: bool = True,
-                  mask_mode: str = "pre") -> float:
+                  d_thres: int, auto_repeat: bool = True) -> float:
     """Same comparison for L localized attention layers.
 
     With ``auto_repeat=False`` the boundary-distance precondition can be
@@ -96,8 +95,8 @@ def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
     x_s, x_u = _tiled_features(model, star.as_graph(), k)
     for l in range(L):
         w = layer_weights(model, f"attn{l}")
-        x_s = local_attention_layer(ctx_s, x_s, w, mask_mode=mask_mode)
-        x_u = local_attention_layer(ctx_u, x_u, w, mask_mode=mask_mode)
+        x_s = local_attention_layer(ctx_s, x_s, w)
+        x_u = local_attention_layer(ctx_u, x_u, w)
     mid = (k // 2) * n
     return float(np.abs(x_u[:, mid:mid + n] - x_s).max())
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DisconnectedError
 from .graphs import Bond, MolGraph, MonomerGraph, repeat_monomer, star_link
 
 NODE_CAP = 64
@@ -132,16 +132,16 @@ def canonical_key(g: MolGraph, extra=None) -> bytes:
     return _digest(f"{nodes}#{edges}")
 
 
-def isomorphic(g1: MolGraph, g2: MolGraph, extra1=None, extra2=None,
-               node_cap: int = NODE_CAP) -> tuple[bool, list[int] | None]:
+def isomorphic(g1: MolGraph, g2: MolGraph, extra1=None, extra2=None
+               ) -> tuple[bool, list[int] | None]:
     """Exact attributed isomorphism via WL-pruned backtracking.
 
     ``extra1``/``extra2`` map node index -> hashable and are folded into the
     initial colors (used to pin boundary roles).  Returns ``(found, mapping)``
     where ``mapping[i]`` is the g2 node matched to g1 node ``i``.
     """
-    if max(g1.n, g2.n) > node_cap:
-        raise BudgetExceeded(f"graph exceeds {node_cap}-node search budget")
+    if max(g1.n, g2.n) > NODE_CAP:
+        raise BudgetExceeded(f"graph exceeds {NODE_CAP}-node search budget")
     if g1.n != g2.n or len(g1.bonds) != len(g2.bonds):
         return False, None
     c1 = wl_refine(g1, init=initial_colors(g1, extra1))
@@ -295,8 +295,11 @@ def primitive_reduce(g: MonomerGraph) -> MonomerGraph:
 
     Detects k-periodic monomers by cutting at a boundary-separating bridge
     that splits off exactly n/k atoms on the head side and checking the
-    k-fold repeat against g.  Returns g itself when no reduction applies.
+    k-fold repeat against g.  Returns g itself when no reduction applies,
+    and raises DisconnectedError on a disconnected monomer.
     """
+    if not g.is_connected():
+        raise DisconnectedError("monomer graph is not connected")
     n = g.n
     sides = _head_sides(g)
     for k in range(n, 1, -1):

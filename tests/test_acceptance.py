@@ -89,7 +89,7 @@ class TestAcceptance:
         per_sample = max(abs(s.adv_predict - s.base_prediction)
                          for s in rep.samples)
         gap_zero = round(abs(rep.rsit_gap), 6) == 0.0
-        rows = compare_strategies(104, samples[:40], T=5, seed=41)
+        rows = compare_strategies(model, samples[:40], T=5, seed=41)
         by = {r["strategy"]: r for r in rows}
         others_positive = all(by[s]["gap"] > 0.0
                               for s in ("keep", "remove", "substitute"))

@@ -7,7 +7,7 @@ import pytest
 
 from polyseq import (canonical_form, forward_polymer, parse, random_augment,
                      write)
-from polyseq.cli import main
+from polyseq.cli import build_parser, main
 from polyseq.corpus import default_twin_pairs
 from polyseq.nets import ReferenceModel
 from polyseq.verify import lemma1_suite
@@ -25,6 +25,27 @@ def write_dataset(tmp_path, rows, header="psmiles,value"):
     path.write_text(header + "\n" + "\n".join(f"{s},{v}" for s, v in rows)
                     + "\n")
     return str(path)
+
+
+# The model and oracle options, and the commands that read each one.
+READERS = {
+    "--seed": {"augment", "verify", "rsit", "fragcam", "forward"},
+    "--d-thres": {"distances", "rsit", "fragcam", "forward"},
+    "--layers": {"verify", "rsit", "fragcam", "forward"},
+    "--dim": {"verify", "rsit", "fragcam", "forward"},
+    "--strategy": {"rsit", "forward"},
+    "--tolerance": {"verify"},
+}
+VALUES = {"--strategy": "keep", "--tolerance": "0.5"}
+COMMANDS = {
+    "parse": ["in.txt"], "canon": ["in.txt"], "link": ["in.txt"],
+    "backbone": ["in.txt"], "stats": ["in.txt"], "distances": ["in.txt"],
+    "augment": ["in.txt"], "verify": ["all"], "rsit": ["data.csv"],
+    "fragcam": ["data.csv", "--fragments", "f.json"], "forward": ["in.txt"],
+}
+PAIRS = [(cmd, opt) for cmd in COMMANDS for opt in READERS]
+READ = [(c, o) for c, o in PAIRS if c in READERS[o]]
+UNREAD = [(c, o) for c, o in PAIRS if c not in READERS[o]]
 
 
 class TestUsage:
@@ -55,6 +76,29 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 1
         assert "not a positive integer" in capsys.readouterr().err
+
+    def test_unread_option_count(self):
+        assert (len(READ), len(UNREAD)) == (20, 46)
+
+    @pytest.mark.parametrize("command, option", READ)
+    def test_read_option_is_accepted(self, command, option):
+        value = VALUES.get(option, "2")
+        args = build_parser().parse_args(
+            [command, *COMMANDS[command], option, value])
+        assert str(getattr(args, option[2:].replace("-", "_"))) == value
+
+    @pytest.mark.parametrize("command, option", UNREAD)
+    def test_unread_option_is_usage_error(self, command, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *COMMANDS[command], option,
+                  VALUES.get(option, "2")])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    def test_compare_keeps_strategy(self):
+        args = build_parser().parse_args(
+            ["rsit", "data.csv", "--compare", "--strategy", "keep"])
+        assert args.compare and args.strategy == "keep"
 
 
 class TestCorpusCommands:
@@ -213,6 +257,38 @@ class TestRsit:
         data = write_dataset(tmp_path, self.ROWS, header="smiles,y")
         assert main(["rsit", data]) == 2
         assert "psmiles,value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("*CONO*,abc\n", "line 2", "could not convert string to float: 'abc'"),
+        ("*CONO*,1.0\n*CCO*\n", "line 3", "short row ['*CCO*']"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, text, where,
+                                         message):
+        data = tmp_path / "data.csv"
+        data.write_text("psmiles,value\n" + text)
+        assert main(["rsit", str(data)]) == 2
+        assert capsys.readouterr().err == f"error: {data} {where}: {message}\n"
+
+    def test_failed_row_single_strategy(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, self.ROWS + [("*C(C*", 2.0)])
+        rc = main(["rsit", data, "--trials", "1", "--dim", "16",
+                   "--layers", "1", "--d-thres", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "link" in captured.out
+        assert captured.err == ("warning: link: 1 sample(s) failed and were "
+                                "excluded\n")
+
+    def test_failed_row_compare(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, self.ROWS + [("*C(C*", 2.0)])
+        rc = main(["rsit", data, "--trials", "1", "--dim", "16",
+                   "--layers", "1", "--d-thres", "2", "--compare"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 6
+        assert captured.err.splitlines() == [
+            f"warning: {s}: 1 sample(s) failed and were excluded"
+            for s in ("keep", "remove", "substitute", "link")]
 
 
 class TestFragcam:

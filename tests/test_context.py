@@ -12,7 +12,6 @@ from polyseq import (
     fold_equivalent,
     forward_polymer,
     parse,
-    periodic_context,
     repeat_monomer,
     star_link,
     strategy_transform,
@@ -24,13 +23,18 @@ from polyseq.graphs import Atom, Bond, MolGraph, relabel
 from polyseq.nets import ReferenceModel
 
 # Ring systems with many tied shortest paths, written with the boundary
-# path running through the rings.
+# path running through the rings.  In cyclobutene the tied paths across a
+# ring differ in bond order.
 TIED_RING_SYSTEMS = {
+    "cyclobutene": "*C1C=CC1*",
     "norbornane": "*C1CC2CCC1C2*",
     "cubane": "*C12C3C4C1C5C2C3C45*",
     "anthracene": "*c1ccc2cc3cc(*)ccc3cc2c1",
     "adamantane cage": "*CC12CC3CC(CC(C3)C1)C2*",
 }
+
+
+ONEHOT = np.eye(len(EDGE_CODES)).tolist()
 
 
 def ctx_of(psmiles, d_thres=3, linked=True):
@@ -56,15 +60,6 @@ class TestInvariants:
         ctx = ctx_of(s)
         assert np.array_equal(ctx.path_counts.sum(axis=2), ctx.dist)
 
-    def test_path_codes_match_counts(self):
-        ctx = ctx_of("*CC(=O)Oc1ccc(C)cc1*", d_thres=6)
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                codes = ctx.path_codes(i, j)
-                assert len(codes) == ctx.dist[i, j]
-                for c, cnt in enumerate(ctx.path_counts[i, j]):
-                    assert codes.count(c) == cnt
-
     def test_mask_diagonal_always_on(self):
         ctx = ctx_of("*CONO*", d_thres=1)
         assert np.array_equal(ctx.local_mask, np.eye(4, dtype=bool))
@@ -78,18 +73,25 @@ class TestInvariants:
     def test_edge_codes_recorded(self):
         star = star_link(parse("*CC=CC*"))
         ctx = build_context(star.as_graph(), 4)
-        assert ctx.path_codes(1, 2) == (edge_code("double"),)
+        assert ctx.path_counts[1, 2].tolist() == ONEHOT[edge_code("double")]
         # 0-3 goes through the link edge, recorded as a single bond
-        assert ctx.path_codes(0, 3) == (edge_code("single"),)
+        assert ctx.path_counts[0, 3].tolist() == ONEHOT[edge_code("single")]
 
     def test_deterministic_tie_break(self):
-        g = star_link(parse("*CONO*")).as_graph()
+        # the star graph is two 4-rings, 0-1=2-3 and 4-5=6-7, with 3-4 and
+        # the link 0-7; each ring has two tied paths between opposite
+        # corners, one through the double bond, and the path through the
+        # lower-index middle atom wins
+        g = star_link(parse("*C1C=CC1*")).as_graph()
         a = build_context(g, 3)
         b = build_context(g, 3)
-        assert np.array_equal(a.parent, b.parent)
-        # opposite corner of the 4-cycle: two equal paths, lowest-index
-        # predecessor wins
-        assert a.parent[0, 2] == 1
+        assert np.array_equal(a.path_counts, b.path_counts)
+        single, double = (ONEHOT[edge_code(o)] for o in ("single", "double"))
+        via_double = [s + d for s, d in zip(single, double)]
+        for i, j in [(0, 2), (2, 0), (4, 6), (6, 4)]:
+            assert a.path_counts[i, j].tolist() == via_double
+        for i, j in [(1, 3), (3, 1), (5, 7), (7, 5)]:
+            assert a.path_counts[i, j].tolist() == [2 * s for s in single]
 
     def test_onehot_means(self):
         ctx = ctx_of("*CC=CC*", d_thres=5)
@@ -107,22 +109,24 @@ class TestInvariants:
 
 
 class TestPeriodic:
+    """Contexts of the k-fold open-chain unroll of a monomer."""
+
     def test_k1_equals_plain(self):
         g = parse("*CC(C)O*")
-        a = periodic_context(g, 1, 3)
+        a = build_context(repeat_monomer(g, 1), 3)
         b = build_context(g, 3)
         assert np.array_equal(a.dist, b.dist)
         assert np.array_equal(a.path_counts, b.path_counts)
 
     def test_unroll_sizes(self):
         g = parse("*CONO*")
-        ctx = periodic_context(g, 3, 3)
+        ctx = build_context(repeat_monomer(g, 3), 3)
         assert ctx.n == 12
         assert ctx.dist[0, 11] == 11
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            periodic_context(parse("*CC*"), 0, 2)
+            build_context(repeat_monomer(parse("*CC*"), 0), 2)
 
 
 class TestFolding:
@@ -133,7 +137,7 @@ class TestFolding:
         star = star_link(m)
         star_ctx = build_context(star.as_graph(), dt)
         k = 2 * 3 + 3
-        un_ctx = periodic_context(star.monomer, k, dt)
+        un_ctx = build_context(repeat_monomer(star.monomer, k), dt)
         assert fold_equivalent(star_ctx, un_ctx, star.monomer.n, k // 2)
 
     def test_negative_without_auto_repeat(self):
@@ -141,7 +145,7 @@ class TestFolding:
         g = parse("*CNO*")
         star = star_link(g)
         star_ctx = build_context(star.as_graph(), 3)
-        un_ctx = periodic_context(g, 9, 3)
+        un_ctx = build_context(repeat_monomer(g, 9), 3)
         assert not fold_equivalent(star_ctx, un_ctx, g.n, 4)
 
 
@@ -184,7 +188,7 @@ def _reference_context(g, d_thres):
         ss, vv = np.nonzero(dist == d)
         pp = parent[ss, vv]
         counts[ss, vv] = counts[ss, pp] + eye[ecode[pp, vv]]
-    return AttentionContext(n, dist, parent, counts, dist < d_thres, d_thres)
+    return AttentionContext(n, dist, counts, dist < d_thres, d_thres)
 
 
 def _reference_to_json(ctx):
@@ -202,7 +206,7 @@ def _assert_same_context(g):
         got = build_context(g, d_thres)
         want = _reference_context(g, d_thres)
         assert got.n == want.n and got.d_thres == d_thres
-        for name in ("dist", "parent", "path_counts", "local_mask"):
+        for name in ("dist", "path_counts", "local_mask"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert a.shape == b.shape, name
@@ -250,7 +254,6 @@ class TestReferenceBFS:
         _assert_same_context(g)
         ctx = build_context(g, 2)
         assert ctx.dist.tolist() == [[0]]
-        assert ctx.parent.tolist() == [[-1]]
         assert ctx.path_counts.shape == (1, 1, len(EDGE_CODES))
 
     def test_relabel_permutes_dist_and_mask(self):

@@ -126,8 +126,8 @@ class TestModelPredictor:
 
     def test_compare_strategies_table(self):
         samples = labeled_corpus(5, seed=4)
-        rows = compare_strategies(3, samples, T=2, seed=1, d=16, L=1,
-                                  d_thres=2)
+        model = ReferenceModel.generate(3, d=16, L=1, d_thres=2)
+        rows = compare_strategies(model, samples, T=2, seed=1)
         assert [r["strategy"] for r in rows] == ["keep", "remove",
                                                  "substitute", "link"]
         by = {r["strategy"]: r for r in rows}

@@ -8,6 +8,7 @@ from polyseq import (
     Atom,
     Bond,
     BudgetExceeded,
+    DisconnectedError,
     MolGraph,
     MonomerGraph,
     canonical_key,
@@ -269,10 +270,9 @@ def _reference_wl_refine(g, init=None, rounds=None):
     return wl.ColoringResult(colors, wl.ColoringResult._hist(colors), done)
 
 
-def _reference_isomorphic(g1, g2, extra1=None, extra2=None,
-                          node_cap=wl.NODE_CAP):
-    if max(g1.n, g2.n) > node_cap:
-        raise BudgetExceeded(f"graph exceeds {node_cap}-node search budget")
+def _reference_isomorphic(g1, g2, extra1=None, extra2=None):
+    if max(g1.n, g2.n) > wl.NODE_CAP:
+        raise BudgetExceeded(f"graph exceeds {wl.NODE_CAP}-node search budget")
     if g1.n != g2.n or len(g1.bonds) != len(g2.bonds):
         return False, None
     c1 = _reference_wl_refine(g1, init=_reference_initial_colors(g1, extra1))
@@ -401,10 +401,7 @@ def _monomer(g):
 
 
 def _reduction(reduce, g):
-    try:
-        unit = reduce(g)
-    except KeyError:  # a disconnected monomer can cut off a lone boundary
-        return "KeyError"
+    unit = reduce(g)
     return unit is g, _monomer(unit)
 
 
@@ -482,11 +479,20 @@ class TestReferenceMonomerFunctions:
                     == [write(v) for v in _reference_translation_variants(g)])
 
     def test_primitive_reduce(self):
-        graphs = list(_corpus_monomers()[::3]) + _disconnected_monomers()
+        graphs = list(_corpus_monomers()[::3])
         graphs += [repeat_monomer(g, k) for g in graphs[:40] for k in (2, 3)]
         for g in graphs:
             assert (_reduction(primitive_reduce, g)
                     == _reference(_reduction, _reference_primitive_reduce, g))
+
+    def test_disconnected_monomer_is_rejected(self):
+        # the reference returns two of these unreduced and raises KeyError
+        # on the third, whose head side of bridge (1, 2) is the lone head
+        for g in _disconnected_monomers():
+            with pytest.raises(DisconnectedError):
+                primitive_reduce(g)
+            with pytest.raises(DisconnectedError):
+                canonical_form(g)
 
     def test_canonical_form(self):
         for g in _corpus_monomers()[:300]:
