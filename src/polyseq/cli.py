@@ -49,6 +49,8 @@ def _read_dataset(path: str) -> list[tuple[str, float]]:
             raise PolyseqError(f"{path}: expected CSV header 'psmiles,value'")
         out = []
         for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # a blank line, skipped as the line commands do
             where = f"{path} line {reader.line_num}"
             if len(row) < 2:
                 raise PolyseqError(f"{where}: short row {row!r}")

@@ -19,6 +19,7 @@ from .wl import generate_twins, TwinPair
 
 _PATH_ELEMENTS = ("C", "C", "C", "N", "O", "S")
 _SIDE_ELEMENTS = ("C", "C", "N", "O")
+MAX_TWIN_PAIRS = 8  # pairs the twin oracles check per run
 
 
 class _Builder:
@@ -138,10 +139,9 @@ def ring_pair_seed(n1: int, n2: int) -> MolGraph:
     return MolGraph(atoms, bonds)
 
 
-def default_twin_pairs(max_pairs: int = 8) -> list[TwinPair]:
-    """Verified twin pairs from the standard 5-ring/6-ring seed."""
-    pairs = generate_twins(ring_pair_seed(5, 6))
-    return pairs[:max_pairs]
+def default_twin_pairs() -> list[TwinPair]:
+    """The first MAX_TWIN_PAIRS twin pairs of the 5-ring/6-ring seed."""
+    return generate_twins(ring_pair_seed(5, 6))[:MAX_TWIN_PAIRS]
 
 
 def contiguous_fragments(n: int, n_frags: int) -> list[set[int]]:

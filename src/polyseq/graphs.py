@@ -344,7 +344,7 @@ def star_link(g: MonomerGraph) -> StarLinkGraph:
         k += 1
         m = repeat_monomer(g, k)
     link = Bond(m.head, m.tail, "single")
-    mask = detect_backbone(m, link)
+    mask = detect_backbone(m)
     return StarLinkGraph(m, link, mask, auto_repeat_k=k)
 
 
@@ -361,7 +361,7 @@ def shortest_boundary_path(g: MonomerGraph) -> list[int]:
     return path
 
 
-def detect_backbone(g: MonomerGraph, link: Bond | None = None) -> list[bool]:
+def detect_backbone(g: MonomerGraph) -> list[bool]:
     """Backbone mask: boundary shortest-path atoms plus rings touching them.
 
     The path is computed inside the monomer (the linking edge never counts),

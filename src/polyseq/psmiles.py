@@ -310,26 +310,38 @@ def write(g: MonomerGraph) -> str:
     visited = [False] * mol.n
     seen_back: set[tuple[int, int]] = set()
 
-    def survey(u: int, par: int) -> None:
-        visited[u] = True
-        for v in mol.neighbors(u):
+    # DFS survey of tree children and ring bonds; explicit stacks keep
+    # long chains within any recursion limit.
+    visited[start] = True
+    stack = [(start, -1, iter(mol.neighbors(start)))]
+    while stack:
+        u, par, nbrs = stack[-1]
+        for v in nbrs:
             if not visited[v]:
+                visited[v] = True
                 children[u].append(v)
-                survey(v, u)
-            elif v != par:
+                stack.append((v, u, iter(mol.neighbors(v))))
+                break
+            if v != par:
                 p = (min(u, v), max(u, v))
                 if p not in seen_back:
                     seen_back.add(p)
                     ring_at[v].append(p)
                     ring_at[u].append(p)
-
-    survey(start, -1)
+        else:
+            stack.pop()
 
     out: list[str] = []
     open_num: dict[tuple[int, int], int] = {}
     in_use: set[int] = set()
-
-    def emit(u: int, par: int) -> None:
+    # Emit in preorder; a todo item is a literal or an (atom, parent) pair.
+    todo: list = [(start, -1)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        u, par = item
         if par >= 0:
             out.append(_bond_symbol(mol.bond_order(par, u),
                                     mol.atoms[par], mol.atoms[u]))
@@ -349,15 +361,11 @@ def write(g: MonomerGraph) -> str:
                 in_use.add(num)
             out.append(tok + (str(num) if num < 10 else f"%{num:02d}"))
         kids = children[u]
-        for k, v in enumerate(kids):
-            if k < len(kids) - 1:
-                out.append("(")
-                emit(v, u)
-                out.append(")")
-            else:
-                emit(v, u)
-
-    emit(start, -1)
+        if kids:
+            # every child but the last is a parenthesised branch
+            todo.append((kids[-1], u))
+            for v in reversed(kids[:-1]):
+                todo += [")", (v, u), "("]
     return "".join(out)
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from .context import build_context
 from .graphs import (MonomerGraph, auto_repeat_for_lga, featurize,
                      repeat_monomer, star_link)
-from .nets import ReferenceModel, gin_layer, layer_weights, local_attention_layer
+from .nets import (ReferenceModel, forward_polymer, gin_layer, layer_weights,
+                   local_attention_layer)
 from .wl import TwinPair, wl_refine
 
 
@@ -153,8 +154,6 @@ def twin_suite(pairs: list[TwinPair], model: ReferenceModel,
     predictions with it, and distinguishable refinement when initial colors
     are split by the backbone mask.
     """
-    from .nets import forward_polymer
-
     rep = SuiteReport("twin-pairs")
     for idx, p in enumerate(pairs):
         sa, sb = star_link(p.monomer_a), star_link(p.monomer_b)

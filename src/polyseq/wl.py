@@ -10,13 +10,16 @@ those of hashing every atom's signature in every round.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DisconnectedError
-from .graphs import Bond, MolGraph, MonomerGraph, repeat_monomer, star_link
+from .graphs import (Bond, MolGraph, MonomerGraph, StarLinkGraph,
+                     repeat_monomer, star_link)
 
 NODE_CAP = 64
+MAX_UNROLL = 6  # deepest k-fold unroll searched for a twin pair's witness
 
 
 def _digest(payload: str) -> bytes:
@@ -345,72 +348,58 @@ class TwinPair:
 
     monomer_a: MonomerGraph
     monomer_b: MonomerGraph
-    shared_star: "object"
+    shared_star: StarLinkGraph
     witness: int
 
 
-def _edge_orbits(h: MolGraph, edges: list[tuple[int, int]]) -> list[int]:
-    """Orbit id per edge, computed by marked-graph isomorphism."""
-
-    def marked(e: tuple[int, int]) -> MolGraph:
-        bonds = [Bond(b.u, b.v, "cut-mark" if b.pair() == e else b.order)
-                 for b in h.bonds]
-        return MolGraph(h.atoms, bonds)
-
-    orbits: list[int] = []
-    reps: list[MolGraph] = []
-    for e in edges:
-        m = marked(e)
-        for oid, rep in enumerate(reps):
-            ok, _ = isomorphic(m, rep)
-            if ok:
-                orbits.append(oid)
+def _classes(items: list, same) -> list[int]:
+    """Class id per item: the first class whose representative (its first
+    item) is ``same`` as it, else a new class.  Exact for an equivalence."""
+    ids: list[int] = []
+    reps: list = []
+    for x in items:
+        for cid, rep in enumerate(reps):
+            if same(rep, x):
+                ids.append(cid)
                 break
         else:
-            orbits.append(len(reps))
-            reps.append(m)
-    return orbits
+            ids.append(len(reps))
+            reps.append(x)
+    return ids
 
 
-def generate_twins(h: MolGraph, max_unroll: int = 6) -> list[TwinPair]:
+def generate_twins(h: MolGraph) -> list[TwinPair]:
     """Enumerate verified twin pairs obtainable by cutting the seed graph.
 
-    Every non-bridge edge is a cut candidate; unordered pairs of cuts from
-    different automorphism orbits are checked.  A pair is emitted only when
-    the two polymers are provably different (translation-exhaustive check)
-    and a finite-unroll WL witness depth is found.
+    Each non-bridge edge is cut once.  The cuts are classed by isomorphism
+    of their linked graphs, then by exact polymer equality (cuts in one
+    automorphism orbit give one polymer).  Cuts i < j in one linked-graph
+    class and different polymer classes form a pair when some k-fold unroll
+    (k = 2..MAX_UNROLL, each refined at most once per cut) has different WL
+    histograms; the least such k is the witness.
     """
     bridge_set = h.bridges()
-    cuts = [b.pair() for b in h.bonds if b.pair() not in bridge_set]
-    cuts.sort()
-    if len(cuts) < 2:
-        return []
-    orbits = _edge_orbits(h, cuts)
+    cuts = sorted(b.pair() for b in h.bonds if b.pair() not in bridge_set)
+    monomers = [MonomerGraph(h.atoms, [b for b in h.bonds if b.pair() != e],
+                             e[0], e[1]) for e in cuts]
+    stars = [star_link(m) for m in monomers]
+    linked = _classes([s.as_graph() for s in stars],
+                      lambda x, y: isomorphic(x, y)[0])
+    polymer = _classes(list(zip(linked, monomers)),
+                       lambda x, y: x[0] == y[0] and polymer_equal(x[1], y[1]))
 
-    def cut(e: tuple[int, int]) -> MonomerGraph:
-        bonds = [b for b in h.bonds if b.pair() != e]
-        return MonomerGraph(h.atoms, bonds, e[0], e[1])
+    @functools.cache
+    def histogram(i: int, k: int) -> list[tuple[str, int]]:
+        return wl_refine(repeat_monomer(monomers[i], k)).histogram
 
     pairs: list[TwinPair] = []
     for i in range(len(cuts)):
         for j in range(i + 1, len(cuts)):
-            if orbits[i] == orbits[j]:
+            if linked[i] != linked[j] or polymer[i] == polymer[j]:
                 continue
-            a, b = cut(cuts[i]), cut(cuts[j])
-            star_a, star_b = star_link(a), star_link(b)
-            ok, _ = isomorphic(star_a.as_graph(), star_b.as_graph())
-            if not ok:
-                continue
-            if polymer_equal(a, b):
-                continue
-            witness = None
-            for k in range(2, max_unroll + 1):
-                ha = wl_refine(repeat_monomer(a, k)).histogram
-                hb = wl_refine(repeat_monomer(b, k)).histogram
-                if ha != hb:
-                    witness = k
-                    break
-            if witness is None:
-                continue
-            pairs.append(TwinPair(a, b, star_a, witness))
+            witness = next((k for k in range(2, MAX_UNROLL + 1)
+                            if histogram(i, k) != histogram(j, k)), None)
+            if witness is not None:
+                pairs.append(TwinPair(monomers[i], monomers[j], stars[i],
+                                      witness))
     return pairs

@@ -45,5 +45,6 @@ def test_untraced_calls_resolve():
     assert "n" in AttentionContext.__dataclass_fields__
     assert all(callable(f) for f in (polymer_equal, separating_bridges,
                                      default_twin_pairs))
+    inspect.signature(default_twin_pairs).bind()
     inspect.signature(lga_deviation).bind(None, None, 3, 3,
                                           auto_repeat=False)

@@ -165,6 +165,18 @@ class TestCorpusCommands:
         assert doc["d_thres"] == 2
         assert doc["mask"][0] == "1101"
 
+    def test_augment_long_chain(self, tmp_path, capsys):
+        # the first line is deeper than the default recursion limit
+        long = "*" + "C" * 1200 + "*"
+        path = write_lines(tmp_path, "in.txt", [long, "*CCO*"])
+        assert main(["augment", path, "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = captured.out.splitlines()
+        assert len(out) == 2
+        assert out[0] in (long, "*" + "C" * 2400 + "*")
+        assert canonical_form(out[1]) == canonical_form("*CCO*")
+
     def test_augment_deterministic(self, tmp_path, capsys):
         path = write_lines(tmp_path, "in.txt", ["*CONO*", "*CC(C)O*"])
         args = ["augment", path, "--n-variants", "3", "--seed", "9"]
@@ -252,6 +264,20 @@ class TestRsit:
         out = capsys.readouterr().out
         for s in ("keep", "remove", "substitute", "link"):
             assert s in out
+
+    def test_blank_rows_skipped(self, tmp_path, capsys):
+        opts = ["--trials", "1", "--dim", "16", "--layers", "1",
+                "--d-thres", "2"]
+        rows = [f"{s},{v}" for s, v in self.ROWS]
+        plain = tmp_path / "plain.csv"
+        plain.write_text("psmiles,value\n" + "\n".join(rows) + "\n")
+        assert main(["rsit", str(plain)] + opts) == 0
+        want = capsys.readouterr()
+        blank = tmp_path / "blank.csv"
+        blank.write_text("psmiles,value\n" + "\n".join(rows[:2]) + "\n\n"
+                         + "\n".join(rows[2:]) + "\n\n")
+        assert main(["rsit", str(blank)] + opts) == 0
+        assert capsys.readouterr() == want
 
     def test_bad_header(self, tmp_path, capsys):
         data = write_dataset(tmp_path, self.ROWS, header="smiles,y")

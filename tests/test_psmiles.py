@@ -15,7 +15,9 @@ from polyseq import (
     repeat_monomer,
     write,
 )
-from polyseq.corpus import random_monomer
+from polyseq.corpus import corpus, random_monomer
+from polyseq.graphs import strategy_transform
+from polyseq.psmiles import _atom_token, _bond_symbol
 from polyseq.wl import translation_variants
 
 
@@ -133,6 +135,89 @@ class TestWrite:
         g = random_monomer(random.Random(seed))
         again = parse(write(g))
         assert monomer_isomorphic(g, again, allow_swap=False)
+
+    def test_long_chain(self):
+        # deeper than the default recursion limit
+        s = "*" + "C" * 1200 + "*"
+        assert write(parse(s)) == s
+
+
+def _reference_write(g):
+    """``write`` as it was with a recursive survey and emit; kept as the
+    reference."""
+    mol = strategy_transform(g, "keep")
+    start = g.n
+
+    children = {i: [] for i in range(mol.n)}
+    ring_at = {i: [] for i in range(mol.n)}
+    visited = [False] * mol.n
+    seen_back = set()
+
+    def survey(u, par):
+        visited[u] = True
+        for v in mol.neighbors(u):
+            if not visited[v]:
+                children[u].append(v)
+                survey(v, u)
+            elif v != par:
+                p = (min(u, v), max(u, v))
+                if p not in seen_back:
+                    seen_back.add(p)
+                    ring_at[v].append(p)
+                    ring_at[u].append(p)
+
+    survey(start, -1)
+
+    out = []
+    open_num = {}
+    in_use = set()
+
+    def emit(u, par):
+        if par >= 0:
+            out.append(_bond_symbol(mol.bond_order(par, u),
+                                    mol.atoms[par], mol.atoms[u]))
+        out.append(_atom_token(mol.atoms[u]))
+        for p in ring_at[u]:
+            other = p[0] + p[1] - u
+            tok = _bond_symbol(mol.bond_order(u, other),
+                               mol.atoms[u], mol.atoms[other])
+            if p in open_num:
+                num = open_num.pop(p)
+                in_use.discard(num)
+            else:
+                num = 1
+                while num in in_use:
+                    num += 1
+                open_num[p] = num
+                in_use.add(num)
+            out.append(tok + (str(num) if num < 10 else f"%{num:02d}"))
+        kids = children[u]
+        for k, v in enumerate(kids):
+            if k < len(kids) - 1:
+                out.append("(")
+                emit(v, u)
+                out.append(")")
+            else:
+                emit(v, u)
+
+    emit(start, -1)
+    return "".join(out)
+
+
+class TestReferenceWrite:
+    def test_corpus_and_rewrites(self):
+        rng = random.Random(41)
+        for line in corpus(300, seed=41):
+            g = parse(line)
+            for h in (g, random_augment(g, rng), random_augment(g, rng)):
+                assert write(h) == _reference_write(h)
+
+    @pytest.mark.parametrize("s", TestWrite.CASES + [
+        "*CC12CC3CC(CC(C3)C1)C2*", "*c1ccc2ccccc2c1*",
+        "*CC1(C2CCC3(CCC3)C2)CC1*"])
+    def test_fixtures(self, s):
+        g = parse(s)
+        assert write(g) == _reference_write(g)
 
 
 class TestAugment:

@@ -25,6 +25,7 @@ from polyseq import (
 )
 from polyseq import psmiles, wl
 from polyseq.cli import main
+from polyseq import corpus as corpus_mod
 from polyseq.corpus import corpus, ring_pair_seed
 from polyseq.graphs import relabel
 from polyseq.psmiles import canonical_form, random_augment
@@ -392,6 +393,92 @@ def _reference(fn, *args):
         return fn(*args)
 
 
+# The twin generator as it was before each cut was classed once: an orbit
+# search over marked graphs, then star_link, isomorphic, polymer_equal and
+# the k-fold refinements redone for every pair of cuts; kept as the
+# reference.
+
+def _reference_edge_orbits(h, edges):
+    def marked(e):
+        bonds = [Bond(b.u, b.v, "cut-mark" if b.pair() == e else b.order)
+                 for b in h.bonds]
+        return MolGraph(h.atoms, bonds)
+
+    orbits = []
+    reps = []
+    for e in edges:
+        m = marked(e)
+        for oid, rep in enumerate(reps):
+            ok, _ = wl.isomorphic(m, rep)
+            if ok:
+                orbits.append(oid)
+                break
+        else:
+            orbits.append(len(reps))
+            reps.append(m)
+    return orbits
+
+
+def _reference_generate_twins(h, max_unroll=6):
+    bridge_set = h.bridges()
+    cuts = [b.pair() for b in h.bonds if b.pair() not in bridge_set]
+    cuts.sort()
+    if len(cuts) < 2:
+        return []
+    orbits = _reference_edge_orbits(h, cuts)
+
+    def cut(e):
+        bonds = [b for b in h.bonds if b.pair() != e]
+        return MonomerGraph(h.atoms, bonds, e[0], e[1])
+
+    pairs = []
+    for i in range(len(cuts)):
+        for j in range(i + 1, len(cuts)):
+            if orbits[i] == orbits[j]:
+                continue
+            a, b = cut(cuts[i]), cut(cuts[j])
+            star_a, star_b = wl.star_link(a), wl.star_link(b)
+            ok, _ = wl.isomorphic(star_a.as_graph(), star_b.as_graph())
+            if not ok:
+                continue
+            if wl.polymer_equal(a, b):
+                continue
+            witness = None
+            for k in range(2, max_unroll + 1):
+                ha = wl.wl_refine(wl.repeat_monomer(a, k)).histogram
+                hb = wl.wl_refine(wl.repeat_monomer(b, k)).histogram
+                if ha != hb:
+                    witness = k
+                    break
+            if witness is None:
+                continue
+            pairs.append(wl.TwinPair(a, b, star_a, witness))
+    return pairs
+
+
+def _six_five_seed(orders, aromatic):
+    """A 6-ring with the given bond orders bridged to a plain 5-ring."""
+    atoms = [Atom("C", aromatic=aromatic)] * 6 + [Atom("C")] * 5
+    bonds = [Bond(i, (i + 1) % 6, o) for i, o in enumerate(orders)]
+    bonds += [Bond(6 + i, 6 + (i + 1) % 5) for i in range(5)]
+    bonds.append(Bond(0, 6))
+    return MolGraph(atoms, bonds)
+
+
+def _twin_summary(pairs):
+    return [(_monomer(p.monomer_a), _monomer(p.monomer_b), p.witness,
+             tuple(p.shared_star.as_graph().bonds),
+             tuple(p.shared_star.backbone)) for p in pairs]
+
+
+def _same_twins(h, count):
+    """generate_twins(h) equals the reference run on the reference helpers,
+    which emits ``count`` pairs."""
+    want = _twin_summary(_reference(_reference_generate_twins, h))
+    assert len(want) == count
+    assert _twin_summary(generate_twins(h)) == want
+
+
 def _coloring(res):
     return res.colors, res.histogram, res.rounds
 
@@ -511,15 +598,32 @@ class TestReferenceMonomerFunctions:
         assert (capsys.readouterr().out.splitlines()
                 == [_reference(canonical_form, line) for line in lines])
 
-    @pytest.mark.parametrize("sizes", [(5, 6), (5, 5)])
+    @pytest.mark.parametrize("sizes", [(5, 6), (5, 5), (6, 8)])
     def test_generate_twins(self, sizes):
-        def summary(pairs):
-            return [(_monomer(p.monomer_a), _monomer(p.monomer_b), p.witness,
-                     tuple(p.shared_star.as_graph().bonds)) for p in pairs]
+        count = {(5, 6): 30, (5, 5): 0, (6, 8): 48}[sizes]
+        _same_twins(ring_pair_seed(*sizes), count)
 
-        h = ring_pair_seed(*sizes)
-        assert (summary(generate_twins(h))
-                == summary(_reference(generate_twins, h)))
+    # A cut through a double or aromatic bond closes with a single bond, so
+    # in these seeds the linked-graph check rejects pairs.
+    @pytest.mark.parametrize("orders, aromatic, count", [
+        (["single", "single", "double", "single", "single", "single"], False,
+         25),
+        (["aromatic"] * 6, True, 0),
+    ], ids=["double6-ring5", "aromatic6-ring5"])
+    def test_generate_twins_mixed_orders(self, orders, aromatic, count):
+        _same_twins(_six_five_seed(orders, aromatic), count)
+
+    def test_verify_twin_suites(self, monkeypatch, capsys):
+        def stdout(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        argvs = (["verify", "lemma1"], ["verify", "theorem3", "--count", "2"])
+        got = [stdout(argv) for argv in argvs]
+        monkeypatch.setattr(corpus_mod, "generate_twins",
+                            _reference_generate_twins)
+        assert got == [stdout(argv) for argv in argvs]
+
 
 
 class TestReferenceIsomorphic:
