@@ -115,9 +115,9 @@ def _model_from(args, **kw) -> ReferenceModel:
 # The options some commands read; each command names the ones it takes.
 _OPTIONS = {
     "seed": dict(type=int, default=0),
-    "d-thres": dict(type=int, default=3, dest="d_thres"),
-    "layers": dict(type=int, default=3),
-    "dim": dict(type=int, default=64),
+    "d-thres": dict(type=_positive_int, default=3, dest="d_thres"),
+    "layers": dict(type=_positive_int, default=3),
+    "dim": dict(type=_positive_int, default=64),
     "strategy": dict(default="link",
                      choices=["keep", "remove", "substitute", "link"]),
     "tolerance": dict(type=float, default=1e-9),
@@ -153,7 +153,6 @@ def build_parser() -> _Parser:
 
     p = cmd("rsit", "seed", "d-thres", "layers", "dim", "strategy")
     p.add_argument("dataset", help="CSV file with header psmiles,value")
-    p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--metric", default="r2", choices=sorted(rsit_mod.METRICS))
     p.add_argument("--compare", action="store_true",
                    help="run all four strategies instead of --strategy")
@@ -245,16 +244,14 @@ def _run_rsit(args) -> int:
     samples = _read_dataset(args.dataset)
     model = _model_from(args, d_thres=args.d_thres)
     if args.compare:
-        rows = rsit_mod.compare_strategies(model, samples, args.trials,
-                                           seed=args.seed, metric=args.metric)
+        rows = rsit_mod.compare_strategies(model, samples, metric=args.metric)
         print(rsit_mod.format_table(rows))
         if args.output:
             with open(args.output, "w") as fh:
                 json.dump(rows, fh, indent=2)
     else:
         rep = rsit_mod.rsit(rsit_mod.ModelPredictor(model, args.strategy),
-                            samples, args.trials, seed=args.seed,
-                            metric=args.metric)
+                            samples, metric=args.metric)
         rows = [{"strategy": args.strategy, "clean": rep.clean_metric,
                  "adversarial": rep.adv_metric, "gap": rep.rsit_gap,
                  "failures": rep.failures}]

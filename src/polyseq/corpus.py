@@ -20,6 +20,7 @@ from .wl import generate_twins, TwinPair
 _PATH_ELEMENTS = ("C", "C", "C", "N", "O", "S")
 _SIDE_ELEMENTS = ("C", "C", "N", "O")
 MAX_TWIN_PAIRS = 8  # pairs the twin oracles check per run
+MIN_ATOMS, MAX_ATOMS = 4, 20  # size range of a random monomer
 
 
 class _Builder:
@@ -40,16 +41,15 @@ class _Builder:
         self.free[v] -= use
 
 
-def random_monomer(rng: random.Random, min_atoms: int = 4,
-                   max_atoms: int = 20) -> MonomerGraph:
+def random_monomer(rng: random.Random) -> MonomerGraph:
     """One random repeat unit within the safe structural profile."""
     while True:
-        g = _try_monomer(rng, max_atoms)
-        if min_atoms <= g.n <= max_atoms:
+        g = _try_monomer(rng)
+        if MIN_ATOMS <= g.n <= MAX_ATOMS:
             return g
 
 
-def _try_monomer(rng: random.Random, max_atoms: int) -> MonomerGraph:
+def _try_monomer(rng: random.Random) -> MonomerGraph:
     b = _Builder()
     m = rng.randint(2, 8)
     path = [b.add(rng.choice(_PATH_ELEMENTS)) for _ in range(m)]
@@ -63,23 +63,23 @@ def _try_monomer(rng: random.Random, max_atoms: int) -> MonomerGraph:
 
     ring_done = False
     for host in list(path):
-        if len(b.atoms) >= max_atoms - 1:
+        if len(b.atoms) >= MAX_ATOMS - 1:
             break
         roll = rng.random()
         if roll < 0.30 and capacity(host) >= 1:
             # short side chain, optionally ending in a carbonyl-style double
             prev = host
             for _ in range(rng.randint(1, 2)):
-                if len(b.atoms) >= max_atoms:
+                if len(b.atoms) >= MAX_ATOMS:
                     break
                 nxt = b.add(rng.choice(_SIDE_ELEMENTS))
                 b.bond(prev, nxt)
                 prev = nxt
             if (b.atoms[prev].element == "C" and b.free[prev] >= 2
-                    and rng.random() < 0.4 and len(b.atoms) < max_atoms):
+                    and rng.random() < 0.4 and len(b.atoms) < MAX_ATOMS):
                 o = b.add("O")
                 b.bond(prev, o, "double")
-        elif roll < 0.45 and not ring_done and len(b.atoms) + 6 <= max_atoms:
+        elif roll < 0.45 and not ring_done and len(b.atoms) + 6 <= MAX_ATOMS:
             kind = rng.choice(("pendant5", "pendant6", "benzene", "spiro5",
                                "spiro6"))
             if kind == "benzene" and capacity(host) >= 1:
@@ -107,10 +107,10 @@ def _try_monomer(rng: random.Random, max_atoms: int) -> MonomerGraph:
     return MonomerGraph(b.atoms, b.bonds, path[0], path[-1])
 
 
-def corpus(n: int, seed: int, **kwargs) -> list[str]:
+def corpus(n: int, seed: int) -> list[str]:
     """n P-SMILES lines generated from one seed."""
     rng = random.Random(seed)
-    return [write(random_monomer(rng, **kwargs)) for _ in range(n)]
+    return [write(random_monomer(rng)) for _ in range(n)]
 
 
 def labeled_corpus(n: int, seed: int) -> list[tuple[str, float]]:

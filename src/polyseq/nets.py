@@ -77,6 +77,7 @@ N_ATOM_CLASSES = len(FEATURE_ELEMENTS) + 1
 _ATTN_MATS = ("wq", "wk", "wv", "ffn_w1", "ffn_w2")
 _ATTN_VECS = ("ffn_b1", "ffn_b2")
 _ATTN_LN = ("ln1", "ln2")
+LN_EPS = 1e-12  # added to the variance in layer_norm
 
 
 @dataclass
@@ -101,6 +102,8 @@ class ReferenceModel:
     def generate(cls, seed: int, d: int = 64, L: int = 3, d_thres: int = 3,
                  spatial_groups: dict[str, int] | None = None
                  ) -> "ReferenceModel":
+        if d < 1 or L < 1:
+            raise ValueError("model width and depth must be >= 1")
         d_atom = feature_dim()
         spatial_groups = dict(spatial_groups or {})
         scale = 1.0 / math.sqrt(d)
@@ -185,12 +188,11 @@ class ReferenceModel:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray | None = None,
-               bias: np.ndarray | None = None,
-               eps: float = 1e-12) -> np.ndarray:
+               bias: np.ndarray | None = None) -> np.ndarray:
     """Per-column normalization over the feature axis, then gain and bias."""
     mu = x.mean(axis=0, keepdims=True)
     var = x.var(axis=0, keepdims=True)
-    out = (x - mu) / np.sqrt(var + eps)
+    out = (x - mu) / np.sqrt(var + LN_EPS)
     if gain is not None:
         out = out * gain[:, None]
     if bias is not None:

@@ -386,6 +386,12 @@ def random_augment(g: MonomerGraph, rng: random.Random) -> MonomerGraph:
     return random_translation(g, rng)
 
 
+def augment_rewrites(g: MonomerGraph) -> list[str]:
+    """Every distinct string random_augment can return for g, sorted."""
+    return sorted({write(v) for m in (g, repeat_monomer(g, 2))
+                   for v in translation_variants(m)})
+
+
 def canonical_form(g: MonomerGraph | str) -> str:
     """Canonical hex key, identical for every augmentation of one polymer.
 

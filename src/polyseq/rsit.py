@@ -1,21 +1,21 @@
 """Repeat-and-shift adversarial evaluation over pluggable predictors.
 
-For every sample the harness runs T seeded augmentation trials (repeat
-coin-flip plus random translation), keeps the worst-loss trial, and compares
-the aggregate metric on the adversarial predictions against the clean one.
-A predictor that is invariant under repetition and translation shows a gap
-of exactly zero, per sample and in aggregate.
+For every sample the harness evaluates each distinct rewrite that
+augmentation can produce (the 1- and 2-fold repeat units, each at every
+translation), keeps the worst-loss one, and compares the aggregate metric on
+the adversarial predictions against the clean one.  A predictor that is
+invariant under repetition and translation shows a gap of exactly zero, per
+sample and in aggregate.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
 from .nets import ReferenceModel, forward_polymer
-from .psmiles import parse, random_augment, write
+from .psmiles import augment_rewrites, parse
 
 
 class ModelPredictor:
@@ -58,7 +58,7 @@ class SampleResult:
     base_prediction: float = 0.0
     adv_loss: float = 0.0
     adv_predict: float = 0.0
-    trials: int = 0
+    rewrites: int = 0
     error: str | None = None
 
 
@@ -82,20 +82,14 @@ class RsitReport:
         }, indent=2)
 
 
-def _trial_rng(seed: int, sample_idx: int, trial_idx: int) -> random.Random:
-    return random.Random(f"{seed}:{sample_idx}:{trial_idx}")
-
-
-def rsit(predictor, samples: list[tuple[str, float]], T: int,
-         loss=squared_loss, seed: int = 0, metric: str = "r2") -> RsitReport:
-    """Worst-of-T adversarial evaluation.
+def rsit(predictor, samples: list[tuple[str, float]],
+         metric: str = "r2") -> RsitReport:
+    """Worst case over every distinct rewrite of each sample.
 
     The adversarial loss starts from the unaugmented sample, so it is never
-    below the clean loss and T=0 degenerates to clean evaluation.  Trial
-    randomness derives from (seed, sample index, trial index) only.
+    below the clean loss; rewrites are tried in sorted order and a tie keeps
+    the earlier one.
     """
-    if T < 0:
-        raise ValueError("trial count must be >= 0")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     report = RsitReport(metric=metric)
@@ -104,17 +98,16 @@ def rsit(predictor, samples: list[tuple[str, float]], T: int,
         try:
             base = predictor.predict(s)
             rec.base_prediction = base
-            rec.adv_loss = loss(base, y)
+            rec.adv_loss = squared_loss(base, y)
             rec.adv_predict = base
-            for t in range(T):
-                rng = _trial_rng(seed, idx, t)
-                adv_x = write(random_augment(parse(s), rng))
+            rewrites = augment_rewrites(parse(s))
+            for adv_x in rewrites:
                 pred = predictor.predict(adv_x)
-                trial_loss = loss(pred, y)
-                if trial_loss > rec.adv_loss:
-                    rec.adv_loss = trial_loss
+                adv_loss = squared_loss(pred, y)
+                if adv_loss > rec.adv_loss:
+                    rec.adv_loss = adv_loss
                     rec.adv_predict = pred
-            rec.trials = T
+            rec.rewrites = len(rewrites)
         except Exception as exc:  # predictor failure: record, exclude
             rec.error = f"{type(exc).__name__}: {exc}"
             report.failures += 1
@@ -132,14 +125,12 @@ def rsit(predictor, samples: list[tuple[str, float]], T: int,
 
 
 def compare_strategies(model: ReferenceModel,
-                       samples: list[tuple[str, float]], T: int,
-                       seed: int = 0, metric: str = "r2"
+                       samples: list[tuple[str, float]], metric: str = "r2"
                        ) -> list[dict[str, float | str]]:
     """Clean vs adversarial table for the four endpoint strategies."""
     rows = []
     for strategy in ("keep", "remove", "substitute", "link"):
-        rep = rsit(ModelPredictor(model, strategy), samples, T,
-                   seed=seed, metric=metric)
+        rep = rsit(ModelPredictor(model, strategy), samples, metric=metric)
         rows.append({
             "strategy": strategy,
             "clean": rep.clean_metric,

@@ -23,6 +23,11 @@ from .nets import (ReferenceModel, forward_polymer, gin_layer, layer_weights,
                    local_attention_layer)
 from .wl import TwinPair, wl_refine
 
+D_THRES_VALUES = (2, 3)  # thresholds theorem2_suite checks
+# least deviation that counts as telling two outputs apart, for the controls
+# that must deviate (theorem2's negative control, twin_suite's backbone)
+DISTINCT_FLOOR = 1e-6
+
 
 @dataclass
 class CaseResult:
@@ -103,11 +108,9 @@ def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
 
 
 def theorem1_suite(monomers: list[MonomerGraph], model: ReferenceModel,
-                   layer_counts=None, tol: float = 1e-9) -> SuiteReport:
+                   tol: float = 1e-9) -> SuiteReport:
     rep = SuiteReport("message-passing-equivalence")
-    if layer_counts is None:
-        layer_counts = range(1, model.L + 1)
-    for L in layer_counts:
+    for L in range(1, model.L + 1):
         worst = 0.0
         for g in monomers:
             worst = max(worst, gin_deviation(model, g, L))
@@ -118,18 +121,17 @@ def theorem1_suite(monomers: list[MonomerGraph], model: ReferenceModel,
 
 def theorem2_suite(monomers: list[MonomerGraph], model: ReferenceModel,
                    negative_control: MonomerGraph,
-                   d_thres_values=(2, 3), tol: float = 1e-9,
-                   neg_floor: float = 1e-6) -> SuiteReport:
+                   tol: float = 1e-9) -> SuiteReport:
     rep = SuiteReport("localized-attention-equivalence")
     L = model.L
-    for dt in d_thres_values:
+    for dt in D_THRES_VALUES:
         worst = 0.0
         for g in monomers:
             worst = max(worst, lga_deviation(model, g, L, dt))
         rep.cases.append(CaseResult(f"d_thres={dt}", worst, worst < tol,
                                     f"{len(monomers)} monomers"))
     neg = lga_deviation(model, negative_control, L, 3, auto_repeat=False)
-    rep.cases.append(CaseResult("negative-control", neg, neg > neg_floor,
+    rep.cases.append(CaseResult("negative-control", neg, neg > DISTINCT_FLOOR,
                                 "precondition violated, must deviate"))
     return rep
 
@@ -146,7 +148,7 @@ def lemma1_suite(pairs: list[TwinPair]) -> SuiteReport:
 
 
 def twin_suite(pairs: list[TwinPair], model: ReferenceModel,
-               tol: float = 1e-9, floor: float = 1e-6) -> SuiteReport:
+               tol: float = 1e-9) -> SuiteReport:
     """Indistinguishability and backbone-remedy checks on twin pairs.
 
     Per pair: identical refinement histograms on the shared linked graph,
@@ -170,7 +172,7 @@ def twin_suite(pairs: list[TwinPair], model: ReferenceModel,
         yb = forward_polymer(model, p.monomer_b, use_backbone=True).yhat
         dev = abs(ya - yb)
         rep.cases.append(CaseResult(f"pair{idx}-with-backbone", dev,
-                                    dev > floor))
+                                    dev > DISTINCT_FLOOR))
 
         ca = wl_refine(sa.as_graph(), init=[
             (a.attr_key(), m) for a, m in zip(sa.monomer.atoms, sa.backbone)])

@@ -51,8 +51,7 @@ class TestAcceptance:
     def test_01_message_passing_equivalence(self):
         start = time.monotonic()
         model = ReferenceModel.generate(seed=101, d=64, L=3, d_thres=3)
-        rep = theorem1_suite(seeded_monomers(100, seed=11), model,
-                             layer_counts=(1, 2, 3), tol=1e-9)
+        rep = theorem1_suite(seeded_monomers(100, seed=11), model, tol=1e-9)
         elapsed = time.monotonic() - start
         report("message-passing-equivalence",
                rep.passed and elapsed < 30.0,
@@ -63,7 +62,7 @@ class TestAcceptance:
         model = ReferenceModel.generate(seed=102, d=64, L=3, d_thres=3)
         rep = theorem2_suite(seeded_monomers(100, seed=12), model,
                              negative_control=parse("*CNO*"),
-                             d_thres_values=(2, 3), tol=1e-9, neg_floor=1e-6)
+                             tol=1e-9)
         elapsed = time.monotonic() - start
         report("localized-attention-equivalence",
                rep.passed and elapsed < 60.0,
@@ -75,7 +74,7 @@ class TestAcceptance:
         # the twin units need no auto-repeat at this threshold, so the pair
         # shares one linked graph and the no-embedding forwards match exactly
         model = ReferenceModel.generate(seed=103, d=64, L=3, d_thres=2)
-        rep = twin_suite(pairs, model, tol=1e-9, floor=1e-6)
+        rep = twin_suite(pairs, model, tol=1e-9)
         elapsed = time.monotonic() - start
         report("twin-pairs",
                len(pairs) >= 5 and rep.passed and elapsed < 30.0,
@@ -85,11 +84,11 @@ class TestAcceptance:
         start = time.monotonic()
         samples = labeled_corpus(200, seed=14)
         model = ReferenceModel.generate(seed=104, d=64, L=3, d_thres=3)
-        rep = rsit(ModelPredictor(model, "link"), samples, T=5, seed=41)
+        rep = rsit(ModelPredictor(model, "link"), samples)
         per_sample = max(abs(s.adv_predict - s.base_prediction)
                          for s in rep.samples)
         gap_zero = round(abs(rep.rsit_gap), 6) == 0.0
-        rows = compare_strategies(model, samples[:40], T=5, seed=41)
+        rows = compare_strategies(model, samples[:40])
         by = {r["strategy"]: r for r in rows}
         others_positive = all(by[s]["gap"] > 0.0
                               for s in ("keep", "remove", "substitute"))

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from polyseq.context import AttentionContext
-from polyseq.corpus import default_twin_pairs
+from polyseq.corpus import corpus, default_twin_pairs, random_monomer
 from polyseq.graphs import MolGraph
-from polyseq.verify import lga_deviation
+from polyseq.verify import lga_deviation, twin_suite
 from polyseq.wl import polymer_equal, separating_bridges
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -48,3 +48,6 @@ def test_untraced_calls_resolve():
     inspect.signature(default_twin_pairs).bind()
     inspect.signature(lga_deviation).bind(None, None, 3, 3,
                                           auto_repeat=False)
+    inspect.signature(twin_suite).bind(None, None, tol=1e-9)
+    inspect.signature(random_monomer).bind(None)
+    inspect.signature(corpus).bind(16, 0)

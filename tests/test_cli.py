@@ -10,6 +10,7 @@ from polyseq import (canonical_form, forward_polymer, parse, random_augment,
 from polyseq.cli import build_parser, main
 from polyseq.corpus import default_twin_pairs
 from polyseq.nets import ReferenceModel
+from polyseq.psmiles import augment_rewrites
 from polyseq.verify import lemma1_suite
 from polyseq.wl import TwinPair
 
@@ -69,7 +70,13 @@ class TestUsage:
         ["augment", "in.txt", "--n-variants", "-2"],
         ["verify", "theorem1", "--count", "0"],
         ["verify", "theorem2", "--count", "-1"],
-        ["rsit", "data.csv", "--trials", "0"],
+        ["forward", "in.txt", "--dim", "0"],
+        ["forward", "in.txt", "--dim", "-4"],
+        ["verify", "theorem1", "--dim", "0"],
+        ["verify", "all", "--layers", "0"],
+        ["rsit", "data.csv", "--layers", "-1"],
+        ["fragcam", "data.csv", "--fragments", "f.json", "--d-thres", "0"],
+        ["distances", "in.txt", "--d-thres", "0"],
     ])
     def test_non_positive_counts(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -247,27 +254,35 @@ class TestRsit:
     def test_single_strategy(self, tmp_path, capsys):
         data = write_dataset(tmp_path, self.ROWS)
         out_path = str(tmp_path / "report.json")
-        rc = main(["rsit", data, "--trials", "2", "--dim", "16",
-                   "--layers", "1", "--d-thres", "2", "--output", out_path])
+        rc = main(["rsit", data, "--dim", "16", "--layers", "1",
+                   "--d-thres", "2", "--output", out_path])
         assert rc == 0
         assert "link" in capsys.readouterr().out
         doc = json.loads(open(out_path).read())
         assert doc["metric"] == "r2"
         assert abs(doc["rsit_gap"]) < 1e-9
         assert len(doc["samples"]) == 4
+        assert [s["rewrites"] for s in doc["samples"]] == [
+            len(augment_rewrites(parse(s))) for s, _ in self.ROWS]
+
+    def test_trials_is_gone(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, self.ROWS)
+        with pytest.raises(SystemExit) as exc:
+            main(["rsit", data, "--trials", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
 
     def test_compare(self, tmp_path, capsys):
         data = write_dataset(tmp_path, self.ROWS)
-        rc = main(["rsit", data, "--trials", "1", "--dim", "16",
-                   "--layers", "1", "--d-thres", "2", "--compare"])
+        rc = main(["rsit", data, "--dim", "16", "--layers", "1",
+                   "--d-thres", "2", "--compare"])
         assert rc == 0
         out = capsys.readouterr().out
         for s in ("keep", "remove", "substitute", "link"):
             assert s in out
 
     def test_blank_rows_skipped(self, tmp_path, capsys):
-        opts = ["--trials", "1", "--dim", "16", "--layers", "1",
-                "--d-thres", "2"]
+        opts = ["--dim", "16", "--layers", "1", "--d-thres", "2"]
         rows = [f"{s},{v}" for s, v in self.ROWS]
         plain = tmp_path / "plain.csv"
         plain.write_text("psmiles,value\n" + "\n".join(rows) + "\n")
@@ -297,8 +312,8 @@ class TestRsit:
 
     def test_failed_row_single_strategy(self, tmp_path, capsys):
         data = write_dataset(tmp_path, self.ROWS + [("*C(C*", 2.0)])
-        rc = main(["rsit", data, "--trials", "1", "--dim", "16",
-                   "--layers", "1", "--d-thres", "2"])
+        rc = main(["rsit", data, "--dim", "16", "--layers", "1",
+                   "--d-thres", "2"])
         assert rc == 2
         captured = capsys.readouterr()
         assert "link" in captured.out
@@ -307,8 +322,8 @@ class TestRsit:
 
     def test_failed_row_compare(self, tmp_path, capsys):
         data = write_dataset(tmp_path, self.ROWS + [("*C(C*", 2.0)])
-        rc = main(["rsit", data, "--trials", "1", "--dim", "16",
-                   "--layers", "1", "--d-thres", "2", "--compare"])
+        rc = main(["rsit", data, "--dim", "16", "--layers", "1",
+                   "--d-thres", "2", "--compare"])
         assert rc == 2
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 6

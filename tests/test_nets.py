@@ -127,6 +127,11 @@ class TestWeights:
         with pytest.raises(KeyError):
             model["attn9.wq"]
 
+    @pytest.mark.parametrize("d, L", [(0, 1), (-4, 1), (8, 0), (8, -1)])
+    def test_non_positive_size_raises(self, d, L):
+        with pytest.raises(ValueError):
+            ReferenceModel.generate(seed=1, d=d, L=L)
+
     def test_spatial_groups(self):
         m = ReferenceModel.generate(seed=1, d=8, L=1,
                                     spatial_groups={"geom": 3})
