@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import random
 import sys
 
@@ -55,9 +56,13 @@ def _read_dataset(path: str) -> list[tuple[str, float]]:
             if len(row) < 2:
                 raise PolyseqError(f"{where}: short row {row!r}")
             try:
-                out.append((row[0].strip(), float(row[1])))
+                value = float(row[1])
             except ValueError as exc:
                 raise PolyseqError(f"{where}: {exc}") from None
+            if not math.isfinite(value):
+                raise PolyseqError(f"{where}: non-finite value "
+                                   f"{row[1].strip()!r}")
+            out.append((row[0].strip(), value))
     return out
 
 
@@ -118,8 +123,7 @@ _OPTIONS = {
     "d-thres": dict(type=_positive_int, default=3, dest="d_thres"),
     "layers": dict(type=_positive_int, default=3),
     "dim": dict(type=_positive_int, default=64),
-    "strategy": dict(default="link",
-                     choices=["keep", "remove", "substitute", "link"]),
+    "strategy": dict(default="link", choices=rsit_mod.STRATEGIES),
     "tolerance": dict(type=float, default=1e-9),
 }
 
@@ -241,24 +245,19 @@ def _run_verify(args) -> int:
 
 
 def _run_rsit(args) -> int:
+    """One rsit run per selected strategy: all four with --compare."""
     samples = _read_dataset(args.dataset)
     model = _model_from(args, d_thres=args.d_thres)
-    if args.compare:
-        rows = rsit_mod.compare_strategies(model, samples, metric=args.metric)
-        print(rsit_mod.format_table(rows))
-        if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(rows, fh, indent=2)
-    else:
-        rep = rsit_mod.rsit(rsit_mod.ModelPredictor(model, args.strategy),
-                            samples, metric=args.metric)
-        rows = [{"strategy": args.strategy, "clean": rep.clean_metric,
-                 "adversarial": rep.adv_metric, "gap": rep.rsit_gap,
-                 "failures": rep.failures}]
-        print(rsit_mod.format_table(rows))
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(rep.to_json())
+    strategies = rsit_mod.STRATEGIES if args.compare else (args.strategy,)
+    reports = {s: rsit_mod.rsit(rsit_mod.ModelPredictor(model, s), samples,
+                                metric=args.metric) for s in strategies}
+    rows = [rep.row(s) for s, rep in reports.items()]
+    print(rsit_mod.format_table(rows))
+    if args.output:
+        doc = {"metric": args.metric}
+        doc.update((s, rep.to_dict()) for s, rep in reports.items())
+        with open(args.output, "w") as fh:
+            json.dump(doc, fh, indent=2)
     failed = [r for r in rows if r["failures"]]
     for r in failed:
         print(f"warning: {r['strategy']}: {r['failures']} sample(s) failed "

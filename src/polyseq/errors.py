@@ -18,4 +18,4 @@ class DisconnectedError(PolyseqError):
 
 
 class BudgetExceeded(PolyseqError):
-    """Exact search aborted because the input exceeds the node budget."""
+    """Canonical labelling aborted: its search passed the leaf budget."""

@@ -28,7 +28,7 @@ from .graphs import (
     repeat_monomer,
     strategy_transform,
 )
-from .wl import canonical_key, primitive_reduce, translation_variants
+from .wl import canonical_key, polymer_graph, translation_variants
 
 AROMATIC_ORGANIC = ("b", "c", "n", "o", "p", "s")
 _BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
@@ -97,7 +97,7 @@ def _bracket_atom(cur: _Cursor) -> tuple[Atom, bool]:
         while cur.peek().isalnum():
             cur.take()
 
-    hcount = None
+    hcount = 0  # OpenSMILES: a bracket atom has exactly its written H count
     if cur.peek() == "H":
         cur.take()
         d = cur.digits()
@@ -278,7 +278,7 @@ def _atom_token(atom: Atom) -> str:
     if atom.isotope is not None:
         out += str(atom.isotope)
     out += sym
-    if atom.hcount is not None:
+    if atom.hcount:
         out += "H" if atom.hcount == 1 else f"H{atom.hcount}"
     if atom.charge:
         sign = "+" if atom.charge > 0 else "-"
@@ -395,18 +395,10 @@ def augment_rewrites(g: MonomerGraph) -> list[str]:
 def canonical_form(g: MonomerGraph | str) -> str:
     """Canonical hex key, identical for every augmentation of one polymer.
 
-    The monomer is reduced to its primitive repeat unit, then the key is the
-    minimum over all translations and both chain orientations of a
-    refinement-based graph key with the boundary roles pinned.  Collisions
-    are possible only between polymers that 1-WL cannot distinguish.
+    The key of one canonical labelling of ``wl.polymer_graph(g)``, a graph
+    that every translation, repetition and orientation of the repeat unit
+    shares, so two monomers get one key iff they are one polymer.
     """
     if isinstance(g, str):
         g = parse(g)
-    p = primitive_reduce(g)
-    rev = MonomerGraph(p.atoms, p.bonds, p.tail, p.head, p.stereo_discarded)
-    keys = []
-    for v in translation_variants(p) + translation_variants(rev):
-        def role(i: int, h: int = v.head, t: int = v.tail):
-            return (i == h, i == t)
-        keys.append(canonical_key(v, role))
-    return min(keys).hex()
+    return canonical_key(polymer_graph(g)).hex()

@@ -10,7 +10,6 @@ sample and in aggregate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +47,7 @@ def rmse_score(labels: list[float], preds: list[float]) -> float:
 
 
 METRICS = {"r2": (r2_score, True), "rmse": (rmse_score, False)}
+STRATEGIES = ("keep", "remove", "substitute", "link")
 
 
 @dataclass
@@ -71,15 +71,17 @@ class RsitReport:
     rsit_gap: float = 0.0
     failures: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "metric": self.metric,
-            "clean": self.clean_metric,
-            "adversarial": self.adv_metric,
-            "rsit_gap": self.rsit_gap,
-            "failures": self.failures,
-            "samples": [vars(s) for s in self.samples],
-        }, indent=2)
+    def row(self, strategy: str) -> dict:
+        """The table row of this report, run with the given strategy."""
+        return {"strategy": strategy, "clean": self.clean_metric,
+                "adversarial": self.adv_metric, "gap": self.rsit_gap,
+                "failures": self.failures}
+
+    def to_dict(self) -> dict:
+        """The report as ``rsit --output`` writes it under its strategy."""
+        row = self.row("")
+        del row["strategy"]
+        return {**row, "samples": [vars(s) for s in self.samples]}
 
 
 def rsit(predictor, samples: list[tuple[str, float]],
@@ -128,17 +130,8 @@ def compare_strategies(model: ReferenceModel,
                        samples: list[tuple[str, float]], metric: str = "r2"
                        ) -> list[dict[str, float | str]]:
     """Clean vs adversarial table for the four endpoint strategies."""
-    rows = []
-    for strategy in ("keep", "remove", "substitute", "link"):
-        rep = rsit(ModelPredictor(model, strategy), samples, metric=metric)
-        rows.append({
-            "strategy": strategy,
-            "clean": rep.clean_metric,
-            "adversarial": rep.adv_metric,
-            "gap": rep.rsit_gap,
-            "failures": rep.failures,
-        })
-    return rows
+    return [rsit(ModelPredictor(model, s), samples, metric=metric).row(s)
+            for s in STRATEGIES]
 
 
 def format_table(rows: list[dict]) -> str:

@@ -1,11 +1,15 @@
-"""Color refinement, exact isomorphism, twin-pair generation.
+"""Color refinement, canonical labelling, polymer identity, twin pairs.
 
 Colors are 16-byte blake2b digests built from canonical signatures, so
 coloring results are directly comparable across graphs, runs, and platforms.
 A refinement round hashes each distinct signature once, and the round that
 confirms a stable partition hashes nothing: it compares the count of
-distinct signatures with the count of color classes.  Colors and keys are
-those of hashing every atom's signature in every round.
+distinct signatures with the count of color classes.
+
+One complete canonical labelling (individualization-refinement over those
+colors) decides isomorphism and gives graph keys.  An infinite polymer is
+identified by its polymer graph: the primitive repeat unit closed by its
+link, with every bond where the chain can be cut subdivided by a ``*`` atom.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DisconnectedError
-from .graphs import (Bond, MolGraph, MonomerGraph, StarLinkGraph,
+from .graphs import (Atom, Bond, MolGraph, MonomerGraph, StarLinkGraph,
                      repeat_monomer, star_link)
 
-NODE_CAP = 64
+LEAF_BUDGET = 4096  # leaves a canonical labelling may visit
 MAX_UNROLL = 6  # deepest k-fold unroll searched for a twin pair's witness
 
 
@@ -118,96 +122,100 @@ def wl_refine(g: MolGraph, init: list | None = None,
     return ColoringResult(colors, ColoringResult._hist(colors), done)
 
 
-def canonical_key(g: MolGraph, extra=None) -> bytes:
-    """Isomorphism-invariant key, canonical up to WL distinguishability.
+def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
+    """Complete canonical labelling by individualization-refinement.
 
-    ``extra`` maps node index -> hashable and is folded into the initial
-    colors, e.g. to make boundary atoms distinguishable.
+    Returns ``(certificate, order)``: ``order[r]`` is the atom of rank r, and
+    two graphs are isomorphic (``extra``, a map node index -> hashable folded
+    into the initial colors, included) iff their certificates are equal.
+    ``wl_refine`` refines; while a color class has several atoms, each atom
+    of the first smallest class is individualized in turn.  A leaf's
+    certificate is its sorted colors plus its bonds in color ranks; the
+    least leaf wins.  Automorphisms prune the search (McKay & Piperno 2014,
+    "Practical graph isomorphism, II"): the swaps of structural twins (same
+    initial color, same neighbours and bond orders), and one per leaf with
+    the best certificate, which also ends the branch where its path parts
+    from the best one.  An atom in the orbit of a tried one, under those
+    that fix the individualized atoms, is skipped.  More than LEAF_BUDGET
+    leaves raise BudgetExceeded.
     """
-    res = wl_refine(g, init=initial_colors(g, extra))
-    nodes = sorted(c.hex() for c in res.colors)
-    edges = sorted(
-        (min(res.colors[b.u], res.colors[b.v]).hex(),
-         max(res.colors[b.u], res.colors[b.v]).hex(),
-         b.order)
-        for b in g.bonds
-    )
-    return _digest(f"{nodes}#{edges}")
+    init = initial_colors(g, extra)
+    adj = g.adjacency()
+    autos: list[dict[int, int]] = []  # each maps the atoms it moves
+    twin: dict[tuple, int] = {}  # the last atom of each twin group so far
+    for i in range(g.n):
+        j = twin.get(key := (init[i], tuple(adj[i])))
+        if j is not None:
+            autos.append({i: j, j: i})
+        twin[key] = i
+    best = None  # (certificate, order, individualized atoms)
+    leaves = 0
+
+    def search(colors: list[bytes], path: list[int]) -> int:
+        """Explore below this node; return the depth to resume at."""
+        nonlocal best, leaves
+        cells: dict[bytes, list[int]] = {}
+        for i, c in enumerate(colors):
+            cells.setdefault(c, []).append(i)
+        if len(cells) == g.n:
+            leaves += 1
+            if leaves > LEAF_BUDGET:
+                raise BudgetExceeded(f"canonical labelling exceeds "
+                                     f"{LEAF_BUDGET} leaves")
+            order = sorted(range(g.n), key=colors.__getitem__)
+            rank = {i: r for r, i in enumerate(order)}
+            cert = (tuple(colors[i] for i in order),
+                    tuple(sorted((*sorted((rank[b.u], rank[b.v])), b.order)
+                                 for b in g.bonds)))
+            if best is not None and cert == best[0]:
+                autos.append({a: b for a, b in zip(best[1], order) if a != b})
+                return next(d for d, (a, b) in enumerate(zip(path, best[2]))
+                            if a != b)
+            if best is None or cert < best[0]:
+                best = (cert, order, path)
+            return len(path)
+        cell = min((c for c in cells.values() if len(c) > 1),
+                   key=lambda c: (len(c), colors[c[0]]))
+        tried: list[int] = []
+        for v in cell:
+            gens = [m for m in autos if m.keys().isdisjoint(path)]
+            orbit, todo = {v}, [v]
+            for x in todo:
+                todo += {m[x] for m in gens if x in m} - orbit
+                orbit.update(todo)
+            if not orbit.isdisjoint(tried):
+                continue
+            tried.append(v)
+            split = list(colors)
+            split[v] = _digest(f"{colors[v].hex()}|{len(path)}")
+            back = search(wl_refine(g, init=split).colors, path + [v])
+            if back < len(path):
+                return back
+        return len(path)
+
+    search(wl_refine(g, init=init).colors, [])
+    return best[0], best[1]
+
+
+def canonical_key(g: MolGraph) -> bytes:
+    """Complete isomorphism-invariant key: the digest of the certificate of
+    ``canonical_labelling(g)``."""
+    return _digest(repr(canonical_labelling(g)[0]))
 
 
 def isomorphic(g1: MolGraph, g2: MolGraph, extra1=None, extra2=None
                ) -> tuple[bool, list[int] | None]:
-    """Exact attributed isomorphism via WL-pruned backtracking.
+    """Exact attributed isomorphism by comparing canonical labellings.
 
     ``extra1``/``extra2`` map node index -> hashable and are folded into the
     initial colors (used to pin boundary roles).  Returns ``(found, mapping)``
     where ``mapping[i]`` is the g2 node matched to g1 node ``i``.
     """
-    if max(g1.n, g2.n) > NODE_CAP:
-        raise BudgetExceeded(f"graph exceeds {NODE_CAP}-node search budget")
-    if g1.n != g2.n or len(g1.bonds) != len(g2.bonds):
+    cert1, order1 = canonical_labelling(g1, extra1)
+    cert2, order2 = canonical_labelling(g2, extra2)
+    if cert1 != cert2:
         return False, None
-    c1 = wl_refine(g1, init=initial_colors(g1, extra1))
-    c2 = wl_refine(g2, init=initial_colors(g2, extra2))
-    if c1.histogram != c2.histogram:
-        return False, None
-
-    by_color: dict[bytes, list[int]] = {}
-    for j, c in enumerate(c2.colors):
-        by_color.setdefault(c, []).append(j)
-
-    # Match in BFS order so each new node (after the first) is constrained
-    # by an already-mapped neighbor.  The order list is the BFS queue.
-    order: list[int] = []
-    seen = [False] * g1.n
-    pos = 0
-    for root in range(g1.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order.append(root)
-        while pos < len(order):
-            for v in g1.neighbors(order[pos]):
-                if not seen[v]:
-                    seen[v] = True
-                    order.append(v)
-            pos += 1
-
-    adj1 = {i: {j: o for j, o in g1.adjacency()[i]} for i in range(g1.n)}
-    adj2 = {i: {j: o for j, o in g2.adjacency()[i]} for i in range(g2.n)}
-    mapping = [-1] * g1.n
-    inverse = [-1] * g2.n  # inverse[mapping[u]] == u for every mapped u
-
-    def feasible(u: int, v: int) -> bool:
-        if c1.colors[u] != c2.colors[v] or len(adj1[u]) != len(adj2[v]):
-            return False
-        for w, o in adj1[u].items():
-            mw = mapping[w]
-            if mw >= 0 and adj2[v].get(mw) != o:
-                return False
-        for w2, o in adj2[v].items():
-            w1 = inverse[w2]
-            if w1 >= 0 and adj1[u].get(w1) != o:
-                return False
-        return True
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        u = order[pos]
-        for v in by_color.get(c1.colors[u], []):
-            if inverse[v] < 0 and feasible(u, v):
-                mapping[u] = v
-                inverse[v] = u
-                if backtrack(pos + 1):
-                    return True
-                mapping[u] = -1
-                inverse[v] = -1
-        return False
-
-    if backtrack(0):
-        return True, mapping
-    return False, None
+    return True, [v for _, v in sorted(zip(order1, order2))]
 
 
 def _boundary_role(g: MonomerGraph):
@@ -218,35 +226,34 @@ def _boundary_role(g: MonomerGraph):
 
 def monomer_isomorphic(a: MonomerGraph, b: MonomerGraph,
                        allow_swap: bool = True) -> bool:
-    """Attributed isomorphism mapping boundary atoms to boundary atoms."""
-    ok, _ = isomorphic(a, b, _boundary_role(a), _boundary_role(b))
-    if ok or not allow_swap:
-        return ok
-
-    def swapped(i: int):
-        return (i == b.tail, i == b.head)
-
-    ok, _ = isomorphic(a, b, _boundary_role(a), swapped)
-    return ok
+    """Attributed isomorphism mapping head to head and tail to tail or, with
+    allow_swap, boundary atoms to boundary atoms in either orientation."""
+    if allow_swap:
+        return isomorphic(a, b, lambda i: i in (a.head, a.tail),
+                          lambda i: i in (b.head, b.tail))[0]
+    return isomorphic(a, b, _boundary_role(a), _boundary_role(b))[0]
 
 
 def separating_bridges(g: MonomerGraph) -> list[tuple[int, int]]:
-    """Bridges whose removal separates the two boundary atoms.
+    """Single-bond bridges whose removal separates the two boundary atoms.
 
-    These are exactly the edges of the infinite chain whose cut yields a
-    translation of the same polymer.
+    These are exactly the bonds of the infinite chain whose cut yields a
+    translation of the same polymer: the chain bonds to ``*`` are single,
+    so a double or aromatic bridge is never a cut point.
     """
     return [edge for edge, _ in _head_sides(g)]
 
 
 def _head_sides(g: MonomerGraph) -> list[tuple[tuple[int, int], set[int]]]:
-    """Boundary-separating bridges, sorted, each with the atoms on head's side.
+    """Boundary-separating single-bond bridges, sorted, each with the atoms
+    on head's side.
 
     When tail is reachable from head, every head-tail path crosses each
     separating bridge, so only the bridges on one BFS-tree path need a
     search.  When it is not, every bridge separates the boundary atoms.
     """
-    bridges = g.bridges()
+    bridges = g.bridges().intersection(
+        b.pair() for b in g.bonds if b.order == "single")
     parent = {g.head: g.head}
     queue = [g.head]
     for u in queue:
@@ -296,29 +303,54 @@ def translation_variants(g: MonomerGraph) -> list[MonomerGraph]:
 def primitive_reduce(g: MonomerGraph) -> MonomerGraph:
     """Smallest repeat unit whose k-fold chain reproduces g.
 
-    Detects k-periodic monomers by cutting at a boundary-separating bridge
-    that splits off exactly n/k atoms on the head side and checking the
-    k-fold repeat against g.  Returns g itself when no reduction applies,
-    and raises DisconnectedError on a disconnected monomer.
+    g is k-periodic when boundary-separating bridges split off c*n/k atoms
+    on the head side for every c < k, and the k segments between them, each
+    from the atom entered to the atom left, are isomorphic with those two
+    atoms pinned; the first segment is then the unit.  Returns g itself
+    when no reduction applies, and raises DisconnectedError on a
+    disconnected monomer.
     """
     if not g.is_connected():
         raise DisconnectedError("monomer graph is not connected")
     n = g.n
-    sides = _head_sides(g)
+    by_size = {len(side): (edge, side) for edge, side in _head_sides(g)}
     for k in range(n, 1, -1):
-        if n % k != 0:
-            continue
         usize = n // k
-        for (x, y), head_side in sides:
-            if len(head_side) != usize:
-                continue
-            hx = x if x in head_side else y
-            unit = _extract(g, head_side, g.head, hx)
-            if unit.n > NODE_CAP or g.n > NODE_CAP:
-                continue
-            if monomer_isomorphic(repeat_monomer(unit, k), g, allow_swap=False):
-                return unit
+        if n % k or any(c * usize not in by_size for c in range(1, k)):
+            continue
+        segments, done, entry = [], set(), g.head
+        for c in range(1, k):
+            (x, y), side = by_size[c * usize]
+            leave, enter = (x, y) if x in side else (y, x)
+            segments.append(_extract(g, side - done, entry, leave))
+            done, entry = side, enter
+        segments.append(_extract(g, set(range(n)) - done, entry, g.tail))
+        if all(monomer_isomorphic(s, segments[0], allow_swap=False)
+               for s in segments[1:]):
+            return segments[0]
     return g
+
+
+def polymer_graph(g: MonomerGraph) -> MolGraph:
+    """One graph for every translation, repetition and orientation of g.
+
+    The primitive repeat unit (its 2-fold repeat when head == tail) closed
+    by its link, with the link and every boundary-separating single-bond
+    bridge subdivided by a ``*`` atom.  Those bonds are the cut points of
+    the chain, the same set for every translation, so cutting the graph at
+    any ``*`` gives back the polymer: two monomers are one polymer iff their
+    polymer graphs are isomorphic.
+    """
+    p = primitive_reduce(g)
+    if p.head == p.tail:
+        p = repeat_monomer(p, 2)
+    cuts = separating_bridges(p)
+    atoms = list(p.atoms)
+    bonds = [b for b in p.bonds if b.pair() not in cuts]
+    for u, v in cuts + [(p.tail, p.head)]:
+        bonds += [Bond(u, len(atoms)), Bond(len(atoms), v)]
+        atoms.append(Atom("*"))
+    return MolGraph(atoms, bonds)
 
 
 def _extract(g: MonomerGraph, nodes: set[int], head: int, tail: int) -> MonomerGraph:
@@ -352,29 +384,13 @@ class TwinPair:
     witness: int
 
 
-def _classes(items: list, same) -> list[int]:
-    """Class id per item: the first class whose representative (its first
-    item) is ``same`` as it, else a new class.  Exact for an equivalence."""
-    ids: list[int] = []
-    reps: list = []
-    for x in items:
-        for cid, rep in enumerate(reps):
-            if same(rep, x):
-                ids.append(cid)
-                break
-        else:
-            ids.append(len(reps))
-            reps.append(x)
-    return ids
-
-
 def generate_twins(h: MolGraph) -> list[TwinPair]:
     """Enumerate verified twin pairs obtainable by cutting the seed graph.
 
-    Each non-bridge edge is cut once.  The cuts are classed by isomorphism
-    of their linked graphs, then by exact polymer equality (cuts in one
-    automorphism orbit give one polymer).  Cuts i < j in one linked-graph
-    class and different polymer classes form a pair when some k-fold unroll
+    Each non-bridge edge is cut once, and each cut gets two keys: the
+    canonical key of its linked graph and of its polymer graph (cuts in one
+    automorphism orbit give one polymer).  Cuts i < j with equal linked
+    keys and different polymer keys form a pair when some k-fold unroll
     (k = 2..MAX_UNROLL, each refined at most once per cut) has different WL
     histograms; the least such k is the witness.
     """
@@ -383,10 +399,8 @@ def generate_twins(h: MolGraph) -> list[TwinPair]:
     monomers = [MonomerGraph(h.atoms, [b for b in h.bonds if b.pair() != e],
                              e[0], e[1]) for e in cuts]
     stars = [star_link(m) for m in monomers]
-    linked = _classes([s.as_graph() for s in stars],
-                      lambda x, y: isomorphic(x, y)[0])
-    polymer = _classes(list(zip(linked, monomers)),
-                       lambda x, y: x[0] == y[0] and polymer_equal(x[1], y[1]))
+    linked = [canonical_key(s.as_graph()) for s in stars]
+    polymer = [canonical_key(polymer_graph(m)) for m in monomers]
 
     @functools.cache
     def histogram(i: int, k: int) -> list[tuple[str, int]]:

@@ -156,6 +156,18 @@ class TestCorpusCommands:
         assert forms[0] == forms[1] == forms[2]
         assert forms[3] != forms[0]
 
+    def test_augment_then_canon_past_old_size_cap(self, tmp_path, capsys):
+        # 33 atoms: a doubled rewrite has 66, past the old 64-atom search cap
+        line = "*" + "C" * 31 + "C(C)*"
+        path = write_lines(tmp_path, "in.txt", [line])
+        assert main(["augment", path, "--n-variants", "8", "--seed", "1"]) == 0
+        rewrites = capsys.readouterr().out.splitlines()
+        assert any(parse(r).n == 66 for r in rewrites)
+        path = write_lines(tmp_path, "aug.txt", [line] + rewrites)
+        assert main(["canon", path]) == 0
+        keys = capsys.readouterr().out.splitlines()
+        assert len(keys) == 9 and len(set(keys)) == 1
+
     def test_link_and_backbone(self, tmp_path, capsys):
         path = write_lines(tmp_path, "in.txt", ["*CC(C)O*"])
         assert main(["link", path]) == 0
@@ -260,10 +272,38 @@ class TestRsit:
         assert "link" in capsys.readouterr().out
         doc = json.loads(open(out_path).read())
         assert doc["metric"] == "r2"
-        assert abs(doc["rsit_gap"]) < 1e-9
-        assert len(doc["samples"]) == 4
-        assert [s["rewrites"] for s in doc["samples"]] == [
+        assert abs(doc["link"]["gap"]) < 1e-9
+        assert len(doc["link"]["samples"]) == 4
+        assert [s["rewrites"] for s in doc["link"]["samples"]] == [
             len(augment_rewrites(parse(s))) for s, _ in self.ROWS]
+
+    def test_output_has_one_shape(self, tmp_path, capsys):
+        # single-strategy and --compare runs write one report shape, and
+        # each strategy's figures match its row of the printed table
+        def read_report(path):
+            doc = json.loads(path.read_text())
+            metric = doc.pop("metric")
+            rows = {s: (r["clean"], r["adversarial"], r["gap"], r["failures"],
+                        len(r["samples"])) for s, r in doc.items()}
+            return metric, rows
+
+        data = write_dataset(tmp_path, self.ROWS)
+        opts = ["--dim", "16", "--layers", "1", "--d-thres", "2"]
+        single, both = tmp_path / "single.json", tmp_path / "compare.json"
+        assert main(["rsit", data, "--strategy", "keep", "--output",
+                     str(single)] + opts) == 0
+        table_single = capsys.readouterr().out
+        assert main(["rsit", data, "--compare", "--output", str(both)]
+                    + opts) == 0
+        table_both = capsys.readouterr().out
+        metric, one = read_report(single)
+        assert metric == "r2" and list(one) == ["keep"]
+        metric, four = read_report(both)
+        assert metric == "r2"
+        assert list(four) == ["keep", "remove", "substitute", "link"]
+        assert four["keep"] == one["keep"]
+        assert one["keep"][4] == len(self.ROWS)
+        assert table_single.splitlines()[2] == table_both.splitlines()[2]
 
     def test_trials_is_gone(self, tmp_path, capsys):
         data = write_dataset(tmp_path, self.ROWS)
@@ -302,6 +342,8 @@ class TestRsit:
     @pytest.mark.parametrize("text, where, message", [
         ("*CONO*,abc\n", "line 2", "could not convert string to float: 'abc'"),
         ("*CONO*,1.0\n*CCO*\n", "line 3", "short row ['*CCO*']"),
+        ("*CONO*,nan\n", "line 2", "non-finite value 'nan'"),
+        ("*CONO*,1.0\n*CCO*, -inf\n", "line 3", "non-finite value '-inf'"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, capsys, text, where,
                                          message):

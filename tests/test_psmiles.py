@@ -16,7 +16,7 @@ from polyseq import (
     write,
 )
 from polyseq.corpus import corpus, random_monomer
-from polyseq.graphs import strategy_transform
+from polyseq.graphs import featurize, implicit_hydrogens, strategy_transform
 from polyseq.psmiles import _atom_token, _bond_symbol
 from polyseq.wl import translation_variants
 
@@ -47,6 +47,21 @@ class TestParse:
         c13 = g.atoms[5]
         assert c13.isotope == 13 and c13.hcount == 2
         assert g.atoms[7].charge == -1
+
+    def test_bracket_atom_has_its_written_h_count(self):
+        # OpenSMILES: a bracket atom without H carries no hydrogen
+        g = parse("*C[C]C*")
+        assert g.atoms[1].hcount == 0
+        assert parse("*C[CH2]C*").atoms[1].hcount == 2
+        assert parse("*C[13C]C*").atoms[1].hcount == 0
+        assert not monomer_isomorphic(g, parse("*CCC*"))
+        assert canonical_form(g) != canonical_form("*CCC*")
+
+    def test_charged_bracket_atom_is_featurised_without_h(self):
+        g = parse("*CC([O-])*")
+        assert g.atoms[2].charge == -1
+        assert implicit_hydrogens(g, 2) == 0
+        assert featurize(g)[-5, 2] == 1.0  # the implicit-H one-hot at 0
 
     def test_two_letter_elements(self):
         g = parse("*[Si](Cl)(Br)O*")
@@ -135,6 +150,15 @@ class TestWrite:
         g = random_monomer(random.Random(seed))
         again = parse(write(g))
         assert monomer_isomorphic(g, again, allow_swap=False)
+
+    @pytest.mark.parametrize("s, want", [
+        ("*C[C]C*", "*C[C]C*"),
+        ("*C[CH0]C*", "*C[C]C*"),
+        ("*[13CH0]C[NH0+]C*", "*[13C]C[N+]C*"),
+        ("*C[O-]*", "*C[O-]*"),
+    ])
+    def test_bracket_atom_without_h(self, s, want):
+        assert write(parse(s)) == want
 
     def test_long_chain(self):
         # deeper than the default recursion limit

@@ -150,7 +150,7 @@ class TestHarness:
     def test_deterministic(self):
         a = rsit(LengthPredictor(), SAMPLES)
         b = rsit(LengthPredictor(), SAMPLES)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_every_rewrite_once_in_sorted_order(self):
         s = "*CC(C)O*"

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 import random
 
 import pytest
@@ -90,10 +91,37 @@ class TestIsomorphic:
         b = MolGraph([Atom("C"), Atom("C")], [Bond(0, 1)])
         assert not isomorphic(a, b)[0]
 
-    def test_budget(self):
-        big = repeat_monomer(parse("*CC*"), 40)
-        with pytest.raises(BudgetExceeded):
-            isomorphic(big, big)
+    def test_no_size_cap(self):
+        # 120 atoms, past the 64-atom cap of the backtracking search
+        big = repeat_monomer(parse("*CC(C)*"), 40)
+        perm = list(range(big.n))
+        random.Random(2).shuffle(perm)
+        h = relabel(big, perm)
+        found, mapping = isomorphic(big, h)
+        assert found and _is_isomorphism(big, h, mapping)
+        role_g, role_h = wl._boundary_role(big), wl._boundary_role(h)
+        found, mapping = isomorphic(big, h, role_g, role_h)
+        assert found and _is_isomorphism(big, h, mapping, role_g, role_h)
+
+    def test_budget(self, monkeypatch):
+        # A centre with k two-atom arms has no twins and k! leaves before
+        # pruning; the automorphisms found keep the search to a few dozen.
+        def arms(k):
+            return MolGraph([Atom("C")] * (2 * k + 1),
+                            [Bond(0, 2 * i + 1) for i in range(k)]
+                            + [Bond(2 * i + 1, 2 * i + 2) for i in range(k)])
+
+        for k in (7, 12):
+            assert math.factorial(k) > wl.LEAF_BUDGET
+            assert isomorphic(arms(k), arms(k))[0]
+        monkeypatch.setattr(wl, "LEAF_BUDGET", 3)
+        with pytest.raises(BudgetExceeded, match="exceeds 3 leaves"):
+            canonical_key(arms(7))
+
+    def test_twins_are_tried_once(self):
+        # twelve methyls on one centre are twins: one leaf, not 12!
+        star = MolGraph([Atom("C")] * 13, [Bond(0, i) for i in range(1, 13)])
+        assert isomorphic(star, star)[0]
 
     def test_boundary_respect(self):
         a = parse("*CCO*")
@@ -191,15 +219,17 @@ class TestTwins:
 
 
 class TestGoldenKeys:
-    @pytest.mark.parametrize("line, key", [
-        ("*CCO*", "4ee4ecea96439cb9d08911c1988ac28a"),
-        ("*CONO*", "a786b18bd300ebd6753be8568fe12f3c"),
-        ("*c1ccc(*)cc1", "1625c4e5dee41a65b74c9fb8301b80c2"),
-        ("*CC(C)OC(=O)*", "222f0f649215509cb7fcb71c58eadc60"),
-        ("*CC1(C2CCC3(CCC3)C2)CC1*", "3edc85e17eb111f3a338ccbb00fdc045"),
-    ])
-    def test_canonical_form_pinned(self, line, key):
-        assert canonical_form(line) == key
+    KEYS = {
+        "*CCO*": "a2d6bdc6a7add8ec0c0737b25763ff9a",
+        "*CONO*": "0cb15dd2d5392a74ed189c7ef062af46",
+        "*c1ccc(*)cc1": "6bc7329ac80705730d1c1e6853843e09",
+        "*CC(C)OC(=O)*": "d5d897db2e1ebb402c8f1d8cad23f0d1",
+        "*CC1(C2CCC3(CCC3)C2)CC1*": "72803a66949123831f91a591fbc9438b",
+    }
+
+    @pytest.mark.parametrize("line", sorted(KEYS))
+    def test_canonical_form_pinned(self, line):
+        assert canonical_form(line) == self.KEYS[line]
 
 
 class TestBoundaryBridges:
@@ -271,9 +301,26 @@ def _reference_wl_refine(g, init=None, rounds=None):
     return wl.ColoringResult(colors, wl.ColoringResult._hist(colors), done)
 
 
+NODE_CAP = 64  # the node budget of the backtracking search below
+
+
+def _reference_canonical_key(g, extra=None):
+    """``canonical_key`` as it was: a WL hash, canonical up to WL
+    distinguishability."""
+    res = _reference_wl_refine(g, init=_reference_initial_colors(g, extra))
+    nodes = sorted(c.hex() for c in res.colors)
+    edges = sorted(
+        (min(res.colors[b.u], res.colors[b.v]).hex(),
+         max(res.colors[b.u], res.colors[b.v]).hex(),
+         b.order)
+        for b in g.bonds
+    )
+    return _reference_digest(f"{nodes}#{edges}")
+
+
 def _reference_isomorphic(g1, g2, extra1=None, extra2=None):
-    if max(g1.n, g2.n) > wl.NODE_CAP:
-        raise BudgetExceeded(f"graph exceeds {wl.NODE_CAP}-node search budget")
+    if max(g1.n, g2.n) > NODE_CAP:
+        raise BudgetExceeded(f"graph exceeds {NODE_CAP}-node search budget")
     if g1.n != g2.n or len(g1.bonds) != len(g2.bonds):
         return False, None
     c1 = _reference_wl_refine(g1, init=_reference_initial_colors(g1, extra1))
@@ -368,12 +415,29 @@ def _reference_primitive_reduce(g):
                 continue
             hx = x if x in head_side else y
             unit = _extract(g, head_side, g.head, hx)
-            if unit.n > wl.NODE_CAP or g.n > wl.NODE_CAP:
+            if unit.n > NODE_CAP or g.n > NODE_CAP:
                 continue
             if monomer_isomorphic(repeat_monomer(unit, k), g,
                                   allow_swap=False):
                 return unit
     return g
+
+
+def _reference_canonical_form(g):
+    """``canonical_form`` as it was: the least WL key over every translation
+    and both orientations of the primitive unit, boundary roles pinned.
+    Run it under ``_reference`` for the parent's primitive reduction."""
+    if isinstance(g, str):
+        g = parse(g)
+    p = _reference_primitive_reduce(g)
+    rev = MonomerGraph(p.atoms, p.bonds, p.tail, p.head, p.stereo_discarded)
+    keys = []
+    for v in (_reference_translation_variants(p)
+              + _reference_translation_variants(rev)):
+        def role(i, h=v.head, t=v.tail):
+            return (i == h, i == t)
+        keys.append(_reference_canonical_key(v, role))
+    return min(keys).hex()
 
 
 def _reference(fn, *args):
@@ -479,6 +543,13 @@ def _same_twins(h, count):
     assert _twin_summary(generate_twins(h)) == want
 
 
+def _same_partition(keys_a, keys_b):
+    """The two key lists put the same items together."""
+    first_a, first_b = {}, {}
+    return ([first_a.setdefault(k, i) for i, k in enumerate(keys_a)]
+            == [first_b.setdefault(k, i) for i, k in enumerate(keys_b)])
+
+
 def _coloring(res):
     return res.colors, res.histogram, res.rounds
 
@@ -582,8 +653,11 @@ class TestReferenceMonomerFunctions:
                 canonical_form(g)
 
     def test_canonical_form(self):
-        for g in _corpus_monomers()[:300]:
-            assert canonical_form(g) == _reference(canonical_form, g)
+        # the same partition: the reference collides only outside this corpus
+        graphs = _corpus_monomers()[:600]
+        assert _same_partition(
+            [canonical_form(g) for g in graphs],
+            [_reference(_reference_canonical_form, g) for g in graphs])
 
     def test_canon_command(self, tmp_path, capsys):
         rng = random.Random(30)
@@ -595,8 +669,10 @@ class TestReferenceMonomerFunctions:
         path = tmp_path / "in.txt"
         path.write_text("\n".join(lines) + "\n")
         assert main(["canon", str(path)]) == 0
-        assert (capsys.readouterr().out.splitlines()
-                == [_reference(canonical_form, line) for line in lines])
+        keys = capsys.readouterr().out.splitlines()
+        assert keys == [canonical_form(line) for line in lines]
+        assert _same_partition(keys, [_reference(_reference_canonical_form,
+                                                 line) for line in lines])
 
     @pytest.mark.parametrize("sizes", [(5, 6), (5, 5), (6, 8)])
     def test_generate_twins(self, sizes):
@@ -626,6 +702,31 @@ class TestReferenceMonomerFunctions:
 
 
 
+def _is_isomorphism(g, h, mapping, extra_g=None, extra_h=None):
+    """mapping[i] is h's atom for g's atom i, and keeps atoms, bonds with
+    their orders, and the extra colours."""
+    mapped = {(min(mapping[b.u], mapping[b.v]), max(mapping[b.u], mapping[b.v]),
+               b.order) for b in g.bonds}
+    return (sorted(mapping) == list(range(h.n))
+            and all(g.atoms[i] == h.atoms[mapping[i]] for i in range(g.n))
+            and (extra_g is None
+                 or all(extra_g(i) == extra_h(mapping[i]) for i in range(g.n)))
+            and mapped == {(*b.pair(), b.order) for b in h.bonds})
+
+
+def _valid_isomorphism(g, h, extra_g=None, extra_h=None):
+    """isomorphic(g, h) finds a map exactly when the backtracking reference
+    does (the map chosen may differ), and the map it returns is an
+    isomorphism."""
+    found, mapping = isomorphic(g, h, extra_g, extra_h)
+    assert found == _reference_isomorphic(g, h, extra_g, extra_h)[0]
+    if not found:
+        assert mapping is None
+        return False
+    assert _is_isomorphism(g, h, mapping, extra_g, extra_h)
+    return True
+
+
 class TestReferenceIsomorphic:
     def test_relabelled_corpus(self):
         rng = random.Random(31)
@@ -634,10 +735,9 @@ class TestReferenceIsomorphic:
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = relabel(g, perm)
-            assert isomorphic(g, h) == _reference_isomorphic(g, h)
+            assert _valid_isomorphism(g, h)
             role_g, role_h = wl._boundary_role(g), wl._boundary_role(h)
-            assert (isomorphic(g, h, role_g, role_h)
-                    == _reference_isomorphic(g, h, role_g, role_h))
+            assert _valid_isomorphism(g, h, role_g, role_h)
 
     def test_negative_pair(self):
         a = cycle("CCCCCC")
@@ -661,10 +761,7 @@ class TestReferenceIsomorphic:
             for _ in range(20):
                 perm = list(range(g.n))
                 rng.shuffle(perm)
-                h = relabel(g, perm)
-                found = isomorphic(g, h)
-                assert found[0]
-                assert found == _reference_isomorphic(g, h)
+                assert _valid_isomorphism(g, relabel(g, perm))
 
     @pytest.mark.parametrize("sizes", [(5, 6), (5, 5)])
     def test_marked_seed_graphs(self, sizes):
@@ -675,4 +772,146 @@ class TestReferenceIsomorphic:
             for b in h.bonds]) for e in h.bonds if e.pair() not in bridge_set]
         for m1 in marked:
             for m2 in marked:
-                assert isomorphic(m1, m2) == _reference_isomorphic(m1, m2)
+                _valid_isomorphism(m1, m2)
+
+
+def _random_cubic(rng, n):
+    """A connected simple 3-regular carbon graph on n atoms (pairing model)."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {(min(u, v), max(u, v))
+                 for u, v in zip(points[::2], points[1::2])}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            g = MolGraph([Atom("C")] * n, [Bond(u, v) for u, v in sorted(pairs)])
+            if g.is_connected():
+                return g
+
+
+def _cubic_cuts(seed, count):
+    """Monomers cut, one per non-bridge bond, from random cubic graphs of
+    8-12 atoms, until there are at least count."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        h = _random_cubic(rng, rng.choice((8, 10, 12)))
+        bridge_set = h.bridges()
+        out += [MonomerGraph(h.atoms, [b for b in h.bonds if b.pair() != e],
+                             *e)
+                for e in sorted(b.pair() for b in h.bonds)
+                if e not in bridge_set]
+    return out
+
+
+def _join(a, b):
+    """The monomer a then b: a's tail bonded to b's head."""
+    bonds = a.bonds + [Bond(x.u + a.n, x.v + a.n, x.order) for x in b.bonds]
+    return MonomerGraph(a.atoms + b.atoms,
+                        bonds + [Bond(a.tail, b.head + a.n)],
+                        a.head, b.tail + a.n)
+
+
+def _long_monomers(seed, count, low=33, high=50):
+    """Monomers of low..high atoms: corpus units and cubic cuts, joined."""
+    rng = random.Random(seed)
+    cuts = _cubic_cuts(seed, 50)
+    out = []
+    while len(out) < count:
+        g = corpus_mod.random_monomer(rng)
+        while g.n < low:
+            g = _join(g, rng.choice(cuts) if rng.random() < 0.3
+                      else corpus_mod.random_monomer(rng))
+        if g.n <= high:
+            out.append(g)
+    return out
+
+
+def _reversed(g):
+    return MonomerGraph(g.atoms, g.bonds, g.tail, g.head, g.stereo_discarded)
+
+
+class TestPolymerIdentity:
+    def test_cubic_cuts_partition_as_polymer_equal(self):
+        # The reference key is invariant but collides, so polymer_equal
+        # splits each of its classes; the new keys must split them alike.
+        graphs = _cubic_cuts(11, 2000)
+        by_ref = {}
+        for i, g in enumerate(graphs):
+            by_ref.setdefault(_reference(_reference_canonical_form, g),
+                              []).append(i)
+        exact = [0] * len(graphs)
+        collisions = 0
+        for members in by_ref.values():
+            reps = []
+            for i in members:
+                j = next((r for r in reps if _reference(
+                    polymer_equal, graphs[r], graphs[i])), None)
+                if j is None:
+                    reps.append(i)
+                    j = i
+                exact[i] = j
+            collisions += len(reps) > 1
+        assert collisions > 0  # the cut-cubic probe defeats a WL hash
+        assert _same_partition([canonical_form(g) for g in graphs], exact)
+
+    def test_wl_twin_pair_gets_two_keys(self):
+        a, b = "*C1C2C3C4C1C3C(C24)*", "*C1C2C3C2C(C2C3C12)*"
+        assert (_reference(_reference_canonical_form, a)
+                == _reference(_reference_canonical_form, b))
+        assert not polymer_equal(parse(a), parse(b))
+        assert canonical_form(a) != canonical_form(b)
+
+    def test_repeat_past_old_size_cap(self):
+        g = parse("*" + "C" * 31 + "C(C)*")  # 33 atoms, 66 when doubled
+        assert polymer_equal(g, repeat_monomer(g, 2))
+        assert primitive_reduce(repeat_monomer(g, 2)).n == g.n
+        assert canonical_form(g) == canonical_form(repeat_monomer(g, 2))
+
+    def test_invariance_33_to_150_atoms(self):
+        rng = random.Random(12)
+        for g in _long_monomers(12, 6):
+            key = canonical_form(g)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            same = [relabel(g, perm), _reversed(g)] + translation_variants(g)
+            same += [repeat_monomer(g, 2), repeat_monomer(g, 3)]
+            assert all(canonical_form(h) == key for h in same)
+            assert polymer_equal(g, same[0])
+            assert polymer_equal(g, same[-2])
+
+    def test_long_monomers_differ(self):
+        graphs = _long_monomers(13, 6)
+        keys = [canonical_form(g) for g in graphs]
+        assert len(set(keys)) == len(keys)
+        a = _join(graphs[0], graphs[1])
+        b = _join(graphs[0], _reversed(graphs[1]))
+        assert not polymer_equal(a, b)
+        assert canonical_form(a) != canonical_form(b)
+
+
+class TestDoubleBondsAreNotCutPoints:
+    def test_separating_bridges_are_single(self):
+        g = parse("*CC=C(C)C*")
+        assert [g.bond_order(*e) for e in separating_bridges(g)] == [
+            "single", "single"]
+        assert len(translation_variants(g)) == 3
+
+    def test_rewrites_keep_the_double_bond(self):
+        assert "*C(C)CCC*" not in psmiles.augment_rewrites(parse("*CC=C(C)C*"))
+        rng = random.Random(3)
+        for _ in range(20):
+            aug = random_augment(parse("*CC=C(C)C*"), rng)
+            assert [b.order for b in aug.bonds].count("double") == aug.n // 5
+
+    def test_polyisoprene_is_not_its_saturated_analogue(self):
+        assert canonical_form("*CC=C(C)C*") != canonical_form("*CCC(C)C*")
+        assert not polymer_equal(parse("*C(C)=CC*"), parse("*C(C)CC*"))
+
+    @pytest.mark.parametrize("line", ["*CC=C(C)C*", "*C(C)=CC*",
+                                      "*CC=CC(=O)O*", "*C=CC#CC*",
+                                      "*C1CC1C=CC*"])
+    def test_every_rewrite_keeps_the_key(self, line):
+        key = canonical_form(line)
+        rewrites = psmiles.augment_rewrites(parse(line))
+        assert all(canonical_form(r) == key for r in rewrites)
+        assert all(polymer_equal(parse(r), parse(line)) for r in rewrites)
