@@ -22,7 +22,6 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import rsit as rsit_mod
 from . import verify as verify_mod
-from .context import build_context
 from .errors import PolyseqError
 from .graphs import dump_star_graph, ring_stats, star_link
 from .nets import ReferenceModel, SpatialDescriptors, forward_polymer, fragcam
@@ -183,6 +182,16 @@ def _backbone_json(s: str) -> str:
                        "backbone": star.backbone,
                        "auto_repeat_k": star.auto_repeat_k},
                       separators=(",", ":"))
+
+
+def _distances_json(s: str, d_thres: int) -> str:
+    """The linked graph's hop distances and its ``dist < d_thres``
+    attention mask, one row per atom."""
+    g = star_link(parse(s)).as_graph()
+    dist = [g.bfs_distances(i) for i in range(g.n)]
+    mask = ["".join("1" if d < d_thres else "0" for d in row) for row in dist]
+    return json.dumps({"n": g.n, "d_thres": d_thres, "dist": dist,
+                       "mask": mask}, separators=(",", ":"))
 
 
 def _augment_fn(args):
@@ -358,8 +367,7 @@ _LINE_COMMANDS = {
     "canon": lambda args: lambda i, s: canonical_form(s),
     "link": lambda args: lambda i, s: dump_star_graph(star_link(parse(s))),
     "backbone": lambda args: lambda i, s: _backbone_json(s),
-    "distances": lambda args: lambda i, s: build_context(
-        star_link(parse(s)).as_graph(), args.d_thres).to_json(),
+    "distances": lambda args: lambda i, s: _distances_json(s, args.d_thres),
     "augment": _augment_fn,
     "stats": lambda args: lambda i, s: parse(s),
     "forward": _forward_fn,

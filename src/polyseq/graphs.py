@@ -103,6 +103,7 @@ class MolGraph:
         return any(j == v for j, _ in self.adjacency()[u])
 
     def n_components(self) -> int:
+        adj = self.adjacency()
         seen = [False] * self.n
         count = 0
         for start in range(self.n):
@@ -112,7 +113,7 @@ class MolGraph:
             seen[start] = True
             stack = [start]
             while stack:
-                for v in self.neighbors(stack.pop()):
+                for v, _ in adj[stack.pop()]:
                     if not seen[v]:
                         seen[v] = True
                         stack.append(v)

@@ -222,7 +222,8 @@ def gin_layer(g: MolGraph, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
 
 def attention_bias(ctx: AttentionContext, dist_table: np.ndarray,
                    path_weights: np.ndarray) -> np.ndarray:
-    """A^d + A^p: distance-bucket lookup plus averaged path-code functional."""
+    """A^d + A^p per pair: distance-bucket lookup plus averaged path-code
+    functional."""
     buckets = np.minimum(ctx.dist, DIST_CLAMP + 1)
     a_d = dist_table[buckets]
     a_p = ctx.path_onehot_means() @ path_weights
@@ -233,21 +234,25 @@ def local_attention_layer(ctx: AttentionContext, x: np.ndarray,
                           w: dict[str, np.ndarray]) -> np.ndarray:
     """One localized attention layer with residual LayerNorm and FFN.
 
-    The locality mask is applied inside the softmax, so each attention
-    column is a distribution over the masked-in entries only; an atom's
-    output then depends on nothing outside its ``dist < d_thres`` ball,
-    which the finite-unroll equivalence rests on.
+    Scores are taken only on the context's pairs, and each query's softmax
+    runs over its own segment, so each attention column is a distribution
+    over the masked-in keys only; an atom's output then depends on nothing
+    outside its ``dist < d_thres`` ball, which the finite-unroll
+    equivalence rests on.
     """
     d = x.shape[0]
     if x.shape[1] != ctx.n:
         raise ValueError("column count does not match context size")
-    q = w["wq"] @ x
-    k = w["wk"] @ x
-    v = w["wv"] @ x
-    scores = (k.T @ q) / math.sqrt(d) + attention_bias(ctx, w["dist"],
-                                                       w["path"])
-    a_hat = softmax_columns(np.where(ctx.local_mask, scores, -np.inf))
-    y = v @ a_hat
+    # row-major (n, d) projections: the pairs gather whole rows
+    q, k, v = (x.T @ w[name].T for name in ("wq", "wk", "wv"))
+    starts = ctx.indptr[:-1]
+    scores = (np.einsum("pd,pd->p", k[ctx.key], q[ctx.query]) / math.sqrt(d)
+              + attention_bias(ctx, w["dist"], w["path"]))
+    e = np.exp(scores - np.maximum.reduceat(scores, starts)[ctx.query])
+    a_hat = e / np.add.reduceat(e, starts)[ctx.query]
+    vk = v[ctx.key]
+    vk *= a_hat[:, None]
+    y = np.add.reduceat(vk, starts).T
     x1 = layer_norm(y + x, w["ln1_gain"], w["ln1_bias"])
     ffn = w["ffn_w2"] @ np.maximum(
         w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]

@@ -23,8 +23,10 @@ from .graphs import (
     AROMATIC_CAPABLE,
     Atom,
     Bond,
+    MolGraph,
     MonomerGraph,
     ORGANIC_SUBSET,
+    implicit_hydrogens,
     repeat_monomer,
     strategy_transform,
 )
@@ -265,7 +267,11 @@ def parse(s: str) -> MonomerGraph:
     return g
 
 
-def _atom_token(atom: Atom) -> str:
+def _atom_token(mol: MolGraph, i: int) -> str:
+    """Atom i of mol, which holds its stars.  A bracket atom gets its H
+    count: the written one, or for an API-built atom without one the
+    implicit count that featurize gives it in mol."""
+    atom = mol.atoms[i]
     if atom.element == "*":
         return "*"
     bare = (atom.isotope is None and atom.charge == 0 and atom.hcount is None
@@ -278,8 +284,9 @@ def _atom_token(atom: Atom) -> str:
     if atom.isotope is not None:
         out += str(atom.isotope)
     out += sym
-    if atom.hcount:
-        out += "H" if atom.hcount == 1 else f"H{atom.hcount}"
+    h = implicit_hydrogens(mol, i)
+    if h:
+        out += "H" if h == 1 else f"H{h}"
     if atom.charge:
         sign = "+" if atom.charge > 0 else "-"
         mag = abs(atom.charge)
@@ -345,7 +352,7 @@ def write(g: MonomerGraph) -> str:
         if par >= 0:
             out.append(_bond_symbol(mol.bond_order(par, u),
                                     mol.atoms[par], mol.atoms[u]))
-        out.append(_atom_token(mol.atoms[u]))
+        out.append(_atom_token(mol, u))
         for p in ring_at[u]:
             other = p[0] + p[1] - u
             tok = _bond_symbol(mol.bond_order(u, other),

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from polyseq.context import AttentionContext
+from polyseq.context import AttentionContext, build_context
 from polyseq.corpus import corpus, default_twin_pairs, random_monomer
 from polyseq.graphs import MolGraph
+from polyseq.psmiles import parse
 from polyseq.verify import lga_deviation, twin_suite
 from polyseq.wl import polymer_equal, separating_bridges
 
@@ -43,6 +44,10 @@ def test_traced_name_resolves(module, attr):
 
 def test_untraced_calls_resolve():
     assert "n" in AttentionContext.__dataclass_fields__
+    # the tracer's context.atoms counter reads the context's atom count
+    g = parse("*CC(C)O*")
+    n = build_context(g, 3).n
+    assert type(n) is int and n == g.n
     assert all(callable(f) for f in (polymer_equal, separating_bridges,
                                      default_twin_pairs))
     inspect.signature(default_twin_pairs).bind()

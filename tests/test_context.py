@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from polyseq import (
     strategy_transform,
 )
 from polyseq.cli import main
-from polyseq.context import EDGE_CODES, INF_SENTINEL, edge_code
+from polyseq.context import EDGE_CODES, edge_code
 from polyseq.corpus import corpus
 from polyseq.graphs import Atom, Bond, MolGraph, relabel
 from polyseq.nets import ReferenceModel
@@ -35,47 +36,72 @@ TIED_RING_SYSTEMS = {
 
 
 ONEHOT = np.eye(len(EDGE_CODES)).tolist()
+INF_SENTINEL = 0x7FFFFFFF  # the reference's distance to an unreached atom
+
+
+def graph_of(psmiles, linked=True):
+    g = parse(psmiles)
+    return star_link(g).as_graph() if linked else g
 
 
 def ctx_of(psmiles, d_thres=3, linked=True):
-    g = parse(psmiles)
-    if linked:
-        g = star_link(g).as_graph()
-    return build_context(g, d_thres)
+    return build_context(graph_of(psmiles, linked), d_thres)
+
+
+def densify(ctx):
+    """Scatter the context's pairs into n x n arrays indexed [key, query],
+    the layout of _reference_context: distances (INF_SENTINEL outside the
+    mask), path counts (zero outside) and the mask."""
+    n = ctx.n
+    dist = np.full((n, n), INF_SENTINEL, dtype=np.int64)
+    counts = np.zeros((n, n, len(EDGE_CODES)))
+    mask = np.zeros((n, n), dtype=bool)
+    dist[ctx.key, ctx.query] = ctx.dist
+    counts[ctx.key, ctx.query] = ctx.path_counts
+    mask[ctx.key, ctx.query] = True
+    return SimpleNamespace(n=n, d_thres=ctx.d_thres, dist=dist,
+                           path_counts=counts, local_mask=mask)
+
+
+def all_distances(g):
+    return np.array([g.bfs_distances(i) for i in range(g.n)])
 
 
 class TestInvariants:
     @pytest.mark.parametrize("s", ["*CONO*", "*CC(C)OC(=O)*",
                                    "*c1ccc(*)cc1", "*CC(c1ccccc1)O*"])
     def test_distance_matrix(self, s):
-        ctx = ctx_of(s)
-        assert np.array_equal(ctx.dist, ctx.dist.T)
-        assert np.all(np.diag(ctx.dist) == 0)
+        g = graph_of(s)
+        d = all_distances(g)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0)
         # triangle inequality over all triples
-        d = ctx.dist
         assert np.all(d[:, :, None] + d[None, :, :] >= d[:, None, :])
+        # the context holds these distances on the masked pairs
+        ctx = build_context(g, 3)
+        assert np.array_equal(ctx.dist, d[ctx.key, ctx.query])
 
     @pytest.mark.parametrize("s", ["*CONO*", "*CC(c1ccccc1)O*"])
     def test_path_counts_sum_to_distance(self, s):
         ctx = ctx_of(s)
-        assert np.array_equal(ctx.path_counts.sum(axis=2), ctx.dist)
+        assert np.array_equal(ctx.path_counts.sum(axis=1), ctx.dist)
 
     def test_mask_diagonal_always_on(self):
         ctx = ctx_of("*CONO*", d_thres=1)
-        assert np.array_equal(ctx.local_mask, np.eye(4, dtype=bool))
+        assert np.array_equal(densify(ctx).local_mask, np.eye(4, dtype=bool))
 
     def test_strict_threshold(self):
         # 4-cycle at d_thres=2 keeps self plus the two hop-1 neighbors
-        ctx = ctx_of("*CONO*", d_thres=2)
-        assert np.all(ctx.local_mask.sum(axis=1) == 3)
-        assert not ctx.local_mask[0, 2]
+        mask = densify(ctx_of("*CONO*", d_thres=2)).local_mask
+        assert np.all(mask.sum(axis=1) == 3)
+        assert not mask[0, 2]
 
     def test_edge_codes_recorded(self):
         star = star_link(parse("*CC=CC*"))
-        ctx = build_context(star.as_graph(), 4)
-        assert ctx.path_counts[1, 2].tolist() == ONEHOT[edge_code("double")]
+        counts = densify(build_context(star.as_graph(), 4)).path_counts
+        assert counts[1, 2].tolist() == ONEHOT[edge_code("double")]
         # 0-3 goes through the link edge, recorded as a single bond
-        assert ctx.path_counts[0, 3].tolist() == ONEHOT[edge_code("single")]
+        assert counts[0, 3].tolist() == ONEHOT[edge_code("single")]
 
     def test_deterministic_tie_break(self):
         # the star graph is two 4-rings, 0-1=2-3 and 4-5=6-7, with 3-4 and
@@ -83,8 +109,8 @@ class TestInvariants:
         # corners, one through the double bond, and the path through the
         # lower-index middle atom wins
         g = star_link(parse("*C1C=CC1*")).as_graph()
-        a = build_context(g, 3)
-        b = build_context(g, 3)
+        a = densify(build_context(g, 3))
+        b = densify(build_context(g, 3))
         assert np.array_equal(a.path_counts, b.path_counts)
         single, double = (ONEHOT[edge_code(o)] for o in ("single", "double"))
         via_double = [s + d for s, d in zip(single, double)]
@@ -95,9 +121,9 @@ class TestInvariants:
 
     def test_onehot_means(self):
         ctx = ctx_of("*CC=CC*", d_thres=5)
-        means = ctx.path_onehot_means()
-        sums = means.sum(axis=2)
-        off = ~np.eye(ctx.n, dtype=bool)
+        assert len(ctx.key) == ctx.n ** 2  # the 4-ring is all in the mask
+        sums = ctx.path_onehot_means().sum(axis=1)
+        off = ctx.key != ctx.query
         assert np.allclose(sums[off], 1.0)
         assert np.allclose(sums[~off], 0.0)
 
@@ -115,14 +141,13 @@ class TestPeriodic:
         g = parse("*CC(C)O*")
         a = build_context(repeat_monomer(g, 1), 3)
         b = build_context(g, 3)
-        assert np.array_equal(a.dist, b.dist)
-        assert np.array_equal(a.path_counts, b.path_counts)
+        for name in ("indptr", "key", "dist", "path_counts"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_unroll_sizes(self):
-        g = parse("*CONO*")
-        ctx = build_context(repeat_monomer(g, 3), 3)
-        assert ctx.n == 12
-        assert ctx.dist[0, 11] == 11
+        chain = repeat_monomer(parse("*CONO*"), 3)
+        assert build_context(chain, 3).n == 12
+        assert chain.bfs_distances(0)[11] == 11
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -150,9 +175,11 @@ class TestFolding:
 
 
 class TestSerialization:
-    def test_to_json(self):
-        ctx = ctx_of("*CONO*", d_thres=2)
-        doc = json.loads(ctx.to_json())
+    def test_distances_json(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_text("*CONO*\n")
+        assert main(["distances", str(path), "--d-thres", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 4 and doc["d_thres"] == 2
         assert doc["dist"][0] == [0, 1, 2, 1]
         assert doc["mask"][0] == "1101"
@@ -160,8 +187,10 @@ class TestSerialization:
 
 
 def _reference_context(g, d_thres):
-    """One BFS per source, each level visited in ascending atom order; the
-    first atom to reach v is its predecessor."""
+    """The dense all-pairs context: one BFS per source, each level visited
+    in ascending atom order; the first atom to reach v is its predecessor.
+    Arrays are indexed [source, target], which the layers read as [key,
+    query]."""
     n = g.n
     ecode = np.full((n, n), -1, dtype=np.int64)
     for b in g.bonds:
@@ -188,7 +217,8 @@ def _reference_context(g, d_thres):
         ss, vv = np.nonzero(dist == d)
         pp = parent[ss, vv]
         counts[ss, vv] = counts[ss, pp] + eye[ecode[pp, vv]]
-    return AttentionContext(n, dist, counts, dist < d_thres, d_thres)
+    return SimpleNamespace(n=n, d_thres=d_thres, dist=dist,
+                           path_counts=counts, local_mask=dist < d_thres)
 
 
 def _reference_to_json(ctx):
@@ -201,15 +231,36 @@ def _reference_to_json(ctx):
     }, separators=(",", ":"))
 
 
+def _assert_csr(ctx):
+    """Pairs sorted by query, then key; segments at indptr; each segment
+    holds its diagonal pair."""
+    assert isinstance(ctx, AttentionContext)
+    m = len(ctx.key)
+    assert ctx.indptr[0] == 0 and ctx.indptr[-1] == m
+    assert len(ctx.indptr) == ctx.n + 1
+    assert len(ctx.query) == len(ctx.dist) == len(ctx.path_counts) == m
+    assert np.array_equal(ctx.query, np.repeat(np.arange(ctx.n),
+                                               np.diff(ctx.indptr)))
+    flat = ctx.query * ctx.n + ctx.key
+    assert np.all(np.diff(flat) > 0)
+    diag = np.flatnonzero(ctx.key == ctx.query)
+    assert np.array_equal(ctx.query[diag], np.arange(ctx.n))
+    assert np.all(ctx.dist[diag] == 0)
+
+
 def _assert_same_context(g):
+    """build_context holds exactly the reference's masked pairs, with
+    byte-identical distances and path counts."""
     for d_thres in (1, 2, 3, 4):
-        got = build_context(g, d_thres)
-        want = _reference_context(g, d_thres)
-        assert got.n == want.n and got.d_thres == d_thres
-        for name in ("dist", "path_counts", "local_mask"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype, name
-            assert a.shape == b.shape, name
+        ctx = build_context(g, d_thres)
+        _assert_csr(ctx)
+        got, want = densify(ctx), _reference_context(g, d_thres)
+        assert got.n == want.n and ctx.d_thres == d_thres
+        mask = want.local_mask
+        assert got.local_mask.tobytes() == mask.tobytes(), d_thres
+        assert ctx.dist.dtype == want.dist.dtype
+        for name in ("dist", "path_counts"):
+            a, b = getattr(got, name)[mask], getattr(want, name)[mask]
             assert a.tobytes() == b.tobytes(), (name, d_thres)
 
 
@@ -252,7 +303,7 @@ class TestReferenceBFS:
     def test_single_atom(self):
         g = MolGraph([Atom("C")], [])
         _assert_same_context(g)
-        ctx = build_context(g, 2)
+        ctx = densify(build_context(g, 2))
         assert ctx.dist.tolist() == [[0]]
         assert ctx.path_counts.shape == (1, 1, len(EDGE_CODES))
 
@@ -262,11 +313,22 @@ class TestReferenceBFS:
             g = star_link(parse(s)).as_graph()
             perm = list(range(g.n))
             rng.shuffle(perm)
-            base = build_context(g, 3)
-            moved = build_context(relabel(g, perm), 3)
+            base = densify(build_context(g, 3))
+            moved = densify(build_context(relabel(g, perm), 3))
             assert np.array_equal(moved.dist, base.dist[np.ix_(perm, perm)])
             assert np.array_equal(moved.local_mask,
                                   base.local_mask[np.ix_(perm, perm)])
+
+    def test_holds_exactly_the_masked_pairs(self):
+        # a 288-atom unroll, the largest the verify oracles build
+        unit = auto_repeat_for_lga(parse("*C(C1(CCCC1)*)NN"), 3)[0]
+        chain = repeat_monomer(star_link(unit).monomer, 9)
+        assert chain.n == 288
+        for d_thres in (2, 3, 4):
+            ctx = build_context(chain, d_thres)
+            want = (_reference_context(chain, d_thres).dist < d_thres).sum()
+            assert len(ctx.key) == want
+            _assert_csr(ctx)
 
     def test_forward_single_atom_pin(self):
         res = forward_polymer(ReferenceModel.generate(0), parse("*C*"),

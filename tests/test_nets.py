@@ -20,8 +20,12 @@ from polyseq import (
     project_spatial,
     star_link,
 )
+from polyseq import nets
+from polyseq.context import DIST_CLAMP
+from polyseq.corpus import corpus
 from polyseq.graphs import relabel
 from polyseq.nets import (
+    N_PATH_CODES,
     _normals,
     classify_atoms,
     layer_weights,
@@ -38,6 +42,26 @@ def model():
 def star_ctx(psmiles, d_thres):
     g = star_link(parse(psmiles)).as_graph()
     return g, build_context(g, d_thres)
+
+
+def _reference_local_attention_layer(ctx, x, w):
+    """The dense layer: scores and biases on all n x n [key, query] pairs,
+    the mask applied inside a column softmax, and y = v @ a_hat."""
+    n, d = ctx.n, x.shape[0]
+    dist = np.zeros((n, n), dtype=np.int64)
+    means = np.zeros((n, n, N_PATH_CODES))
+    mask = np.zeros((n, n), dtype=bool)
+    dist[ctx.key, ctx.query] = ctx.dist
+    means[ctx.key, ctx.query] = ctx.path_onehot_means()
+    mask[ctx.key, ctx.query] = True
+    q, k, v = (w[name] @ x for name in ("wq", "wk", "wv"))
+    bias = w["dist"][np.minimum(dist, DIST_CLAMP + 1)] + means @ w["path"]
+    scores = (k.T @ q) / math.sqrt(d) + bias
+    a_hat = softmax_columns(np.where(mask, scores, -np.inf))
+    x1 = layer_norm(v @ a_hat + x, w["ln1_gain"], w["ln1_bias"])
+    ffn = w["ffn_w2"] @ np.maximum(
+        w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]
+    return layer_norm(ffn + x1, w["ln2_gain"], w["ln2_bias"])
 
 
 def normals_reference(seed, name, count):
@@ -194,11 +218,46 @@ class TestAttention:
         base = local_attention_layer(ctx, x, w)
         for i in range(g.n):
             moved = x.copy()
-            outside = ~ctx.local_mask[:, i]
+            outside = np.ones(g.n, dtype=bool)
+            outside[ctx.key[ctx.query == i]] = False
             moved[:, outside] = rng.normal(size=(model.d, outside.sum()))
             got = local_attention_layer(ctx, moved, w)
             assert np.allclose(got[:, i], base[:, i], atol=1e-12)
             assert not np.allclose(got[:, outside], base[:, outside])
+
+
+class TestReferenceAttention:
+    """The pairwise layer matches the dense layer it replaced."""
+
+    @pytest.mark.parametrize("s", ["*CC(C)OC(=O)*", "*c1ccc(*)cc1",
+                                   "*C12C3C4C1C5C2C3C45*", "*C*"])
+    @pytest.mark.parametrize("d_thres", [1, 2, 3, 4, 40])
+    def test_random_inputs(self, model, s, d_thres):
+        g, ctx = star_ctx(s, d_thres)
+        rng = np.random.default_rng(d_thres)
+        for l in range(model.L):
+            w = layer_weights(model, f"attn{l}")
+            w["dist"] = rng.normal(size=w["dist"].shape) * 3
+            w["path"] = rng.normal(size=w["path"].shape) * 3
+            x = rng.normal(size=(model.d, g.n)) * 2
+            got = local_attention_layer(ctx, x, w)
+            want = _reference_local_attention_layer(ctx, x, w)
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("strategy", ["link", "remove", "keep",
+                                          "substitute"])
+    def test_forward_matches_dense(self, strategy, monkeypatch):
+        lines = corpus(300, seed=15)
+        for d_thres in (2, 3, 4):
+            m = ReferenceModel.generate(seed=0, d_thres=d_thres)
+            got = [forward_polymer(m, parse(s), strategy=strategy).yhat
+                   for s in lines]
+            with monkeypatch.context() as mp:
+                mp.setattr(nets, "local_attention_layer",
+                           _reference_local_attention_layer)
+                want = [forward_polymer(m, parse(s), strategy=strategy).yhat
+                        for s in lines]
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12
 
 
 class TestFusionAndSpatial:

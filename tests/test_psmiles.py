@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,15 @@ from polyseq import (
     write,
 )
 from polyseq.corpus import corpus, random_monomer
-from polyseq.graphs import featurize, implicit_hydrogens, strategy_transform
+from polyseq.graphs import (
+    Atom,
+    Bond,
+    MonomerGraph,
+    featurize,
+    implicit_hydrogens,
+    star_link,
+    strategy_transform,
+)
 from polyseq.psmiles import _atom_token, _bond_symbol
 from polyseq.wl import translation_variants
 
@@ -160,6 +169,31 @@ class TestWrite:
     def test_bracket_atom_without_h(self, s, want):
         assert write(parse(s)) == want
 
+    @pytest.mark.parametrize("atom, want", [
+        (Atom("N", charge=1), "*C[NH+]C*"),
+        (Atom("C", isotope=13), "*C[13CH2]C*"),
+    ])
+    def test_api_bracket_atom_keeps_implicit_h(self, atom, want):
+        # an atom built without an H count has its implicit hydrogens; the
+        # bracket must write them, or the parsed atom would carry none
+        g = MonomerGraph([Atom("C"), atom, Atom("C")],
+                         [Bond(0, 1), Bond(1, 2)], head=0, tail=2)
+        s = write(g)
+        assert s == want
+        assert np.array_equal(featurize(parse(s)), featurize(g))
+        assert write(parse(s)) == s
+
+    def test_api_bracket_endpoint_counts_its_star_bond(self):
+        # the head's star bond is a bond of the written atom, so the linked
+        # graph, where the link takes its place, keeps its features
+        g = MonomerGraph([Atom("N", charge=1), Atom("C"), Atom("C")],
+                         [Bond(0, 1), Bond(1, 2)], head=0, tail=2)
+        s = write(g)
+        assert s == "*[NH+]CC*"
+        assert np.array_equal(featurize(star_link(parse(s)).as_graph()),
+                              featurize(star_link(g).as_graph()))
+        assert write(parse(s)) == s
+
     def test_long_chain(self):
         # deeper than the default recursion limit
         s = "*" + "C" * 1200 + "*"
@@ -200,7 +234,7 @@ def _reference_write(g):
         if par >= 0:
             out.append(_bond_symbol(mol.bond_order(par, u),
                                     mol.atoms[par], mol.atoms[u]))
-        out.append(_atom_token(mol.atoms[u]))
+        out.append(_atom_token(mol, u))
         for p in ring_at[u]:
             other = p[0] + p[1] - u
             tok = _bond_symbol(mol.bond_order(u, other),
