@@ -31,7 +31,7 @@ class _Builder:
 
     def add(self, element: str, aromatic: bool = False) -> int:
         self.atoms.append(Atom(element, aromatic=aromatic))
-        self.free.append(DEFAULT_VALENCE[element] + (1 if aromatic else 0))
+        self.free.append(DEFAULT_VALENCE[element, 0] + (1 if aromatic else 0))
         return len(self.atoms) - 1
 
     def bond(self, u: int, v: int, order: str = "single") -> None:

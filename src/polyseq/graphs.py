@@ -24,11 +24,18 @@ BOND_VALENCE = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
 ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
 AROMATIC_CAPABLE = ("B", "C", "N", "O", "P", "S", "Se", "As")
 
-# Default valences used only to derive implicit hydrogen counts for features.
-DEFAULT_VALENCE = {
-    "B": 3, "C": 4, "N": 3, "O": 2, "P": 3, "S": 2,
-    "F": 1, "Cl": 1, "Br": 1, "I": 1,
+# Default valences, used only to derive implicit hydrogen counts, keyed by
+# (element, charge): the octet rule min(e, 8 - e) for e outer electrons
+# less the charge, so a charged atom has the valence of the isoelectronic
+# neutral atom ([N+] that of C, [O-] that of F, [C+] and [C-] that of B and
+# N).  Any other pair, where e falls outside 0..8, has valence 0.
+_OUTER_ELECTRONS = {
+    "B": 3, "C": 4, "N": 5, "O": 6, "P": 5, "S": 6,
+    "F": 7, "Cl": 7, "Br": 7, "I": 7,
 }
+DEFAULT_VALENCE = {(element, q): min(e - q, 8 - e + q)
+                   for element, e in _OUTER_ELECTRONS.items()
+                   for q in range(e - 8, e + 1)}
 
 FEATURE_ELEMENTS = ORGANIC_SUBSET + ("H", "*")
 
@@ -404,7 +411,7 @@ def implicit_hydrogens(g: MolGraph, i: int) -> int:
     atom = g.atoms[i]
     if atom.hcount is not None:
         return atom.hcount
-    default = DEFAULT_VALENCE.get(atom.element, 0)
+    default = DEFAULT_VALENCE.get((atom.element, atom.charge), 0)
     used = sum(BOND_VALENCE[order] for _, order in g.adjacency()[i])
     return max(0, default - math.ceil(used))
 

@@ -1,15 +1,19 @@
 """Color refinement, canonical labelling, polymer identity, twin pairs.
 
-Colors are 16-byte blake2b digests built from canonical signatures, so
-coloring results are directly comparable across graphs, runs, and platforms.
-A refinement round hashes each distinct signature once, and the round that
+``wl_refine`` colors are 16-byte blake2b digests built from canonical
+signatures, so its WL histograms, which the twin generator and the oracles
+compare, are directly comparable across graphs, runs, and platforms.  A
+refinement round hashes each distinct signature once, and the round that
 confirms a stable partition hashes nothing: it compares the count of
 distinct signatures with the count of color classes.
 
-One complete canonical labelling (individualization-refinement over those
-colors) decides isomorphism and gives graph keys.  An infinite polymer is
-identified by its polymer graph: the primitive repeat unit closed by its
-link, with every bond where the chain can be cut subdivided by a ``*`` atom.
+One complete canonical labelling decides isomorphism and gives graph keys.
+It hashes only the initial colors: individualization-refinement over an
+ordered partition of integer cells, refined from a splitter queue that
+starts, after each individualization, from the split cell alone.  An
+infinite polymer is identified by its polymer graph: the primitive repeat
+unit closed by its link, with every bond where the chain can be cut
+subdivided by a ``*`` atom.
 """
 
 from __future__ import annotations
@@ -122,25 +126,104 @@ def wl_refine(g: MolGraph, init: list | None = None,
     return ColoringResult(colors, ColoringResult._hist(colors), done)
 
 
+def _ordered_cells(colors: list) -> tuple[list[int], list[int], list[int]]:
+    """The atoms in cells of equal color, cells in color order.
+
+    Returns ``(lab, cell, end)``: ``lab`` lists the atoms cell by cell,
+    ``cell[i]`` is atom i's cell id, which is the cell's start in ``lab``,
+    and ``end[s]`` is the end of the cell with id s.
+    """
+    lab = sorted(range(len(colors)), key=colors.__getitem__)
+    cell, end = [0] * len(lab), [0] * len(lab)
+    for r, i in enumerate(lab):
+        prev = lab[r - 1]
+        cell[i] = cell[prev] if r and colors[i] == colors[prev] else r
+        end[cell[i]] = r + 1
+    return lab, cell, end
+
+
+def _refine(adj: dict[int, list[tuple[int, str]]], lab: list[int],
+            cell: list[int], end: list[int], queue: list[int]) -> None:
+    """Refine the ordered partition ``(lab, cell, end)`` in place until it
+    is equitable, from the splitter cells in ``queue``.
+
+    Each splitter W splits every cell by its atoms' sorted bond orders into
+    W, and only the atoms next to W are looked at.  The pieces take the
+    cell's place in the order of those bond orders, atoms with no bond into
+    W first.  A split cell that was queued queues all its pieces; one that
+    was not queues all but its first largest piece, whose bonds follow from
+    the others' (Paige & Tarjan 1987; McKay & Piperno 2014).
+    """
+    n = len(lab)
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    cells = len(set(cell))
+    for w in queue:
+        if cells == n:
+            break
+        queued[w] = False
+        hits: dict[int, list[str]] = {}
+        for u in lab[w:end[w]]:
+            for x, order in adj[u]:
+                c = cell[x]
+                if end[c] - c > 1:
+                    hits.setdefault(x, []).append(order)
+        touched: dict[int, list[int]] = {}
+        for x in hits:
+            touched.setdefault(cell[x], []).append(x)
+        for c in sorted(touched):
+            xs, stop = touched[c], end[c]
+            groups: dict[tuple, list[int]] = {}
+            if len(xs) < stop - c:
+                groups[()] = [y for y in lab[c:stop] if y not in hits]
+            for x in xs:
+                groups.setdefault(tuple(sorted(hits[x])), []).append(x)
+            if len(groups) == 1:
+                continue
+            pieces = [groups[k] for k in sorted(groups)]
+            largest = max(range(len(pieces)), key=lambda k: len(pieces[k]))
+            was_queued = queued[c]
+            start = c
+            for k, piece in enumerate(pieces):
+                stop = start + len(piece)
+                lab[start:stop] = piece
+                for y in piece:
+                    cell[y] = start
+                end[start] = stop
+                if (was_queued or k != largest) and not queued[start]:
+                    queue.append(start)
+                    queued[start] = True
+                start = stop
+            cells += len(pieces) - 1
+
+
 def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
     """Complete canonical labelling by individualization-refinement.
 
     Returns ``(certificate, order)``: ``order[r]`` is the atom of rank r, and
     two graphs are isomorphic (``extra``, a map node index -> hashable folded
     into the initial colors, included) iff their certificates are equal.
-    ``wl_refine`` refines; while a color class has several atoms, each atom
-    of the first smallest class is individualized in turn.  A leaf's
-    certificate is its sorted colors plus its bonds in color ranks; the
-    least leaf wins.  Automorphisms prune the search (McKay & Piperno 2014,
-    "Practical graph isomorphism, II"): the swaps of structural twins (same
-    initial color, same neighbours and bond orders), and one per leaf with
-    the best certificate, which also ends the branch where its path parts
-    from the best one.  An atom in the orbit of a tried one, under those
-    that fix the individualized atoms, is skipped.  More than LEAF_BUDGET
-    leaves raise BudgetExceeded.
+    The search refines an ordered partition of the atoms, cells first in
+    initial color order, to an equitable one (``_refine``).  While a cell
+    has several atoms, each atom of the first smallest cell is
+    individualized in turn: it becomes a cell of its own ahead of the rest,
+    and refinement restarts from that one cell.  A leaf's certificate is the
+    initial colors plus the bonds, both in rank order; the least leaf wins.
+    Automorphisms prune the search (McKay & Piperno 2014, "Practical graph
+    isomorphism, II"): the swaps of structural twins (same initial color,
+    same neighbours and bond orders), and one per leaf with the best
+    certificate, which also ends the branch where its path parts from the
+    best one.  An atom in the orbit of a tried one, under those that fix
+    the individualized atoms, is skipped.  More than LEAF_BUDGET leaves
+    raise BudgetExceeded.
     """
     init = initial_colors(g, extra)
     adj = g.adjacency()
+    bonds = [(b.u, b.v, b.order) for b in g.bonds]
+    # refinement only splits cells in place, so at every leaf the initial
+    # colors in rank order are the sorted ones
+    ranked_init = tuple(sorted(init))
     autos: list[dict[int, int]] = []  # each maps the atoms it moves
     twin: dict[tuple, int] = {}  # the last atom of each twin group so far
     for i in range(g.n):
@@ -151,33 +234,34 @@ def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
     best = None  # (certificate, order, individualized atoms)
     leaves = 0
 
-    def search(colors: list[bytes], path: list[int]) -> int:
+    def search(lab: list[int], cell: list[int], end: list[int],
+               path: list[int]) -> int:
         """Explore below this node; return the depth to resume at."""
         nonlocal best, leaves
-        cells: dict[bytes, list[int]] = {}
-        for i, c in enumerate(colors):
-            cells.setdefault(c, []).append(i)
-        if len(cells) == g.n:
+        target, s = -1, 0
+        while s < g.n:
+            if 1 < end[s] - s and (target < 0
+                                   or end[s] - s < end[target] - target):
+                target = s
+            s = end[s]
+        if target < 0:
             leaves += 1
             if leaves > LEAF_BUDGET:
                 raise BudgetExceeded(f"canonical labelling exceeds "
                                      f"{LEAF_BUDGET} leaves")
-            order = sorted(range(g.n), key=colors.__getitem__)
-            rank = {i: r for r, i in enumerate(order)}
-            cert = (tuple(colors[i] for i in order),
-                    tuple(sorted((*sorted((rank[b.u], rank[b.v])), b.order)
-                                 for b in g.bonds)))
+            cert = (ranked_init, tuple(sorted(
+                (cell[u], cell[v], o) if cell[u] < cell[v]
+                else (cell[v], cell[u], o) for u, v, o in bonds)))
             if best is not None and cert == best[0]:
-                autos.append({a: b for a, b in zip(best[1], order) if a != b})
+                autos.append({a: b for a, b in zip(best[1], lab) if a != b})
                 return next(d for d, (a, b) in enumerate(zip(path, best[2]))
                             if a != b)
             if best is None or cert < best[0]:
-                best = (cert, order, path)
+                best = (cert, lab, path)
             return len(path)
-        cell = min((c for c in cells.values() if len(c) > 1),
-                   key=lambda c: (len(c), colors[c[0]]))
+        stop = end[target]
         tried: list[int] = []
-        for v in cell:
+        for v in sorted(lab[target:stop]):
             gens = [m for m in autos if m.keys().isdisjoint(path)]
             orbit, todo = {v}, [v]
             for x in todo:
@@ -186,14 +270,21 @@ def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
             if not orbit.isdisjoint(tried):
                 continue
             tried.append(v)
-            split = list(colors)
-            split[v] = _digest(f"{colors[v].hex()}|{len(path)}")
-            back = search(wl_refine(g, init=split).colors, path + [v])
+            sub, sub_cell, sub_end = list(lab), list(cell), list(end)
+            i = sub.index(v, target)
+            sub[target], sub[i] = v, sub[target]
+            for y in sub[target + 1:stop]:
+                sub_cell[y] = target + 1
+            sub_end[target], sub_end[target + 1] = target + 1, stop
+            _refine(adj, sub, sub_cell, sub_end, [target])
+            back = search(sub, sub_cell, sub_end, path + [v])
             if back < len(path):
                 return back
         return len(path)
 
-    search(wl_refine(g, init=init).colors, [])
+    lab, cell, end = _ordered_cells(init)
+    _refine(adj, lab, cell, end, sorted(set(cell)))
+    search(lab, cell, end, [])
     return best[0], best[1]
 
 
@@ -248,44 +339,53 @@ def _head_sides(g: MonomerGraph) -> list[tuple[tuple[int, int], set[int]]]:
     """Boundary-separating single-bond bridges, sorted, each with the atoms
     on head's side.
 
-    When tail is reachable from head, every head-tail path crosses each
-    separating bridge, so only the bridges on one BFS-tree path need a
-    search.  When it is not, every bridge separates the boundary atoms.
+    One iterative Tarjan DFS, rooted at head and then at every atom it has
+    not reached, numbers the atoms in preorder; each subtree is a preorder
+    interval ``[disc, end)``.  A bridge is a tree edge (p, c) with no back
+    edge out of c's subtree.  When head reaches tail, the bridge separates
+    them iff tail is in c's subtree; when it does not, every bridge does.
+    The head side is head's component less c's subtree, or all of head's
+    component for a bridge outside it.
     """
-    bridges = g.bridges().intersection(
-        b.pair() for b in g.bonds if b.order == "single")
-    parent = {g.head: g.head}
-    queue = [g.head]
-    for u in queue:
-        for v in g.neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if g.tail in parent:
-        path = []
-        v = g.tail
-        while v != g.head:
-            u = parent[v]
-            path.append((min(u, v), max(u, v)))
-            v = u
-        bridges = bridges.intersection(path)
-    return [(edge, _component_without(g, edge, g.head))
-            for edge in sorted(bridges)]
-
-
-def _component_without(g: MolGraph, edge: tuple[int, int], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            p = (min(u, v), max(u, v))
-            if p == edge:
-                continue
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    adj = g.adjacency()
+    disc, low, end = [-1] * g.n, [0] * g.n, [0] * g.n
+    pre: list[int] = []
+    cuts = []  # (parent, child) of each single-bond bridge
+    for root in [g.head, *range(g.n)]:
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = len(pre)
+        pre.append(root)
+        stack = [(root, -1, "", iter(adj[root]))]
+        while stack:
+            u, p, order, nbrs = stack[-1]
+            for v, o in nbrs:
+                if v == p:
+                    continue
+                if disc[v] < 0:
+                    disc[v] = low[v] = len(pre)
+                    pre.append(v)
+                    stack.append((v, u, o, iter(adj[v])))
+                    break
+                low[u] = min(low[u], disc[v])
+            else:
+                stack.pop()
+                end[u] = len(pre)
+                if p >= 0:
+                    low[p] = min(low[p], low[u])
+                    if low[u] > disc[p] and order == "single":
+                        cuts.append((p, u))
+    head_end = end[g.head]
+    t = disc[g.tail]
+    out = []
+    for p, c in cuts:
+        if t < head_end and not disc[c] <= t < end[c]:
+            continue
+        side = set(pre[:min(disc[c], head_end)])
+        side.update(pre[end[c]:head_end])
+        out.append(((min(p, c), max(p, c)), side))
+    out.sort(key=lambda item: item[0])
+    return out
 
 
 def translation_variants(g: MonomerGraph) -> list[MonomerGraph]:

@@ -8,10 +8,12 @@ read from the file as it stands, so the benchmark is not edited to match.
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
+from polyseq import psmiles, wl
 from polyseq.context import AttentionContext, build_context
 from polyseq.corpus import corpus, default_twin_pairs, random_monomer
 from polyseq.graphs import MolGraph
@@ -56,3 +58,25 @@ def test_untraced_calls_resolve():
     inspect.signature(twin_suite).bind(None, None, tol=1e-9)
     inspect.signature(random_monomer).bind(None)
     inspect.signature(corpus).bind(16, 0)
+
+
+def test_canonical_form_runs_through_traced_layers(monkeypatch):
+    # The tracer wraps a function at every polyseq module attribute bound to
+    # it, and attributes canon's work to wl.primitive_reduce and
+    # wl.canonical_key only while canonical_form calls them by those names.
+    calls = dict.fromkeys(["primitive_reduce", "canonical_key"], 0)
+    mods = [m for n, m in sys.modules.items()
+            if m is not None and (n == "polyseq" or n.startswith("polyseq."))]
+    for name in calls:
+        orig = getattr(wl, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in mods:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    psmiles.canonical_form("*CCOCCO*")
+    assert all(calls.values()), calls

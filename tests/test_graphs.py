@@ -27,6 +27,7 @@ from polyseq.corpus import RING_FIXTURE, corpus, ring_pair_seed
 from polyseq.graphs import (
     dump_star_graph,
     feature_dim,
+    implicit_hydrogens,
     relabel,
     shortest_boundary_path,
 )
@@ -190,6 +191,26 @@ class TestFeatures:
         assert h_block[0, 1] == 1.0
         assert h_block[0, 2] == 1.0
         assert h_block[1, 3] == 1.0
+
+    @pytest.mark.parametrize("atom, bonds, want", [
+        (Atom("N", charge=1), 2, 2),   # ammonium, as C
+        (Atom("O", charge=-1), 1, 0),  # alkoxide, as F
+        (Atom("O", charge=1), 2, 1),   # oxonium, as N
+        (Atom("C", charge=1), 2, 1),   # carbocation, as B
+        (Atom("C", charge=-1), 2, 1),  # carbanion, as N
+        (Atom("B", charge=-1), 1, 3),  # borate, as C
+        (Atom("N"), 2, 1),
+    ])
+    def test_charged_implicit_hydrogens(self, atom, bonds, want):
+        # an atom built without an H count takes the valence of the
+        # isoelectronic neutral atom
+        g = MolGraph([atom] + [Atom("C")] * bonds,
+                     [Bond(0, i) for i in range(1, bonds + 1)])
+        assert implicit_hydrogens(g, 0) == want
+
+    def test_parsed_charged_atom_keeps_its_count(self):
+        g = parse("*C[NH+]C[O-]*")
+        assert [implicit_hydrogens(g, i) for i in (1, 3)] == [1, 0]
 
 
 class TestBackboneEmbedding:

@@ -170,7 +170,7 @@ class TestWrite:
         assert write(parse(s)) == want
 
     @pytest.mark.parametrize("atom, want", [
-        (Atom("N", charge=1), "*C[NH+]C*"),
+        (Atom("N", charge=1), "*C[NH2+]C*"),
         (Atom("C", isotope=13), "*C[13CH2]C*"),
     ])
     def test_api_bracket_atom_keeps_implicit_h(self, atom, want):
@@ -189,7 +189,7 @@ class TestWrite:
         g = MonomerGraph([Atom("N", charge=1), Atom("C"), Atom("C")],
                          [Bond(0, 1), Bond(1, 2)], head=0, tail=2)
         s = write(g)
-        assert s == "*[NH+]CC*"
+        assert s == "*[NH2+]CC*"
         assert np.array_equal(featurize(star_link(parse(s)).as_graph()),
                               featurize(star_link(g).as_graph()))
         assert write(parse(s)) == s

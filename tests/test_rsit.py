@@ -223,6 +223,15 @@ class TestModelPredictor:
             assert abs(s.adv_predict - s.base_prediction) < 1e-9
         assert abs(rep.rsit_gap) < 1e-9
 
+    def test_link_gap_is_last_bit_rounding(self):
+        # the README's claim for the star-linking strategy, on the corpus
+        # and model it was measured with: rewrites move a prediction only
+        # by last-bit rounding, so the gap is below 1e-15 but not always 0
+        pred = ModelPredictor(ReferenceModel.generate(0), "link")
+        rep = rsit(pred, labeled_corpus(200, seed=14))
+        assert rep.failures == 0
+        assert 0.0 <= rep.rsit_gap < 1e-15
+
     def test_keep_strategy_has_gap(self):
         model = ReferenceModel.generate(seed=5, d=16, L=2, d_thres=2)
         samples = labeled_corpus(8, seed=21)

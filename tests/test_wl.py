@@ -30,7 +30,7 @@ from polyseq import corpus as corpus_mod
 from polyseq.corpus import corpus, ring_pair_seed
 from polyseq.graphs import relabel
 from polyseq.psmiles import canonical_form, random_augment
-from polyseq.wl import (_component_without, _extract, initial_colors,
+from polyseq.wl import (_extract, _head_sides, initial_colors,
                         separating_bridges, translation_variants)
 
 
@@ -220,11 +220,11 @@ class TestTwins:
 
 class TestGoldenKeys:
     KEYS = {
-        "*CCO*": "a2d6bdc6a7add8ec0c0737b25763ff9a",
-        "*CONO*": "0cb15dd2d5392a74ed189c7ef062af46",
-        "*c1ccc(*)cc1": "6bc7329ac80705730d1c1e6853843e09",
-        "*CC(C)OC(=O)*": "d5d897db2e1ebb402c8f1d8cad23f0d1",
-        "*CC1(C2CCC3(CCC3)C2)CC1*": "72803a66949123831f91a591fbc9438b",
+        "*CCO*": "50929e0828e4242de16f5c0508070a98",
+        "*CONO*": "04ffe75ba16339b596b459f24f7464af",
+        "*c1ccc(*)cc1": "0f41a6fcb948769d8ece97f8e512626e",
+        "*CC(C)OC(=O)*": "6c89b917aa8727cc4868d2af97a9f4fc",
+        "*CC1(C2CCC3(CCC3)C2)CC1*": "4e9a1a494df6a6911f9c205eb8628507",
     }
 
     @pytest.mark.parametrize("line", sorted(KEYS))
@@ -382,10 +382,49 @@ def _reference_isomorphic(g1, g2, extra1=None, extra2=None):
     return False, None
 
 
+def _reference_component_without(g, edge, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in g.neighbors(u):
+            p = (min(u, v), max(u, v))
+            if p == edge:
+                continue
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _reference_head_sides(g):
+    """``wl._head_sides`` as it was: the bridges on one BFS-tree path from
+    head to tail, then one DFS per bridge for its head side."""
+    bridges = g.bridges().intersection(
+        b.pair() for b in g.bonds if b.order == "single")
+    parent = {g.head: g.head}
+    queue = [g.head]
+    for u in queue:
+        for v in g.neighbors(u):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    if g.tail in parent:
+        path = []
+        v = g.tail
+        while v != g.head:
+            u = parent[v]
+            path.append((min(u, v), max(u, v)))
+            v = u
+        bridges = bridges.intersection(path)
+    return [(edge, _reference_component_without(g, edge, g.head))
+            for edge in sorted(bridges)]
+
+
 def _reference_separating_bridges(g):
     out = []
     for (x, y) in sorted(g.bridges()):
-        comp = _component_without(g, (x, y), g.head)
+        comp = _reference_component_without(g, (x, y), g.head)
         if g.tail not in comp:
             out.append((x, y))
     return out
@@ -394,7 +433,7 @@ def _reference_separating_bridges(g):
 def _reference_translation_variants(g):
     variants = [g]
     for (x, y) in _reference_separating_bridges(g):
-        head_side = _component_without(g, (x, y), g.head)
+        head_side = _reference_component_without(g, (x, y), g.head)
         hx, ty = (x, y) if x in head_side else (y, x)
         bonds = [b for b in g.bonds if b.pair() != (min(x, y), max(x, y))]
         bonds.append(Bond(g.head, g.tail, "single"))
@@ -410,7 +449,7 @@ def _reference_primitive_reduce(g):
             continue
         usize = n // k
         for (x, y) in _reference_separating_bridges(g):
-            head_side = _component_without(g, (x, y), g.head)
+            head_side = _reference_component_without(g, (x, y), g.head)
             if len(head_side) != usize:
                 continue
             hx = x if x in head_side else y
@@ -623,6 +662,82 @@ class TestReferenceRefinement:
             assert initial_colors(g) == _reference_initial_colors(g)
             assert (initial_colors(g, role)
                     == _reference_initial_colors(g, role))
+
+
+def _equitable_cells(g, extra=None):
+    """The ordered partition ``wl._refine`` makes from the initial cells,
+    as a list of cell ids, after checking each cell is one run of ``lab``."""
+    lab, cell, end = wl._ordered_cells(initial_colors(g, extra))
+    wl._refine(g.adjacency(), lab, cell, end, sorted(set(cell)))
+    start = 0
+    while start < g.n:
+        assert all(cell[i] == start for i in lab[start:end[start]])
+        start = end[start]
+    assert sorted(lab) == list(range(g.n))
+    return cell
+
+
+class TestEquitableRefinement:
+    """From the initial cells, the splitter-queue refinement that the
+    canonical labelling runs stops at 1-WL's stable partition."""
+
+    @staticmethod
+    def _agrees(g, extra=None):
+        cell = _equitable_cells(g, extra)
+        colors = wl_refine(g, init=initial_colors(g, extra)).colors
+        return _reference_partition(cell) == _reference_partition(colors)
+
+    def test_corpus_monomers_and_star_links(self):
+        for line in corpus(200, seed=7):
+            g = parse(line)
+            assert self._agrees(g)
+            assert self._agrees(star_link(g).as_graph())
+
+    def test_cubic_cuts(self):
+        assert all(self._agrees(g) for g in _cubic_cuts(11, 2000))
+
+    def test_pinned_inputs(self):
+        for g in _refinement_graphs()[1::2]:
+            assert self._agrees(g, lambda i: i == 0)
+        for g in _corpus_monomers()[:300]:
+            assert self._agrees(g, wl._boundary_role(g))
+
+    def test_cell_ids_follow_relabelling(self):
+        # the cell order is an invariant: atom i of the relabelled copy,
+        # which is atom perm[i] of g, gets that atom's cell id
+        rng = random.Random(9)
+        for g in _corpus_monomers()[:300]:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            cell = _equitable_cells(g)
+            moved = _equitable_cells(relabel(g, perm))
+            assert moved == [cell[perm[i]] for i in range(g.n)]
+
+
+class TestHeadSides:
+    """The one-DFS head sides equal the per-bridge search they replace."""
+
+    def test_corpus_and_translations(self):
+        for line in corpus(600, seed=7):
+            for g in translation_variants(parse(line)):
+                assert _head_sides(g) == _reference_head_sides(g)
+
+    def test_disconnected_and_head_equals_tail(self):
+        loop = MonomerGraph([Atom("C")] * 4, [Bond(0, 1), Bond(1, 2),
+                                              Bond(2, 0), Bond(0, 3)], 3, 3)
+        chain = MonomerGraph([Atom("C")] * 3, [Bond(0, 1), Bond(1, 2)], 1, 1)
+        for g in _disconnected_monomers() + [loop, chain]:
+            assert _head_sides(g) == _reference_head_sides(g)
+        assert _head_sides(loop) == _head_sides(chain) == []
+
+    @pytest.mark.parametrize("line", ["*CC=C(C)C*", "*C(C)=CC*", "*CC=CC*",
+                                      "*C=CC#CC*", "*CC=CC(=O)O*",
+                                      "*C1CC1C=CC*"])
+    def test_double_bond_bridges_are_not_cut(self, line):
+        g = parse(line)
+        sides = _head_sides(g)
+        assert sides == _reference_head_sides(g)
+        assert all(g.bond_order(*edge) == "single" for edge, _ in sides)
 
 
 class TestReferenceMonomerFunctions:
