@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,17 @@ class Bond:
 
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
+
+
+class DepthFirst(NamedTuple):
+    """What :meth:`MolGraph.dfs` returns."""
+
+    order: list[int]
+    disc: list[int]
+    end: list[int]
+    parent: list[int]
+    back: list[tuple[int, int]]
+    bridges: list[tuple[int, int, str]]
 
 
 class MolGraph:
@@ -143,41 +155,54 @@ class MolGraph:
             queue = nxt
         return dist
 
-    def bridges(self) -> set[tuple[int, int]]:
-        """Edges whose removal disconnects the graph (iterative Tarjan)."""
-        disc = [-1] * self.n
-        low = [0] * self.n
-        out: set[tuple[int, int]] = set()
-        timer = 0
-        for root in range(self.n):
+    def dfs(self, first: int) -> DepthFirst:
+        """One iterative depth-first search (Tarjan 1974) over the sorted
+        adjacency, rooted at ``first`` and then at every atom not yet reached.
+
+        Returns the preorder ``order``; ``disc[i]``, atom i's place in it,
+        and ``end[i]``, so that i's subtree is ``order[disc[i]:end[i]]``;
+        each atom's tree ``parent`` (-1 at a root); the non-tree bonds as
+        ``back`` (descendant, ancestor) pairs, in the order the search first
+        meets them; and the ``bridges`` as (parent, child, order) tree bonds.
+        The graph is connected iff ``end[first] == n``.
+        """
+        adj = self.adjacency()
+        n = self.n
+        disc, low, end, parent = [-1] * n, [0] * n, [0] * n, [-1] * n
+        order: list[int] = []
+        back: list[tuple[int, int]] = []
+        bridges: list[tuple[int, int, str]] = []
+        for root in [first, *range(n)] if n else []:
             if disc[root] >= 0:
                 continue
-            stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+            disc[root] = low[root] = len(order)
+            order.append(root)
+            stack = [(root, "", iter(adj[root]))]
             while stack:
-                u, parent, idx = stack.pop()
-                if idx == 0:
-                    disc[u] = low[u] = timer
-                    timer += 1
-                nbrs = self.neighbors(u)
-                advanced = False
-                while idx < len(nbrs):
-                    v = nbrs[idx]
-                    idx += 1
-                    if v == parent:
-                        continue
+                u, bond, nbrs = stack[-1]
+                for v, o in nbrs:
                     if disc[v] < 0:
-                        stack.append((u, parent, idx))
-                        stack.append((v, u, 0))
-                        advanced = True
+                        parent[v] = u
+                        disc[v] = low[v] = len(order)
+                        order.append(v)
+                        stack.append((v, o, iter(adj[v])))
                         break
-                    low[u] = min(low[u], disc[v])
-                if advanced:
-                    continue
-                if parent >= 0:
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > disc[parent]:
-                        out.add((min(u, parent), max(u, parent)))
-        return out
+                    if disc[v] < disc[u] and v != parent[u]:
+                        back.append((u, v))
+                        low[u] = min(low[u], disc[v])
+                else:
+                    stack.pop()
+                    end[u] = len(order)
+                    p = parent[u]
+                    if p >= 0:
+                        low[p] = min(low[p], low[u])
+                        if low[u] > disc[p]:
+                            bridges.append((p, u, bond))
+        return DepthFirst(order, disc, end, parent, back, bridges)
+
+    def bridges(self) -> set[tuple[int, int]]:
+        """Edges whose removal disconnects the graph."""
+        return {(min(p, c), max(p, c)) for p, c, _ in self.dfs(0).bridges}
 
     def ring_atoms(self) -> set[int]:
         """Atoms incident to at least one non-bridge edge (i.e. on a cycle)."""
@@ -470,6 +495,8 @@ def auto_repeat_for_lga(g: MonomerGraph, d_thres: int) -> tuple[MonomerGraph, in
     if d_thres < 1:
         raise ValueError("d_thres must be >= 1")
     d_b = g.boundary_distance()
+    if d_b < 0:
+        raise DisconnectedError("boundary atoms not connected")
     k = 1
     while k * d_b + (k - 1) <= 2 * d_thres - 1:
         k += 1

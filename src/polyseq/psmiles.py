@@ -7,9 +7,10 @@ atoms the stars were bonded to; the stars themselves are dropped.
 
 Supported syntax: organic-subset atoms, aromatic lowercase atoms, bracket
 atoms with isotope, chirality (recorded as discarded), explicit hydrogen
-count, charge, and atom class, ring-bond digits including ``%nn``, branches,
-and the bond symbols ``- = # : / \\``.  Directional bonds and chirality marks
-are accepted but not modeled; the parse flags ``stereo_discarded`` instead.
+count, charge, and atom class, ring-bond digits and two-digit ``%nn``,
+branches, and the bond symbols ``- = # : / \\``.  Directional bonds and
+chirality marks are accepted but not modeled; the parse flags
+``stereo_discarded`` instead.
 Dot-separated components are rejected because a repeat unit must be one
 connected fragment.
 """
@@ -201,11 +202,11 @@ def parse(s: str) -> MonomerGraph:
                                     "single repeat unit")
         elif ch.isdigit():
             close_ring(int(cur.take()))
-        elif ch == "%":
-            cur.take()
-            d = cur.digits()
-            if len(d) < 2:
-                raise ParseError(f"'%' needs two digits at col {cur.i}")
+        elif ch == "%":  # exactly two digits: %111 is ring 11, then 1
+            d = text[cur.i + 1:cur.i + 3]
+            if len(d) < 2 or not (d.isascii() and d.isdigit()):
+                raise ParseError(f"'%' needs two digits at col {cur.i + 1}")
+            cur.i += 3
             close_ring(int(d))
         elif ch == "[":
             atom, st = _bracket_atom(cur)
@@ -307,36 +308,23 @@ def write(g: MonomerGraph) -> str:
 
     Atoms are emitted in DFS preorder from the head endpoint, so the string
     always starts with ``*``; ``parse(write(g))`` reproduces ``g`` up to atom
-    renumbering.
+    renumbering.  A disconnected ``g`` raises DisconnectedError, and one
+    that needs more than the 99 ring-bond numbers at once raises ParseError.
     """
     mol = strategy_transform(g, "keep")
     start = g.n  # the star bonded to the head
 
-    children: dict[int, list[int]] = {i: [] for i in range(mol.n)}
-    ring_at: dict[int, list[tuple[int, int]]] = {i: [] for i in range(mol.n)}
-    visited = [False] * mol.n
-    seen_back: set[tuple[int, int]] = set()
-
-    # DFS survey of tree children and ring bonds; explicit stacks keep
-    # long chains within any recursion limit.
-    visited[start] = True
-    stack = [(start, -1, iter(mol.neighbors(start)))]
-    while stack:
-        u, par, nbrs = stack[-1]
-        for v in nbrs:
-            if not visited[v]:
-                visited[v] = True
-                children[u].append(v)
-                stack.append((v, u, iter(mol.neighbors(v))))
-                break
-            if v != par:
-                p = (min(u, v), max(u, v))
-                if p not in seen_back:
-                    seen_back.add(p)
-                    ring_at[v].append(p)
-                    ring_at[u].append(p)
-        else:
-            stack.pop()
+    search = mol.dfs(start)
+    if search.end[start] < mol.n:
+        raise DisconnectedError("monomer graph is not connected")
+    children: list[list[int]] = [[] for _ in range(mol.n)]
+    for v in search.order[1:]:
+        children[search.parent[v]].append(v)
+    ring_at: list[list[tuple[int, int]]] = [[] for _ in range(mol.n)]
+    for u, v in search.back:
+        p = (min(u, v), max(u, v))
+        ring_at[v].append(p)
+        ring_at[u].append(p)
 
     out: list[str] = []
     open_num: dict[tuple[int, int], int] = {}
@@ -364,6 +352,8 @@ def write(g: MonomerGraph) -> str:
                 num = 1
                 while num in in_use:
                     num += 1
+                if num > 99:
+                    raise ParseError("more than 99 ring bonds open at once")
                 open_num[p] = num
                 in_use.add(num)
             out.append(tok + (str(num) if num < 10 else f"%{num:02d}"))

@@ -339,47 +339,17 @@ def _head_sides(g: MonomerGraph) -> list[tuple[tuple[int, int], set[int]]]:
     """Boundary-separating single-bond bridges, sorted, each with the atoms
     on head's side.
 
-    One iterative Tarjan DFS, rooted at head and then at every atom it has
-    not reached, numbers the atoms in preorder; each subtree is a preorder
-    interval ``[disc, end)``.  A bridge is a tree edge (p, c) with no back
-    edge out of c's subtree.  When head reaches tail, the bridge separates
-    them iff tail is in c's subtree; when it does not, every bridge does.
-    The head side is head's component less c's subtree, or all of head's
-    component for a bridge outside it.
+    In ``g.dfs(g.head)`` a bridge (p, c) separates head from tail iff tail
+    lies in c's subtree ``[disc[c], end[c])``, or, when head does not reach
+    tail, always.  Its head side is head's component less c's subtree.
     """
-    adj = g.adjacency()
-    disc, low, end = [-1] * g.n, [0] * g.n, [0] * g.n
-    pre: list[int] = []
-    cuts = []  # (parent, child) of each single-bond bridge
-    for root in [g.head, *range(g.n)]:
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = len(pre)
-        pre.append(root)
-        stack = [(root, -1, "", iter(adj[root]))]
-        while stack:
-            u, p, order, nbrs = stack[-1]
-            for v, o in nbrs:
-                if v == p:
-                    continue
-                if disc[v] < 0:
-                    disc[v] = low[v] = len(pre)
-                    pre.append(v)
-                    stack.append((v, u, o, iter(adj[v])))
-                    break
-                low[u] = min(low[u], disc[v])
-            else:
-                stack.pop()
-                end[u] = len(pre)
-                if p >= 0:
-                    low[p] = min(low[p], low[u])
-                    if low[u] > disc[p] and order == "single":
-                        cuts.append((p, u))
+    search = g.dfs(g.head)
+    pre, disc, end = search.order, search.disc, search.end
     head_end = end[g.head]
     t = disc[g.tail]
     out = []
-    for p, c in cuts:
-        if t < head_end and not disc[c] <= t < end[c]:
+    for p, c, bond in search.bridges:
+        if bond != "single" or (t < head_end and not disc[c] <= t < end[c]):
             continue
         side = set(pre[:min(disc[c], head_end)])
         side.update(pre[end[c]:head_end])

@@ -16,7 +16,7 @@ import pytest
 from polyseq import psmiles, wl
 from polyseq.context import AttentionContext, build_context
 from polyseq.corpus import corpus, default_twin_pairs, random_monomer
-from polyseq.graphs import MolGraph
+from polyseq.graphs import MolGraph, MonomerGraph, auto_repeat_for_lga
 from polyseq.psmiles import parse
 from polyseq.verify import lga_deviation, twin_suite
 from polyseq.wl import polymer_equal, separating_bridges
@@ -58,6 +58,12 @@ def test_untraced_calls_resolve():
     inspect.signature(twin_suite).bind(None, None, tol=1e-9)
     inspect.signature(random_monomer).bind(None)
     inspect.signature(corpus).bind(16, 0)
+    # workloads.py indexes auto_repeat_for_lga's pair; workloads.py and the
+    # tracer read wl_refine's histogram and rounds
+    unit, k = auto_repeat_for_lga(g, 3)
+    assert isinstance(unit, MonomerGraph) and type(k) is int
+    refined = wl.wl_refine(g)
+    assert isinstance(refined.histogram, list) and type(refined.rounds) is int
 
 
 def test_canonical_form_runs_through_traced_layers(monkeypatch):

@@ -23,6 +23,7 @@ from polyseq import (
     star_link,
     strategy_transform,
 )
+from polyseq import nets
 from polyseq.corpus import RING_FIXTURE, corpus, ring_pair_seed
 from polyseq.graphs import (
     dump_star_graph,
@@ -31,6 +32,7 @@ from polyseq.graphs import (
     relabel,
     shortest_boundary_path,
 )
+from polyseq.verify import lga_deviation
 
 # Fused, bridged and spiro ring systems, each written with its boundary
 # path running through the rings.
@@ -160,6 +162,17 @@ class TestAutoRepeat:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             auto_repeat_for_lga(parse("*CC*"), 0)
+
+    def test_disconnected_boundaries(self):
+        # boundary distance -1 would keep k*d_b + (k - 1) at -1 for every k
+        g = MonomerGraph([Atom("C")] * 2, [], 0, 1)
+        model = nets.ReferenceModel.generate(seed=0, d=8, L=1, d_thres=3)
+        with pytest.raises(DisconnectedError):
+            auto_repeat_for_lga(g, 3)
+        with pytest.raises(DisconnectedError):
+            nets.forward_polymer(model, g, strategy="link")
+        with pytest.raises(DisconnectedError):
+            lga_deviation(model, g, 1, 3)
 
 
 class TestFeatures:

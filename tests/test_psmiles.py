@@ -81,6 +81,11 @@ class TestParse:
         g = parse("*CC%12CCCC%12*")
         assert g.cyclomatic_number() == 1
 
+    def test_percent_takes_exactly_two_digits(self):
+        # OpenSMILES: %11 is ring 11, and the 1 after %11 is ring 1
+        assert monomer_isomorphic(parse("*C%11CCC1CC%111*"),
+                                  parse("*C1CCC2CC12*"), allow_swap=False)
+
     def test_stereo_is_discarded_but_flagged(self):
         assert parse("*C/C=C/C*").stereo_discarded
         assert parse("*N[C@H](C)C(=O)O*").stereo_discarded
@@ -107,6 +112,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("bad", [
         "", "*C(C*", "*CC)*", "*C1CC*", "*C==C*", "*CC*C", "*", "**",
         "*C(*)(*)C", "*C[C*", "*C11C*", "=*CC*", "*C(-)C*",
+        "*C%1CC1*", "*C%*", "*CC%", "*C%a1CC1*", "*C%\u00b21CC1*",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
@@ -152,6 +158,25 @@ class TestWrite:
     def test_deterministic(self):
         g = parse("*CC(c1ccccc1)O*")
         assert write(g) == write(g)
+
+    @pytest.mark.parametrize("k", [100, 101])
+    def test_ring_bond_numbers_stop_at_99(self, k):
+        # head 0 and atom 1 joined through k atoms: the head opens k - 1
+        # ring bonds at once, and %nn has two digits
+        bonds = [Bond(e, m) for m in range(2, k + 2) for e in (0, 1)]
+        g = MonomerGraph([Atom("C")] * (k + 2), bonds, 0, 1)
+        if k - 1 > 99:
+            with pytest.raises(ParseError):
+                write(g)
+        else:
+            assert monomer_isomorphic(parse(write(g)), g, allow_swap=False)
+
+    def test_disconnected_monomer_is_rejected(self):
+        # no string holds both fragments, so none round-trips
+        atoms = [Atom("C"), Atom("C"), Atom("O"), Atom("N")]
+        g = MonomerGraph(atoms, [Bond(0, 1), Bond(2, 3)], 0, 1)
+        with pytest.raises(DisconnectedError):
+            write(g)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -397,10 +397,20 @@ def _reference_component_without(g, edge, start):
     return seen
 
 
+def _reference_bridges(g):
+    """The bonds whose deletion raises the component count, found without
+    the depth-first search that ``MolGraph.bridges`` shares with the code
+    under test."""
+    count = g.n_components()
+    return {b.pair() for i, b in enumerate(g.bonds)
+            if MolGraph(g.atoms, g.bonds[:i] + g.bonds[i + 1:]).n_components()
+            > count}
+
+
 def _reference_head_sides(g):
     """``wl._head_sides`` as it was: the bridges on one BFS-tree path from
     head to tail, then one DFS per bridge for its head side."""
-    bridges = g.bridges().intersection(
+    bridges = _reference_bridges(g).intersection(
         b.pair() for b in g.bonds if b.order == "single")
     parent = {g.head: g.head}
     queue = [g.head]
@@ -423,7 +433,7 @@ def _reference_head_sides(g):
 
 def _reference_separating_bridges(g):
     out = []
-    for (x, y) in sorted(g.bridges()):
+    for (x, y) in sorted(_reference_bridges(g)):
         comp = _reference_component_without(g, (x, y), g.head)
         if g.tail not in comp:
             out.append((x, y))
@@ -712,6 +722,18 @@ class TestEquitableRefinement:
             cell = _equitable_cells(g)
             moved = _equitable_cells(relabel(g, perm))
             assert moved == [cell[perm[i]] for i in range(g.n)]
+
+
+class TestBridges:
+    """``MolGraph.bridges`` equals the deletion test of _reference_bridges."""
+
+    def test_bridges_match_deletion(self):
+        graphs = [g for m in _corpus_monomers()
+                  for g in (m, star_link(m).as_graph())]
+        graphs += _disconnected_monomers() + _cubic_cuts(11, 200)
+        graphs += [ring_pair_seed(5, 6), MolGraph([], [])]
+        for g in graphs:
+            assert g.bridges() == _reference_bridges(g)
 
 
 class TestHeadSides:
