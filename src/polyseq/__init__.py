@@ -51,6 +51,7 @@ from .context import (
     AttentionContext,
     build_context,
     fold_equivalent,
+    neighbour_table,
 )
 from .nets import (
     ReferenceModel,

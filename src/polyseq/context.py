@@ -1,7 +1,8 @@
-"""Locality neighbour lists: the pairs within ``d_thres`` hops, their hop
-distances and shortest-path edge codes.
+"""Locality neighbour tables: the pairs within ``d_thres`` hops, their hop
+distances and shortest-path edge codes, one padded row per atom.
 
-These are the per-graph inputs consumed by the localized attention layers.
+These are the per-graph inputs consumed by the localized attention layers;
+the plain adjacency table they start from feeds the message-passing layers.
 Only pairs with the strict ``dist < d_thres`` are kept, so the BFS stops at
 ring ``d_thres - 1``; hop distances feed the distance-bias lookup and
 shortest-path edge-order codes feed the path bias.
@@ -10,6 +11,7 @@ shortest-path edge-order codes feed the path bias.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,49 +30,71 @@ def edge_code(order: str) -> int:
 
 @dataclass
 class AttentionContext:
-    """The masked pairs of one connected graph as a CSR neighbour list.
+    """The masked pairs of one connected graph as a padded neighbour table.
 
-    Pair p lets query atom ``query[p]`` attend to key atom ``key[p]``, at
-    hop distance ``dist[p] < d_thres``.  Pairs are sorted by query, then
-    key; query i's pairs are ``indptr[i]:indptr[i + 1]`` and include its
-    diagonal pair, so no segment is empty.
+    Row i holds the pairs atom i attends over: ``key[i, j]`` is a key atom
+    at hop distance ``dist[i, j] < d_thres``.  The real keys come first, in
+    ascending order, and include the diagonal; the rest of the row, where
+    ``pad[i, j]`` is set, is padding (key i, distance 0, no path counts)
+    that the layers must ignore.  The width D is the longest row.
 
-    ``path_counts[p]`` holds the per-edge-code counts along one shortest
-    path from the key to the query (their sum equals the distance).  That
+    ``path_counts[i, j]`` holds the per-edge-code counts along one shortest
+    path from the key to atom i (their sum equals the distance).  That
     path is fixed by a lowest-index-predecessor rule: each step back from
-    the query towards the key goes to the lowest-index neighbour one step
+    atom i towards the key goes to the lowest-index neighbour one step
     closer to the key.
     """
 
     n: int
     d_thres: int
-    indptr: np.ndarray       # (n + 1,) segment offsets into the pairs
-    query: np.ndarray        # (m,) int query atom of each pair
-    key: np.ndarray          # (m,) int key atom of each pair
-    dist: np.ndarray         # (m,) int hop distances
-    path_counts: np.ndarray  # (m, len(EDGE_CODES)) edge-code counts
+    key: np.ndarray          # (n, D) int key atoms
+    dist: np.ndarray         # (n, D) int hop distances
+    path_counts: np.ndarray  # (n, D, len(EDGE_CODES)) edge-code counts
+    pad: np.ndarray          # (n, D) bool, set past each row's real keys
     _means: np.ndarray | None = field(default=None, repr=False)
 
     def path_onehot_means(self) -> np.ndarray:
-        """(m, len(EDGE_CODES)) averaged edge-code one-hots per pair.
+        """(n, D, len(EDGE_CODES)) averaged edge-code one-hots per pair.
 
-        Zero on the diagonal pairs, where the path is empty.
+        Zero on the diagonal pairs, where the path is empty, and on pads.
         """
         if self._means is None:
             denom = np.maximum(self.dist, 1)
-            self._means = self.path_counts / denom[:, None]
+            self._means = self.path_counts / denom[:, :, None]
         return self._means
+
+
+def neighbour_table(g: MolGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each atom's neighbours in ascending order, and their edge codes.
+
+    Both are (n, D) with D the highest degree (at least 1, so that a
+    bond-free atom still has a row); row i is padded with ``n`` past atom
+    i's degree, an index one past the last atom, and code 0.
+    """
+    n, m = g.n, len(g.bonds)
+    u, v, c = (np.fromiter(map(f, g.bonds), np.int64, m) for f in (
+        attrgetter("u"), attrgetter("v"), lambda b: edge_code(b.order)))
+    u, v, c = np.concatenate([u, v]), np.concatenate([v, u]), np.tile(c, 2)
+    order = np.lexsort((v, u))
+    u, v, c = u[order], v[order], c[order]
+    deg = np.bincount(u, minlength=n)
+    col = np.arange(u.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    nbr = np.full((n, max(1, deg.max(initial=0))), n, dtype=np.int64)
+    nbr[u, col] = v
+    code = np.zeros_like(nbr)
+    code[u, col] = c
+    return nbr, code
 
 
 def build_context(g: MolGraph, d_thres: int) -> AttentionContext:
     """BFS from every source at once, out to ring ``d_thres - 1``, with a
     deterministic shortest-path choice.
 
-    Pairs are flat keys ``query * n + key``, where the key is the BFS
-    source; one numpy step expands a whole distance ring.  Ties go to the
-    lowest-index predecessor: the path from key s to query v ends with the
-    step from the lowest-index neighbour of v one step closer to s, so
-    identical inputs always produce identical path tables.  That
+    Pairs are flat keys ``i * n + key`` for row atom i, where the key is
+    the BFS source; one numpy step expands a whole distance ring.  Ties go
+    to the lowest-index predecessor: the path from key s to atom v ends
+    with the step from the lowest-index neighbour of v one step closer to
+    s, so identical inputs always produce identical path tables.  That
     predecessor is one ring closer, so cutting the BFS off at ``d_thres``
     leaves every masked pair's path as the full BFS chooses it.
     """
@@ -79,23 +103,12 @@ def build_context(g: MolGraph, d_thres: int) -> AttentionContext:
     if not g.is_connected():
         raise DisconnectedError("attention context requires a connected graph")
     n = g.n
-    # neighbour table in ascending order, padded with the atom itself
-    # (already reached); at least one column, so that a bond-free atom
-    # still has a row
-    ends = np.array([(b.u, b.v, edge_code(b.order)) for b in g.bonds],
-                    dtype=np.int64).reshape(-1, 3)
-    u, v, c = np.concatenate([ends, ends[:, [1, 0, 2]]]).T
-    order = np.lexsort((v, u))
-    u, v, c = u[order], v[order], c[order]
-    deg = np.bincount(u, minlength=n)
-    col = np.arange(u.size) - np.repeat(np.cumsum(deg) - deg, deg)
-    nbr = np.repeat(np.arange(n)[:, None], max(1, deg.max()), axis=1)
-    nbr[u, col] = v
-    code = np.zeros_like(nbr)
-    code[u, col] = c
+    nbr, code = neighbour_table(g)
     onehot = np.eye(len(EDGE_CODES))
 
-    seen = np.zeros(n * n, dtype=bool)
+    # flat keys past n * n are the pads' row n, which counts as reached
+    seen = np.zeros((n + 1) * n, dtype=bool)
+    seen[n * n:] = True
     ring = np.arange(n) * (n + 1)  # the diagonal
     seen[ring] = True
     rings, counts = [ring], [np.zeros((n, len(EDGE_CODES)))]
@@ -119,28 +132,35 @@ def build_context(g: MolGraph, d_thres: int) -> AttentionContext:
         seen[ring] = True
         rings.append(ring)
 
+    # each pair's slot in the table: rows in atom order and each row's keys
+    # ascending is the row-major order of the real slots
     flat = np.concatenate(rings)
-    order = np.argsort(flat)
-    query, key = np.divmod(flat[order], n)
-    dist = np.repeat(np.arange(len(rings)), [r.size for r in rings])[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(query, minlength=n), out=indptr[1:])
-    return AttentionContext(n, d_thres, indptr, query, key, dist,
-                            np.concatenate(counts)[order])
+    width = np.bincount(flat // n, minlength=n)
+    pad = np.arange(width.max()) >= width[:, None]
+    slot = np.empty_like(flat)
+    slot[np.argsort(flat)] = np.flatnonzero(~pad)
+    key = np.repeat(np.arange(n)[:, None], pad.shape[1], axis=1)
+    key.reshape(-1)[slot] = flat % n
+    dist = np.zeros(pad.shape, dtype=np.int64)
+    dist.reshape(-1)[slot] = np.repeat(np.arange(len(rings)),
+                                       [r.size for r in rings])
+    path_counts = np.zeros(pad.shape + (len(EDGE_CODES),))
+    path_counts.reshape(-1, len(EDGE_CODES))[slot] = np.concatenate(counts)
+    return AttentionContext(n, d_thres, key, dist, path_counts, pad)
 
 
 def fold_equivalent(star_ctx: AttentionContext, unroll_ctx: AttentionContext,
                     n_unit: int, copy: int) -> bool:
     """Check that a middle copy of the unrolled context folds onto the star
-    context: for each atom of that copy, its query segment's set of
-    (key mod n_unit, distance, edge-code counts) must match the star
+    context: for each atom of that copy, its row's set of (key mod n_unit,
+    distance, edge-code counts) over the real keys must match the star
     atom's.  These are what the attention bias reads.
     """
-    def segment(ctx: AttentionContext, i: int) -> set:
-        lo, hi = ctx.indptr[i], ctx.indptr[i + 1]
-        return set(zip((ctx.key[lo:hi] % n_unit).tolist(),
-                       ctx.dist[lo:hi].tolist(),
-                       map(tuple, ctx.path_counts[lo:hi].tolist())))
+    def row(ctx: AttentionContext, i: int) -> set:
+        real = ~ctx.pad[i]
+        return set(zip((ctx.key[i, real] % n_unit).tolist(),
+                       ctx.dist[i, real].tolist(),
+                       map(tuple, ctx.path_counts[i, real].tolist())))
 
-    return all(segment(unroll_ctx, copy * n_unit + i) == segment(star_ctx, i)
+    return all(row(unroll_ctx, copy * n_unit + i) == row(star_ctx, i)
                for i in range(n_unit))

@@ -331,15 +331,23 @@ class StarLinkGraph:
 
     monomer: MonomerGraph
     link: Bond
-    backbone: list[bool]
     auto_repeat_k: int = 1
     _graph: MolGraph | None = field(default=None, repr=False)
+    _backbone: list[bool] | None = field(default=None, repr=False,
+                                         compare=False)
 
     def as_graph(self) -> MolGraph:
         if self._graph is None:
             self._graph = MolGraph(self.monomer.atoms,
                                    self.monomer.bonds + [self.link])
         return self._graph
+
+    @property
+    def backbone(self) -> list[bool]:
+        """``detect_backbone`` of the linked monomer, found on first read."""
+        if self._backbone is None:
+            self._backbone = detect_backbone(self.monomer)
+        return self._backbone
 
 
 def repeat_monomer(g: MonomerGraph, k: int) -> MonomerGraph:
@@ -376,9 +384,7 @@ def star_link(g: MonomerGraph) -> StarLinkGraph:
     while m.head == m.tail or m.has_bond(m.head, m.tail):
         k += 1
         m = repeat_monomer(g, k)
-    link = Bond(m.head, m.tail, "single")
-    mask = detect_backbone(m)
-    return StarLinkGraph(m, link, mask, auto_repeat_k=k)
+    return StarLinkGraph(m, Bond(m.head, m.tail, "single"), auto_repeat_k=k)
 
 
 def shortest_boundary_path(g: MonomerGraph) -> list[int]:

@@ -25,7 +25,6 @@ import numpy as np
 from .context import AttentionContext, DIST_CLAMP, EDGE_CODES, build_context
 from .graphs import (
     FEATURE_ELEMENTS,
-    MolGraph,
     MonomerGraph,
     apply_backbone_embedding,
     auto_repeat_for_lga,
@@ -189,10 +188,15 @@ class ReferenceModel:
 
 def layer_norm(x: np.ndarray, gain: np.ndarray | None = None,
                bias: np.ndarray | None = None) -> np.ndarray:
-    """Per-column normalization over the feature axis, then gain and bias."""
-    mu = x.mean(axis=0, keepdims=True)
-    var = x.var(axis=0, keepdims=True)
-    out = (x - mu) / np.sqrt(var + LN_EPS)
+    """Per-column normalization over the feature axis, then gain and bias.
+
+    One centring serves the mean and the variance; the result is the same,
+    bit for bit, as ``(x - x.mean(0)) / np.sqrt(x.var(0) + LN_EPS)``.
+    """
+    n = x.shape[0]
+    xc = x - x.sum(axis=0, keepdims=True) / n
+    var = (xc * xc).sum(axis=0, keepdims=True) / n
+    out = xc / np.sqrt(var + LN_EPS)
     if gain is not None:
         out = out * gain[:, None]
     if bias is not None:
@@ -206,24 +210,26 @@ def softmax_columns(s: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def gin_layer(g: MolGraph, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
+def gin_layer(nbr: np.ndarray, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
               w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """x_v <- MLP(x_v + sum of neighbor columns); two affine maps + ReLU."""
+    """x_v <- MLP(x_v + sum of neighbor columns); two affine maps + ReLU.
+
+    ``nbr`` is the graph's ``neighbour_table``: its pads point one past the
+    last column, which reads as a zero column.
+    """
     if x.shape[0] != w1.shape[1]:
         raise ValueError("feature dim does not match weights")
-    if x.shape[1] != g.n:
+    if x.shape[1] != nbr.shape[0]:
         raise ValueError("column count does not match atom count")
-    s = x.copy()
-    for b in g.bonds:
-        s[:, b.u] += x[:, b.v]
-        s[:, b.v] += x[:, b.u]
+    padded = np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
+    s = x + padded[:, nbr].sum(axis=2)
     return w2 @ np.maximum(w1 @ s + b1[:, None], 0.0) + b2[:, None]
 
 
 def attention_bias(ctx: AttentionContext, dist_table: np.ndarray,
                    path_weights: np.ndarray) -> np.ndarray:
     """A^d + A^p per pair: distance-bucket lookup plus averaged path-code
-    functional."""
+    functional, laid out as the context's (n, D) table."""
     buckets = np.minimum(ctx.dist, DIST_CLAMP + 1)
     a_d = dist_table[buckets]
     a_p = ctx.path_onehot_means() @ path_weights
@@ -234,25 +240,24 @@ def local_attention_layer(ctx: AttentionContext, x: np.ndarray,
                           w: dict[str, np.ndarray]) -> np.ndarray:
     """One localized attention layer with residual LayerNorm and FFN.
 
-    Scores are taken only on the context's pairs, and each query's softmax
-    runs over its own segment, so each attention column is a distribution
-    over the masked-in keys only; an atom's output then depends on nothing
+    Scores are taken row by row on the context's table: row i scores
+    ``q[i]`` against ``k[ctx.key[i]]``, pads score ``-inf``, and the softmax
+    runs along the row, so each attention column is a distribution over
+    the masked-in keys only; an atom's output then depends on nothing
     outside its ``dist < d_thres`` ball, which the finite-unroll
     equivalence rests on.
     """
     d = x.shape[0]
     if x.shape[1] != ctx.n:
         raise ValueError("column count does not match context size")
-    # row-major (n, d) projections: the pairs gather whole rows
+    # row-major (n, d) projections: each row gathers whole key rows
     q, k, v = (x.T @ w[name].T for name in ("wq", "wk", "wv"))
-    starts = ctx.indptr[:-1]
-    scores = (np.einsum("pd,pd->p", k[ctx.key], q[ctx.query]) / math.sqrt(d)
+    scores = (np.matmul(k[ctx.key], q[:, :, None])[:, :, 0] / math.sqrt(d)
               + attention_bias(ctx, w["dist"], w["path"]))
-    e = np.exp(scores - np.maximum.reduceat(scores, starts)[ctx.query])
-    a_hat = e / np.add.reduceat(e, starts)[ctx.query]
-    vk = v[ctx.key]
-    vk *= a_hat[:, None]
-    y = np.add.reduceat(vk, starts).T
+    scores[ctx.pad] = -np.inf
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    a_hat = e / e.sum(axis=1, keepdims=True)
+    y = np.matmul(a_hat[:, None, :], v[ctx.key])[:, 0, :].T
     x1 = layer_norm(y + x, w["ln1_gain"], w["ln1_bias"])
     ffn = w["ffn_w2"] @ np.maximum(
         w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]

@@ -55,7 +55,7 @@ class _Cursor:
 
     def digits(self) -> str:
         start = self.i
-        while self.peek().isdigit():
+        while self.peek().isascii() and self.peek().isdigit():
             self.i += 1
         return self.s[start:self.i]
 
@@ -200,7 +200,7 @@ def parse(s: str) -> MonomerGraph:
         elif ch == ".":
             raise DisconnectedError("dot-separated components are not a "
                                     "single repeat unit")
-        elif ch.isdigit():
+        elif ch.isascii() and ch.isdigit():
             close_ring(int(cur.take()))
         elif ch == "%":  # exactly two digits: %111 is ring 11, then 1
             d = text[cur.i + 1:cur.i + 3]

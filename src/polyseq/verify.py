@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .context import build_context
+from .context import build_context, neighbour_table
 from .graphs import (MonomerGraph, auto_repeat_for_lga, featurize,
                      repeat_monomer, star_link)
 from .nets import (ReferenceModel, forward_polymer, gin_layer, layer_weights,
@@ -74,11 +74,13 @@ def gin_deviation(model: ReferenceModel, g: MonomerGraph, L: int) -> float:
     k = 2 * L + 3
     chain = repeat_monomer(star.monomer, k)
     x_s, x_u = _tiled_features(model, star.as_graph(), k)
+    nbr_s, _ = neighbour_table(star.as_graph())
+    nbr_u, _ = neighbour_table(chain)
     for l in range(L):
         args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
                 model[f"gin{l}.w2"], model[f"gin{l}.b2"])
-        x_s = gin_layer(star.as_graph(), x_s, *args)
-        x_u = gin_layer(chain, x_u, *args)
+        x_s = gin_layer(nbr_s, x_s, *args)
+        x_u = gin_layer(nbr_u, x_u, *args)
     mid = (k // 2) * n
     return float(np.abs(x_u[:, mid:mid + n] - x_s).max())
 

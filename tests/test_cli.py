@@ -125,6 +125,15 @@ class TestCorpusCommands:
         assert len(captured.out.strip().splitlines()) == 2
         assert "line 2" in captured.err and "ParseError" in captured.err
 
+    def test_non_ascii_digit_is_a_line_error(self, tmp_path, capsys):
+        path = write_lines(tmp_path, "in.txt",
+                           ["*C\u00b2*", "*[CH\u00b2]*", "*CC*"])
+        assert main(["canon", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [canonical_form("*CC*")]
+        assert captured.err.splitlines()[0].startswith("line 1: LexError: ")
+        assert captured.err.splitlines()[1].startswith("line 2: ParseError: ")
+
     def test_error_names_file_line(self, tmp_path, capsys):
         path = write_lines(tmp_path, "in.txt", ["*CC*", "", "*C(C*", "*CO*"])
         assert main(["parse", path]) == 2

@@ -48,17 +48,25 @@ def ctx_of(psmiles, d_thres=3, linked=True):
     return build_context(graph_of(psmiles, linked), d_thres)
 
 
+def pairs(ctx):
+    """The table's real pairs in row order: query, key, dist, path_counts."""
+    real = ~ctx.pad
+    query = np.nonzero(real)[0]
+    return query, ctx.key[real], ctx.dist[real], ctx.path_counts[real]
+
+
 def densify(ctx):
     """Scatter the context's pairs into n x n arrays indexed [key, query],
     the layout of _reference_context: distances (INF_SENTINEL outside the
     mask), path counts (zero outside) and the mask."""
     n = ctx.n
+    query, key, d, c = pairs(ctx)
     dist = np.full((n, n), INF_SENTINEL, dtype=np.int64)
     counts = np.zeros((n, n, len(EDGE_CODES)))
     mask = np.zeros((n, n), dtype=bool)
-    dist[ctx.key, ctx.query] = ctx.dist
-    counts[ctx.key, ctx.query] = ctx.path_counts
-    mask[ctx.key, ctx.query] = True
+    dist[key, query] = d
+    counts[key, query] = c
+    mask[key, query] = True
     return SimpleNamespace(n=n, d_thres=ctx.d_thres, dist=dist,
                            path_counts=counts, local_mask=mask)
 
@@ -78,13 +86,13 @@ class TestInvariants:
         # triangle inequality over all triples
         assert np.all(d[:, :, None] + d[None, :, :] >= d[:, None, :])
         # the context holds these distances on the masked pairs
-        ctx = build_context(g, 3)
-        assert np.array_equal(ctx.dist, d[ctx.key, ctx.query])
+        query, key, dist, _ = pairs(build_context(g, 3))
+        assert np.array_equal(dist, d[key, query])
 
     @pytest.mark.parametrize("s", ["*CONO*", "*CC(c1ccccc1)O*"])
     def test_path_counts_sum_to_distance(self, s):
         ctx = ctx_of(s)
-        assert np.array_equal(ctx.path_counts.sum(axis=1), ctx.dist)
+        assert np.array_equal(ctx.path_counts.sum(axis=2), ctx.dist)
 
     def test_mask_diagonal_always_on(self):
         ctx = ctx_of("*CONO*", d_thres=1)
@@ -121,9 +129,9 @@ class TestInvariants:
 
     def test_onehot_means(self):
         ctx = ctx_of("*CC=CC*", d_thres=5)
-        assert len(ctx.key) == ctx.n ** 2  # the 4-ring is all in the mask
-        sums = ctx.path_onehot_means().sum(axis=1)
-        off = ctx.key != ctx.query
+        assert (~ctx.pad).sum() == ctx.n ** 2  # the 4-ring is all in the mask
+        sums = ctx.path_onehot_means().sum(axis=2)
+        off = ctx.key != np.arange(ctx.n)[:, None]
         assert np.allclose(sums[off], 1.0)
         assert np.allclose(sums[~off], 0.0)
 
@@ -141,7 +149,7 @@ class TestPeriodic:
         g = parse("*CC(C)O*")
         a = build_context(repeat_monomer(g, 1), 3)
         b = build_context(g, 3)
-        for name in ("indptr", "key", "dist", "path_counts"):
+        for name in ("key", "dist", "path_counts", "pad"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_unroll_sizes(self):
@@ -231,21 +239,25 @@ def _reference_to_json(ctx):
     }, separators=(",", ":"))
 
 
-def _assert_csr(ctx):
-    """Pairs sorted by query, then key; segments at indptr; each segment
-    holds its diagonal pair."""
+def _assert_table(ctx):
+    """One row per query: real keys ascending, then pads only; each row
+    holds its diagonal at distance 0; the longest row has no pad."""
     assert isinstance(ctx, AttentionContext)
-    m = len(ctx.key)
-    assert ctx.indptr[0] == 0 and ctx.indptr[-1] == m
-    assert len(ctx.indptr) == ctx.n + 1
-    assert len(ctx.query) == len(ctx.dist) == len(ctx.path_counts) == m
-    assert np.array_equal(ctx.query, np.repeat(np.arange(ctx.n),
-                                               np.diff(ctx.indptr)))
-    flat = ctx.query * ctx.n + ctx.key
-    assert np.all(np.diff(flat) > 0)
-    diag = np.flatnonzero(ctx.key == ctx.query)
-    assert np.array_equal(ctx.query[diag], np.arange(ctx.n))
-    assert np.all(ctx.dist[diag] == 0)
+    n, width = ctx.key.shape
+    assert n == ctx.n and width >= 1
+    assert ctx.dist.shape == ctx.pad.shape == (n, width)
+    assert ctx.path_counts.shape == (n, width, len(EDGE_CODES))
+    assert ctx.pad.dtype == bool and not ctx.pad.all(axis=0).any()
+    real = (~ctx.pad).sum(axis=1)
+    # real entries first: the row is unpadded up to its count
+    assert np.array_equal(ctx.pad, np.arange(width) >= real[:, None])
+    for i in range(n):
+        keys = ctx.key[i, :real[i]]
+        assert np.all(np.diff(keys) > 0)
+        assert np.all((keys >= 0) & (keys < n))
+        assert ctx.dist[i, keys.tolist().index(i)] == 0
+    assert np.all(ctx.dist[ctx.pad] == 0)
+    assert not ctx.path_counts[ctx.pad].any()
 
 
 def _assert_same_context(g):
@@ -253,7 +265,7 @@ def _assert_same_context(g):
     byte-identical distances and path counts."""
     for d_thres in (1, 2, 3, 4):
         ctx = build_context(g, d_thres)
-        _assert_csr(ctx)
+        _assert_table(ctx)
         got, want = densify(ctx), _reference_context(g, d_thres)
         assert got.n == want.n and ctx.d_thres == d_thres
         mask = want.local_mask
@@ -327,8 +339,8 @@ class TestReferenceBFS:
         for d_thres in (2, 3, 4):
             ctx = build_context(chain, d_thres)
             want = (_reference_context(chain, d_thres).dist < d_thres).sum()
-            assert len(ctx.key) == want
-            _assert_csr(ctx)
+            assert (~ctx.pad).sum() == want
+            _assert_table(ctx)
 
     def test_forward_single_atom_pin(self):
         res = forward_polymer(ReferenceModel.generate(0), parse("*C*"),

@@ -32,7 +32,7 @@ from polyseq.graphs import (
     relabel,
     shortest_boundary_path,
 )
-from polyseq.verify import lga_deviation
+from polyseq.verify import gin_deviation, lga_deviation
 
 # Fused, bridged and spiro ring systems, each written with its boundary
 # path running through the rings.
@@ -105,6 +105,26 @@ class TestStarLink:
 
 
 class TestBackbone:
+    def test_star_backbone_found_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return detect_backbone(g)
+
+        monkeypatch.setattr("polyseq.graphs.detect_backbone", counted)
+        model = nets.ReferenceModel.generate(0, d=8, L=1, d_thres=2)
+        for s in ["*CC(C)O*", "*CC1(CCC1)C*", "*C*", "*CC*"]:
+            del calls[:]
+            star = star_link(parse(s))
+            gin_deviation(model, parse(s), 1)
+            assert calls == []
+            assert star.backbone == detect_backbone(star.monomer)
+            assert star.backbone is star.backbone and len(calls) == 1
+            dumped = [atom["is_backbone"]
+                      for atom in json.loads(dump_star_graph(star))["atoms"]]
+            assert dumped == star.backbone and len(calls) == 1
+
     def test_path_only(self):
         g = parse("*CC(C)O*")
         assert detect_backbone(g) == [True, True, False, True]

@@ -16,14 +16,15 @@ from polyseq import (
     layer_norm,
     local_attention_layer,
     mask_atoms,
+    neighbour_table,
     parse,
     project_spatial,
     star_link,
 )
 from polyseq import nets
-from polyseq.context import DIST_CLAMP
+from polyseq.context import DIST_CLAMP, EDGE_CODES, AttentionContext
 from polyseq.corpus import corpus
-from polyseq.graphs import relabel
+from polyseq.graphs import auto_repeat_for_lga, relabel, repeat_monomer
 from polyseq.nets import (
     N_PATH_CODES,
     _normals,
@@ -51,9 +52,11 @@ def _reference_local_attention_layer(ctx, x, w):
     dist = np.zeros((n, n), dtype=np.int64)
     means = np.zeros((n, n, N_PATH_CODES))
     mask = np.zeros((n, n), dtype=bool)
-    dist[ctx.key, ctx.query] = ctx.dist
-    means[ctx.key, ctx.query] = ctx.path_onehot_means()
-    mask[ctx.key, ctx.query] = True
+    real = ~ctx.pad
+    key, query = ctx.key[real], np.nonzero(real)[0]
+    dist[key, query] = ctx.dist[real]
+    means[key, query] = ctx.path_onehot_means()[real]
+    mask[key, query] = True
     q, k, v = (w[name] @ x for name in ("wq", "wk", "wv"))
     bias = w["dist"][np.minimum(dist, DIST_CLAMP + 1)] + means @ w["path"]
     scores = (k.T @ q) / math.sqrt(d) + bias
@@ -62,6 +65,22 @@ def _reference_local_attention_layer(ctx, x, w):
     ffn = w["ffn_w2"] @ np.maximum(
         w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]
     return layer_norm(ffn + x1, w["ln2_gain"], w["ln2_bias"])
+
+
+def _reference_gin_layer(g, x, w1, b1, w2, b2):
+    """The bond loop: each bond adds either end's column to the other's."""
+    s = x.copy()
+    for b in g.bonds:
+        s[:, b.u] += x[:, b.v]
+        s[:, b.v] += x[:, b.u]
+    return w2 @ np.maximum(w1 @ s + b1[:, None], 0.0) + b2[:, None]
+
+
+def _nine_fold_chains(lines, d_thres=3):
+    """The 9-fold unrolls the L=3 oracles build, one per line."""
+    for s in lines:
+        unit, _ = auto_repeat_for_lga(parse(s), d_thres)
+        yield repeat_monomer(star_link(unit).monomer, 9)
 
 
 def normals_reference(seed, name, count):
@@ -182,21 +201,36 @@ class TestPrimitives:
         assert np.allclose(a.sum(axis=0), 1.0)
         assert np.allclose(a[:, 1], 0.5)
 
+    def test_layer_norm_is_two_pass_bitwise(self):
+        rng = np.random.default_rng(3)
+        for rows, cols, scale in [(64, 288, 1.0), (16, 7, 1e3), (5, 1, 1e-3),
+                                  (1, 4, 1.0), (64, 30, 1e8)]:
+            x = rng.normal(size=(rows, cols)) * scale + scale
+            gain, bias = rng.normal(size=rows), rng.normal(size=rows)
+            mu = x.mean(axis=0, keepdims=True)
+            var = x.var(axis=0, keepdims=True)
+            want = (x - mu) / np.sqrt(var + nets.LN_EPS)
+            assert np.array_equal(layer_norm(x), want)
+            assert np.array_equal(layer_norm(x, gain, bias),
+                                  want * gain[:, None] + bias[:, None])
+
     def test_gin_symmetry(self, model):
         g = star_link(parse("*CONO*")).as_graph()
         x = np.ones((model.d, g.n))
-        out = gin_layer(g, x, model["gin0.w1"], model["gin0.b1"],
+        nbr, _ = neighbour_table(g)
+        out = gin_layer(nbr, x, model["gin0.w1"], model["gin0.b1"],
                         model["gin0.w2"], model["gin0.b2"])
         # every atom of the uniform 4-cycle sees an identical neighborhood
         assert np.allclose(out, out[:, :1])
 
     def test_gin_shape_checks(self, model):
         g = star_link(parse("*CONO*")).as_graph()
+        nbr, _ = neighbour_table(g)
         with pytest.raises(ValueError):
-            gin_layer(g, np.ones((model.d + 1, g.n)), model["gin0.w1"],
+            gin_layer(nbr, np.ones((model.d + 1, g.n)), model["gin0.w1"],
                       model["gin0.b1"], model["gin0.w2"], model["gin0.b2"])
         with pytest.raises(ValueError):
-            gin_layer(g, np.ones((model.d, g.n + 1)), model["gin0.w1"],
+            gin_layer(nbr, np.ones((model.d, g.n + 1)), model["gin0.w1"],
                       model["gin0.b1"], model["gin0.w2"], model["gin0.b2"])
 
 
@@ -219,7 +253,7 @@ class TestAttention:
         for i in range(g.n):
             moved = x.copy()
             outside = np.ones(g.n, dtype=bool)
-            outside[ctx.key[ctx.query == i]] = False
+            outside[ctx.key[i, ~ctx.pad[i]]] = False
             moved[:, outside] = rng.normal(size=(model.d, outside.sum()))
             got = local_attention_layer(ctx, moved, w)
             assert np.allclose(got[:, i], base[:, i], atol=1e-12)
@@ -258,6 +292,94 @@ class TestReferenceAttention:
                 want = [forward_polymer(m, parse(s), strategy=strategy).yhat
                         for s in lines]
             assert np.abs(np.subtract(got, want)).max() <= 1e-12
+
+
+class TestNeighbourTables:
+    """The padded tables match the loops they replaced, and pads are
+    invisible."""
+
+    LINES = corpus(6, seed=17) + ["*C1CC2CCC1C2*", "*C12C3C4C1C5C2C3C45*",
+                                  "*C(C1(CCCC1)*)NN"]
+
+    def test_gin_matches_bond_loop(self, model):
+        rng = np.random.default_rng(5)
+        graphs = [star_link(parse(s)).as_graph() for s in self.LINES]
+        for g in graphs + list(_nine_fold_chains(self.LINES)):
+            nbr, _ = neighbour_table(g)
+            x = rng.normal(size=(model.d, g.n)) * 2
+            for l in range(model.L):
+                args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
+                        model[f"gin{l}.w2"], model[f"gin{l}.b2"])
+                got = gin_layer(nbr, x, *args)
+                want = _reference_gin_layer(g, x, *args)
+                assert np.abs(got - want).max() <= 1e-12
+                x = got
+
+    @pytest.mark.parametrize("d_thres", [2, 3, 4])
+    def test_attention_matches_dense_on_chains(self, model, d_thres):
+        rng = np.random.default_rng(d_thres)
+        for g in _nine_fold_chains(self.LINES, d_thres):
+            ctx = build_context(g, d_thres)
+            x = rng.normal(size=(model.d, g.n))
+            for l in range(model.L):
+                w = layer_weights(model, f"attn{l}")
+                got = local_attention_layer(ctx, x, w)
+                want = _reference_local_attention_layer(ctx, x, w)
+                assert np.abs(got - want).max() <= 1e-12
+                x = got
+
+    @staticmethod
+    def _repadded(ctx, rng, extra):
+        """ctx with its pads pointing at random atoms and holding random
+        distances and path counts, widened by extra pad columns."""
+        n, width = ctx.key.shape
+        shape = (n, width + extra)
+        pad = np.ones(shape, dtype=bool)
+        pad[:, :width] = ctx.pad
+        key = rng.integers(0, n, size=shape)
+        dist = rng.integers(0, DIST_CLAMP + 5, size=shape)
+        counts = rng.integers(0, 4, size=shape + (N_PATH_CODES,)) * 1.0
+        key[~pad], dist[~pad] = ctx.key[~ctx.pad], ctx.dist[~ctx.pad]
+        counts[~pad] = ctx.path_counts[~ctx.pad]
+        return AttentionContext(ctx.n, ctx.d_thres, key, dist, counts, pad)
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_attention_ignores_pads(self, model, extra):
+        rng = np.random.default_rng(extra)
+        for g in _nine_fold_chains(self.LINES[-3:]):
+            ctx = build_context(g, 3)
+            assert ctx.pad.any()
+            moved = self._repadded(ctx, rng, extra)
+            x = rng.normal(size=(model.d, g.n))
+            for l in range(model.L):
+                w = layer_weights(model, f"attn{l}")
+                got = local_attention_layer(moved, x, w)
+                want = local_attention_layer(ctx, x, w)
+                # a wider row only regroups the sums over it
+                assert np.abs(got - want).max() <= (1e-12 if extra else 0.0)
+
+    def test_gin_ignores_extra_pads(self, model):
+        rng = np.random.default_rng(6)
+        args = (model["gin0.w1"], model["gin0.b1"],
+                model["gin0.w2"], model["gin0.b2"])
+        for g in _nine_fold_chains(self.LINES[-3:]):
+            nbr, _ = neighbour_table(g)
+            wide = np.hstack([nbr, np.full((g.n, 2), g.n)])
+            x = rng.normal(size=(model.d, g.n))
+            assert np.array_equal(gin_layer(wide, x, *args),
+                                  gin_layer(nbr, x, *args))
+
+    def test_neighbour_table(self):
+        g = star_link(parse("*CC(C)(=O)*")).as_graph()
+        nbr, code = neighbour_table(g)
+        for i in range(g.n):
+            real = nbr[i] < g.n
+            assert nbr[i, real].tolist() == g.neighbors(i)
+            assert np.all(nbr[i, ~real] == g.n)
+            assert np.all(code[i, ~real] == 0)
+            assert [g.bond_order(i, j) for j in nbr[i, real]] == [
+                EDGE_CODES[c] for c in code[i, real]]
+        assert nbr.shape == (g.n, max(g.degree(i) for i in range(g.n)))
 
 
 class TestFusionAndSpatial:

@@ -118,6 +118,16 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse(bad)
 
+    @pytest.mark.parametrize("bad, error", [
+        ("*C\u00b2*", LexError), ("*C1CC\u0661*", LexError),
+        ("*[\u00b2C]*", ParseError), ("*[CH\u00b2]*", ParseError),
+        ("*[C+\u00b2]*", ParseError), ("*[C:\u00b2]*", ParseError),
+    ])
+    def test_non_ascii_digits(self, bad, error):
+        # str.isdigit accepts superscripts and other scripts' digits
+        with pytest.raises(error):
+            parse(bad)
+
     def test_dot_rejected(self):
         with pytest.raises(DisconnectedError):
             parse("*CC*.O")
