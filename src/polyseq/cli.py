@@ -241,8 +241,9 @@ def _run_verify(args) -> int:
         if args.suite in ("lemma1", "all"):
             reports.append(verify_mod.lemma1_suite(pairs))
         if args.suite in ("theorem3", "all"):
-            # twin seeds need no auto-repeat at d_thres=2, which keeps the
-            # linked graphs of a pair literally isomorphic in the forward pass
+            # at d_thres=2 the periodic context holds only each atom's bonds,
+            # which a pair's isomorphic linked graphs share, so only the
+            # backbone can tell the two units apart in the forward pass
             reports.append(verify_mod.twin_suite(
                 pairs, _model_from(args, d_thres=2), tol=args.tolerance))
     failed = False

@@ -327,6 +327,9 @@ class StarLinkGraph:
     copy of the input when the original boundary atoms coincide or are already
     bonded (linking those directly would merge edges and change neighbor
     multisets).  ``auto_repeat_k`` records the repeat count used.
+    ``as_graph`` is the cyclic graph of the unit; ``build_context`` reads the
+    unit as the periodic graph of the infinite chain instead, where the link
+    bonds the tail to the next copy's head.
     """
 
     monomer: MonomerGraph
@@ -496,7 +499,9 @@ def auto_repeat_for_lga(g: MonomerGraph, d_thres: int) -> tuple[MonomerGraph, in
 
     A k-fold repeat has boundary distance k*d_b + (k - 1), where d_b is the
     single-monomer boundary distance.  Returns the repeated monomer and the
-    minimal k.
+    minimal k.  On such a unit no path of d_thres - 1 hops wraps round the
+    cyclic linked graph; the attention oracle unrolls it, and the forward
+    pass needs no repeat, since its context is periodic.
     """
     if d_thres < 1:
         raise ValueError("d_thres must be >= 1")

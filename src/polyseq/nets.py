@@ -27,7 +27,6 @@ from .graphs import (
     FEATURE_ELEMENTS,
     MonomerGraph,
     apply_backbone_embedding,
-    auto_repeat_for_lga,
     detect_backbone,
     feature_dim,
     featurize,
@@ -341,30 +340,36 @@ def forward_polymer(model: ReferenceModel, g: MonomerGraph,
     """Full forward pass: features, backbone shift, L localized attention
     layers, optional fusion with spatial descriptors, pooling, head.
 
-    Under the ``link`` strategy the monomer is first repeated until its
-    boundary distance exceeds 2*d_thres - 1 and then closed by the linking
-    edge; this makes every atom's masked receptive field identical to the
-    infinite chain's, so predictions are invariant under repetition and
-    translation of the input.
+    Under the ``link`` strategy the layers run on one repeat unit of the
+    infinite chain: features and backbone come from the star-linking graph,
+    and the attention context is the periodic one of ``build_context``,
+    whose link bond carries an image shift.  Every atom's masked receptive
+    field is then the infinite chain's, so predictions are invariant under
+    repetition and translation of the input.  ``xts`` has one column per
+    atom of ``star_link(g).monomer``, which is g itself unless its boundary
+    atoms coincide or are bonded.
     """
     if strategy == "link":
-        m2, _ = auto_repeat_for_lga(g, model.d_thres)
-        star = star_link(m2)
+        star = star_link(g)
         graph = star.as_graph()
         mask = star.backbone
+        ctx = build_context(star, model.d_thres)
     else:
         graph = strategy_transform(g, strategy)
         mask = detect_backbone(g) + [False] * (graph.n - g.n)
+        ctx = build_context(graph, model.d_thres)
 
     x = model["input_proj"] @ featurize(graph)
     if use_backbone:
         x = apply_backbone_embedding(x, mask, model["backbone"])
-    ctx = build_context(graph, model.d_thres)
     for l in range(model.L):
         x = local_attention_layer(ctx, x, layer_weights(model, f"attn{l}"))
     if descriptors is not None:
         x = cross_modal_fusion(x, project_spatial(descriptors, model), model)
-    h = x.mean(axis=1)
+    # the mean is summed in extended precision and rounded once, so that
+    # it hardly depends on the order of the atoms: a float64 sum adds a
+    # rounding of its own that differs between writings of one polymer
+    h = (x.sum(axis=1, dtype=np.longdouble) / x.shape[1]).astype(np.float64)
     yhat = float(model["head"] @ h)
     return ForwardResult(x, h, yhat)
 
@@ -401,7 +406,8 @@ def fragcam(model: ReferenceModel, g: MonomerGraph,
     h_i sums the final representations of fragment i's atoms, the pooled
     vector is the fragment mean h = (1/N_F) sum h_i, yhat = w.h, and
     a_i = w.h_i / N_F, which makes the completeness identity algebraic.
-    The monomer may have been auto-repeated internally; outputs are read
+    The forward pass runs on ``star_link(g).monomer``, which repeats g
+    only when its boundary atoms coincide or are bonded; outputs are read
     from the first copy, whose columns correspond to the input atoms.
     """
     res = forward_polymer(model, g, descriptors=descriptors, strategy="link")

@@ -1,13 +1,15 @@
 """Finite-unroll oracles for the equivalence properties of linked graphs.
 
-Each oracle compares a network's per-atom outputs on the cyclic linked graph
-against the outputs on the middle copy of a long open-chain unroll.  Initial
-features are tiled from the linked graph so that both computations start
-from the features of the infinite chain (the open chain's own features would
-differ at ring flags and chain ends, which the infinite polymer does not
-have).  The middle copy of a (2L+3)-fold unroll is more than L receptive
-steps away from either chain end, so exact agreement is implied by the
-locality of the layers; the oracles check it numerically.
+Each oracle compares a network's per-atom outputs on the linked repeat unit
+(its cyclic graph for message passing, the forward pass's periodic context
+for localized attention) against the outputs on the middle copy of a long
+open-chain unroll.  Initial features are tiled from the linked graph so that
+both computations start from the features of the infinite chain (the open
+chain's own features would differ at ring flags and chain ends, which the
+infinite polymer does not have).  The middle copy of a (2L+3)-fold unroll
+is more than L receptive steps away from either chain end, so exact
+agreement is implied by the locality of the layers; the oracles check it
+numerically.
 """
 
 from __future__ import annotations
@@ -61,62 +63,88 @@ class SuiteReport:
         return out
 
 
-def _tiled_features(model: ReferenceModel, star_graph, k: int) -> tuple:
-    x_star = model["input_proj"] @ featurize(star_graph)
-    return x_star, np.tile(x_star, (1, k))
+def _features(model: ReferenceModel, star, chain) -> tuple:
+    """Input features of the linked unit, and the same tiled along the
+    chain, whose atom j is a copy of unit atom j mod n."""
+    x = model["input_proj"] @ featurize(star.as_graph())
+    copies = -(-chain.n // x.shape[1])
+    return x, np.tile(x, (1, copies))[:, :chain.n]
+
+
+def _gin_deviations(model: ReferenceModel, g: MonomerGraph,
+                    depth: int) -> list[float]:
+    """Max per-entry gap between linked-graph and middle-of-unroll outputs
+    after each of the first ``depth`` message-passing layers, on the
+    (2*depth+3)-fold unroll, whose middle copy is more than ``depth``
+    steps from either end."""
+    star = star_link(g)
+    n = star.monomer.n
+    k = 2 * depth + 3
+    chain = repeat_monomer(star.monomer, k)
+    x_s, x_u = _features(model, star, chain)
+    nbr_s, _ = neighbour_table(star.as_graph())
+    nbr_u, _ = neighbour_table(chain)
+    mid = (k // 2) * n
+    out = []
+    for l in range(depth):
+        args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
+                model[f"gin{l}.w2"], model[f"gin{l}.b2"])
+        x_s = gin_layer(nbr_s, x_s, *args)
+        x_u = gin_layer(nbr_u, x_u, *args)
+        out.append(float(np.abs(x_u[:, mid:mid + n] - x_s).max()))
+    return out
 
 
 def gin_deviation(model: ReferenceModel, g: MonomerGraph, L: int) -> float:
     """Max per-entry gap between linked-graph and middle-of-unroll outputs
     after L message-passing layers."""
-    star = star_link(g)
-    n = star.monomer.n
-    k = 2 * L + 3
-    chain = repeat_monomer(star.monomer, k)
-    x_s, x_u = _tiled_features(model, star.as_graph(), k)
-    nbr_s, _ = neighbour_table(star.as_graph())
-    nbr_u, _ = neighbour_table(chain)
-    for l in range(L):
-        args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
-                model[f"gin{l}.w2"], model[f"gin{l}.b2"])
-        x_s = gin_layer(nbr_s, x_s, *args)
-        x_u = gin_layer(nbr_u, x_u, *args)
-    mid = (k // 2) * n
-    return float(np.abs(x_u[:, mid:mid + n] - x_s).max())
+    return _gin_deviations(model, g, L)[-1]
 
 
 def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
                   d_thres: int, auto_repeat: bool = True) -> float:
     """Same comparison for L localized attention layers.
 
-    With ``auto_repeat=False`` the boundary-distance precondition can be
-    violated, which is the negative control: the cyclic distances then
-    disagree with the chain distances inside the mask.
+    The linked side is the forward pass's: one repeat unit with the
+    periodic context ``build_context(star_link(g), d_thres)``.  The chain
+    unrolls the monomer repeated until its boundary distance exceeds
+    ``2*d_thres - 1`` (``auto_repeat_for_lga``), so that each copy spans
+    that many hops and L layers of ``d_thres - 1`` hops cannot carry the
+    chain ends into the middle copy.  With ``auto_repeat=False``
+    the linked side is the plain cyclic context of the linked graph and
+    the chain unrolls the linked unit itself; the boundary-distance
+    precondition can then be violated, which is the negative control: the
+    cyclic distances disagree with the chain distances inside the mask.
     """
-    m = auto_repeat_for_lga(g, d_thres)[0] if auto_repeat else g
-    star = star_link(m)
-    n = star.monomer.n
+    star = star_link(g)
+    if auto_repeat:
+        ctx_s = build_context(star, d_thres)
+        unit = auto_repeat_for_lga(g, d_thres)[0]
+    else:
+        ctx_s = build_context(star.as_graph(), d_thres)
+        unit = star.monomer
     k = 2 * L + 3
-    chain = repeat_monomer(star.monomer, k)
-    ctx_s = build_context(star.as_graph(), d_thres)
+    chain = repeat_monomer(unit, k)
     ctx_u = build_context(chain, d_thres)
-    x_s, x_u = _tiled_features(model, star.as_graph(), k)
+    x_s, x_u = _features(model, star, chain)
     for l in range(L):
         w = layer_weights(model, f"attn{l}")
         x_s = local_attention_layer(ctx_s, x_s, w)
         x_u = local_attention_layer(ctx_u, x_u, w)
-    mid = (k // 2) * n
-    return float(np.abs(x_u[:, mid:mid + n] - x_s).max())
+    mid = np.arange((k // 2) * unit.n, (k // 2 + 1) * unit.n)
+    return float(np.abs(x_u[:, mid] - x_s[:, mid % star.monomer.n]).max())
 
 
 def theorem1_suite(monomers: list[MonomerGraph], model: ReferenceModel,
                    tol: float = 1e-9) -> SuiteReport:
+    """One pass of ``model.L`` message-passing layers per monomer, over its
+    (2L+3)-fold unroll, with the deviation read after each layer."""
     rep = SuiteReport("message-passing-equivalence")
-    for L in range(1, model.L + 1):
-        worst = 0.0
-        for g in monomers:
-            worst = max(worst, gin_deviation(model, g, L))
-        rep.cases.append(CaseResult(f"L={L}", worst, worst < tol,
+    worst = [0.0] * model.L
+    for g in monomers:
+        worst = list(map(max, worst, _gin_deviations(model, g, model.L)))
+    for L, dev in enumerate(worst, 1):
+        rep.cases.append(CaseResult(f"L={L}", dev, dev < tol,
                                     f"{len(monomers)} monomers"))
     return rep
 

@@ -71,8 +71,9 @@ class TestAcceptance:
     def test_03_twin_pairs(self):
         start = time.monotonic()
         pairs = default_twin_pairs()
-        # the twin units need no auto-repeat at this threshold, so the pair
-        # shares one linked graph and the no-embedding forwards match exactly
+        # at this threshold the periodic context holds only each atom's
+        # bonds, which the pair's isomorphic linked graphs share, so the
+        # no-embedding forwards match exactly
         model = ReferenceModel.generate(seed=103, d=64, L=3, d_thres=2)
         rep = twin_suite(pairs, model, tol=1e-9)
         elapsed = time.monotonic() - start

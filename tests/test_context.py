@@ -162,6 +162,98 @@ class TestPeriodic:
             build_context(repeat_monomer(parse("*CC*"), 0), 2)
 
 
+def _chain_rows(ctx, n_unit, copies):
+    """The real entries of the middle copy's rows of a context of the
+    copies-fold unroll, as sorted (chain key, dist, counts) per unit atom."""
+    mid = copies // 2
+    q, key, d, c = pairs(ctx)
+    out = []
+    for i in range(n_unit):
+        sel = q == mid * n_unit + i
+        out.append(sorted(zip(key[sel].tolist(), d[sel].tolist(),
+                              map(tuple, c[sel].tolist()))))
+    return out
+
+
+def _periodic_rows(ctx, copies):
+    """The periodic context's rows in the chain's numbering: the key of
+    image t, seen from the middle copy, is atom key of copy mid + t."""
+    mid = copies // 2
+    out = []
+    for i in range(ctx.n):
+        real = ~ctx.pad[i]
+        keys = (mid + ctx.image[i, real]) * ctx.n + ctx.key[i, real]
+        out.append(sorted(zip(keys.tolist(), ctx.dist[i, real].tolist(),
+                              map(tuple, ctx.path_counts[i, real].tolist()))))
+    return out
+
+
+class TestPeriodicContext:
+    """build_context of a StarLinkGraph: one repeat unit whose link bond
+    carries an image shift."""
+
+    LINES = corpus(200, seed=15)
+
+    @pytest.mark.parametrize("d_thres", [1, 2, 3])
+    def test_unrepeated_units_match_the_linked_graph(self, d_thres):
+        # where the boundary distance already exceeds 2*d_thres - 1, no
+        # path of d_thres - 1 hops wraps, and the table is the cyclic one
+        checked = 0
+        for s in self.LINES:
+            g = parse(s)
+            if auto_repeat_for_lga(g, d_thres)[1] > 1:
+                continue
+            star = star_link(g)
+            a = build_context(star, d_thres)
+            b = build_context(star.as_graph(), d_thres)
+            _assert_table(a, periodic=True)
+            for name in ("key", "dist", "path_counts", "pad"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("d_thres", [1, 2, 3, 4])
+    def test_rows_are_the_infinite_chains(self, d_thres):
+        # the middle copy of an open chain long enough that no row reaches
+        # its ends holds exactly the periodic pairs, image by image
+        copies = 2 * d_thres + 1
+        for s in self.LINES[:40] + ["*C*", "*CC*", "*CNO*",
+                                    "*C12CC(C1)C2*", "*C1CC2CCC1C2*"]:
+            star = star_link(parse(s))
+            ctx = build_context(star, d_thres)
+            _assert_table(ctx, periodic=True)
+            chain = repeat_monomer(star.monomer, copies)
+            assert _periodic_rows(ctx, copies) == _chain_rows(
+                build_context(chain, d_thres), star.monomer.n, copies), s
+
+    def test_repeated_atoms_pinned(self):
+        # *CC* links as the unit *CCCC* (head and tail would be bonded),
+        # and *C* as *CCC*; at d_thres=3 every atom reaches the atom two
+        # bonds away along the chain in both directions
+        ctx = build_context(star_link(parse("*CC*")), 3)
+        assert ctx.key.tolist() == [[0, 1, 2, 2, 3], [0, 1, 2, 3, 3],
+                                    [0, 0, 1, 2, 3], [0, 1, 1, 2, 3]]
+        assert ctx.image.tolist() == [[0, 0, -1, 0, -1], [0, 0, 0, -1, 0],
+                                      [0, 1, 0, 0, 0], [1, 0, 1, 0, 0]]
+        assert ctx.dist.tolist() == [[0, 1, 2, 2, 1], [1, 0, 1, 2, 2],
+                                     [2, 2, 1, 0, 1], [1, 2, 2, 1, 0]]
+        assert not ctx.pad.any()
+        ctx = build_context(star_link(parse("*C*")), 3)
+        assert ctx.key.tolist() == [[0, 1, 1, 2, 2], [0, 0, 1, 2, 2],
+                                    [0, 0, 1, 1, 2]]
+        assert ctx.image.tolist() == [[0, -1, 0, -1, 0], [0, 1, 0, -1, 0],
+                                      [0, 1, 0, 1, 0]]
+        assert ctx.dist.tolist() == [[0, 2, 1, 1, 2], [1, 2, 0, 2, 1],
+                                     [2, 1, 1, 2, 0]]
+        single = ONEHOT[edge_code("single")]
+        assert ctx.path_counts.tolist() == [
+            [[d * c for c in single] for d in row] for row in ctx.dist]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            build_context(star_link(parse("*CC*")), 0)
+
+
 class TestFolding:
     @pytest.mark.parametrize("s,dt", [("*CONO*", 2), ("*CC(C)OC(=O)*", 3),
                                       ("*CC*", 2), ("*C*", 2)])
@@ -173,6 +265,16 @@ class TestFolding:
         un_ctx = build_context(repeat_monomer(star.monomer, k), dt)
         assert fold_equivalent(star_ctx, un_ctx, star.monomer.n, k // 2)
 
+    @pytest.mark.parametrize("s", ["*CONO*", "*CC(C)OC(=O)*", "*CC*", "*C*",
+                                   "*CNO*"])
+    @pytest.mark.parametrize("dt", [2, 3, 4])
+    def test_periodic_needs_no_repeat(self, s, dt):
+        star = star_link(parse(s))
+        k = 2 * 3 + 3
+        un_ctx = build_context(repeat_monomer(star.monomer, k), dt)
+        assert fold_equivalent(build_context(star, dt), un_ctx,
+                               star.monomer.n, k // 2)
+
     def test_negative_without_auto_repeat(self):
         # boundary distance 2 is too short for d_thres=3: the cycle wraps
         g = parse("*CNO*")
@@ -180,6 +282,27 @@ class TestFolding:
         star_ctx = build_context(star.as_graph(), 3)
         un_ctx = build_context(repeat_monomer(g, 9), 3)
         assert not fold_equivalent(star_ctx, un_ctx, g.n, 4)
+
+    def test_counts_repeated_entries(self):
+        # atom 0 of *CCCC* reaches atom 2 from two images, both at distance
+        # 2 along single bonds: equal entries, each of which must fold
+        star = star_link(parse("*CC*"))
+        ctx = build_context(star, 3)
+        un_ctx = build_context(repeat_monomer(star.monomer, 9), 3)
+        assert fold_equivalent(ctx, un_ctx, 4, 4)
+        assert ctx.key[0, 2] == ctx.key[0, 3] == 2
+        keep = [0, 1, 3, 4]
+        dropped = AttentionContext(
+            ctx.n, ctx.d_thres, ctx.key.copy(), ctx.dist.copy(),
+            ctx.path_counts.copy(), ctx.pad.copy(), ctx.image.copy())
+        for name in ("key", "dist", "path_counts", "image"):
+            table = getattr(dropped, name)
+            table[0, :4] = getattr(ctx, name)[0, keep]
+        dropped.key[0, 4], dropped.dist[0, 4] = 0, 0
+        dropped.image[0, 4], dropped.path_counts[0, 4] = 0, 0.0
+        dropped.pad[0, 4] = True
+        _assert_table(dropped, periodic=True)
+        assert not fold_equivalent(dropped, un_ctx, 4, 4)
 
 
 class TestSerialization:
@@ -239,25 +362,31 @@ def _reference_to_json(ctx):
     }, separators=(",", ":"))
 
 
-def _assert_table(ctx):
-    """One row per query: real keys ascending, then pads only; each row
-    holds its diagonal at distance 0; the longest row has no pad."""
+def _assert_table(ctx, periodic=False):
+    """One row per query: real entries ascending by (key, image), then pads
+    only; each row holds its diagonal, in image 0, at distance 0; the
+    longest row has no pad; a plain graph's keys are all in image 0."""
     assert isinstance(ctx, AttentionContext)
     n, width = ctx.key.shape
     assert n == ctx.n and width >= 1
-    assert ctx.dist.shape == ctx.pad.shape == (n, width)
+    assert ctx.dist.shape == ctx.pad.shape == ctx.image.shape == (n, width)
     assert ctx.path_counts.shape == (n, width, len(EDGE_CODES))
     assert ctx.pad.dtype == bool and not ctx.pad.all(axis=0).any()
     real = (~ctx.pad).sum(axis=1)
     # real entries first: the row is unpadded up to its count
     assert np.array_equal(ctx.pad, np.arange(width) >= real[:, None])
     for i in range(n):
-        keys = ctx.key[i, :real[i]]
-        assert np.all(np.diff(keys) > 0)
-        assert np.all((keys >= 0) & (keys < n))
-        assert ctx.dist[i, keys.tolist().index(i)] == 0
-    assert np.all(ctx.dist[ctx.pad] == 0)
+        keys = ctx.key[i, :real[i]].tolist()
+        entries = list(zip(keys, ctx.image[i, :real[i]].tolist()))
+        assert all(a < b for a, b in zip(entries, entries[1:]))
+        assert all(0 <= k < n for k in keys)
+        assert ctx.dist[i, entries.index((i, 0))] == 0
+    assert np.all(ctx.dist[ctx.pad] == 0) and np.all(ctx.image[ctx.pad] == 0)
     assert not ctx.path_counts[ctx.pad].any()
+    if not periodic:
+        assert not ctx.image.any()
+    # an image shift of s needs at least |s| hops
+    assert np.all(np.abs(ctx.image) <= ctx.dist)
 
 
 def _assert_same_context(g):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from polyseq import (
     project_spatial,
     star_link,
 )
-from polyseq import nets
+from polyseq import graphs, nets
 from polyseq.context import DIST_CLAMP, EDGE_CODES, AttentionContext
 from polyseq.corpus import corpus
-from polyseq.graphs import auto_repeat_for_lga, relabel, repeat_monomer
+from polyseq.graphs import (apply_backbone_embedding, auto_repeat_for_lga,
+                            featurize, relabel, repeat_monomer)
 from polyseq.nets import (
     N_PATH_CODES,
     _normals,
@@ -46,18 +48,25 @@ def star_ctx(psmiles, d_thres):
 
 
 def _reference_local_attention_layer(ctx, x, w):
-    """The dense layer: scores and biases on all n x n [key, query] pairs,
-    the mask applied inside a column softmax, and y = v @ a_hat."""
+    """The dense layer: scores and biases on all [key node, query] pairs,
+    where key node ``key * m + image - lo`` is a key atom in one of the
+    context's m images (m = 1 on a plain graph), the mask applied inside a
+    column softmax, and y = v @ a_hat."""
     n, d = ctx.n, x.shape[0]
-    dist = np.zeros((n, n), dtype=np.int64)
-    means = np.zeros((n, n, N_PATH_CODES))
-    mask = np.zeros((n, n), dtype=bool)
+    lo = int(ctx.image.min())
+    m = int(ctx.image.max()) - lo + 1
+    dist = np.zeros((n * m, n), dtype=np.int64)
+    means = np.zeros((n * m, n, N_PATH_CODES))
+    mask = np.zeros((n * m, n), dtype=bool)
     real = ~ctx.pad
-    key, query = ctx.key[real], np.nonzero(real)[0]
-    dist[key, query] = ctx.dist[real]
-    means[key, query] = ctx.path_onehot_means()[real]
-    mask[key, query] = True
+    node = ctx.key[real] * m + ctx.image[real] - lo
+    query = np.nonzero(real)[0]
+    dist[node, query] = ctx.dist[real]
+    means[node, query] = ctx.path_onehot_means()[real]
+    mask[node, query] = True
+    # every image of an atom carries that atom's features
     q, k, v = (w[name] @ x for name in ("wq", "wk", "wv"))
+    k, v = np.repeat(k, m, axis=1), np.repeat(v, m, axis=1)
     bias = w["dist"][np.minimum(dist, DIST_CLAMP + 1)] + means @ w["path"]
     scores = (k.T @ q) / math.sqrt(d) + bias
     a_hat = softmax_columns(np.where(mask, scores, -np.inf))
@@ -65,6 +74,21 @@ def _reference_local_attention_layer(ctx, x, w):
     ffn = w["ffn_w2"] @ np.maximum(
         w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]
     return layer_norm(ffn + x1, w["ln2_gain"], w["ln2_bias"])
+
+
+def _reference_link_forward(model, g):
+    """The k-fold link path: repeat the monomer until its boundary distance
+    exceeds 2*d_thres - 1, close it by the link bond, and run the layers on
+    that cyclic graph, pooling with a float64 mean."""
+    star = star_link(auto_repeat_for_lga(g, model.d_thres)[0])
+    graph = star.as_graph()
+    x = apply_backbone_embedding(model["input_proj"] @ featurize(graph),
+                                 star.backbone, model["backbone"])
+    ctx = build_context(graph, model.d_thres)
+    for l in range(model.L):
+        x = local_attention_layer(ctx, x, layer_weights(model, f"attn{l}"))
+    h = x.mean(axis=1)
+    return nets.ForwardResult(x, h, float(model["head"] @ h))
 
 
 def _reference_gin_layer(g, x, w1, b1, w2, b2):
@@ -267,7 +291,18 @@ class TestReferenceAttention:
                                    "*C12C3C4C1C5C2C3C45*", "*C*"])
     @pytest.mark.parametrize("d_thres", [1, 2, 3, 4, 40])
     def test_random_inputs(self, model, s, d_thres):
-        g, ctx = star_ctx(s, d_thres)
+        self._check_random_inputs(model, *star_ctx(s, d_thres), d_thres)
+
+    @pytest.mark.parametrize("s", ["*CC(C)OC(=O)*", "*c1ccc(*)cc1",
+                                   "*C12C3C4C1C5C2C3C45*", "*C*"])
+    @pytest.mark.parametrize("d_thres", [1, 2, 3, 4, 40])
+    def test_random_inputs_periodic(self, model, s, d_thres):
+        star = star_link(parse(s))
+        self._check_random_inputs(model, star.as_graph(),
+                                  build_context(star, d_thres), d_thres)
+
+    @staticmethod
+    def _check_random_inputs(model, g, ctx, d_thres):
         rng = np.random.default_rng(d_thres)
         for l in range(model.L):
             w = layer_weights(model, f"attn{l}")
@@ -292,6 +327,51 @@ class TestReferenceAttention:
                 want = [forward_polymer(m, parse(s), strategy=strategy).yhat
                         for s in lines]
             assert np.abs(np.subtract(got, want)).max() <= 1e-12
+
+
+class TestPeriodicForward:
+    """The link forward pass on one repeat unit agrees with the k-fold
+    path it replaced."""
+
+    LINES = corpus(300, seed=15)
+
+    @pytest.mark.parametrize("d_thres", [2, 3, 4])
+    def test_matches_k_fold_path(self, d_thres):
+        m = ReferenceModel.generate(seed=0, d_thres=d_thres)
+        for s in self.LINES:
+            g = parse(s)
+            got, want = forward_polymer(m, g), _reference_link_forward(m, g)
+            assert got.xts.shape[1] == star_link(g).monomer.n
+            assert abs(got.yhat - want.yhat) <= 1e-12
+            assert np.abs(got.xts[:, :g.n] - want.xts[:, :g.n]).max() <= 1e-12
+            if auto_repeat_for_lga(g, d_thres)[1] == 1:
+                # the same graph and the same context: the same bits
+                assert np.array_equal(got.xts, want.xts)
+
+    def test_never_repeats_the_unit(self, monkeypatch):
+        calls = {"auto_repeat_for_lga": 0, "repeat_monomer": 0}
+        mods = [mod for name, mod in sys.modules.items() if mod is not None
+                and (name == "polyseq" or name.startswith("polyseq."))]
+        for name in calls:
+            orig = getattr(graphs, name)
+
+            def counted(*args, _name=name, _orig=orig, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for mod in mods:
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, counted)
+        m = ReferenceModel.generate(seed=0, d=16, L=1, d_thres=4)
+        for s in self.LINES[:50] + ["*CNO*"]:
+            g = parse(s)
+            forward_polymer(m, g)
+            assert calls["auto_repeat_for_lga"] == 0
+            # star_link repeats only a unit whose ends coincide or bond
+            if g.head != g.tail and not g.has_bond(g.head, g.tail):
+                assert calls["repeat_monomer"] == 0, s
+            calls["repeat_monomer"] = 0
 
 
 class TestNeighbourTables:
@@ -330,8 +410,9 @@ class TestNeighbourTables:
 
     @staticmethod
     def _repadded(ctx, rng, extra):
-        """ctx with its pads pointing at random atoms and holding random
-        distances and path counts, widened by extra pad columns."""
+        """ctx with its pads pointing at random atoms in random images and
+        holding random distances and path counts, widened by extra pad
+        columns."""
         n, width = ctx.key.shape
         shape = (n, width + extra)
         pad = np.ones(shape, dtype=bool)
@@ -341,7 +422,10 @@ class TestNeighbourTables:
         counts = rng.integers(0, 4, size=shape + (N_PATH_CODES,)) * 1.0
         key[~pad], dist[~pad] = ctx.key[~ctx.pad], ctx.dist[~ctx.pad]
         counts[~pad] = ctx.path_counts[~ctx.pad]
-        return AttentionContext(ctx.n, ctx.d_thres, key, dist, counts, pad)
+        image = rng.integers(-2, 3, size=shape)
+        image[~pad] = ctx.image[~ctx.pad]
+        return AttentionContext(ctx.n, ctx.d_thres, key, dist, counts, pad,
+                                image)
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_attention_ignores_pads(self, model, extra):

@@ -1,0 +1,92 @@
+import numpy as np
+import pytest
+
+from polyseq import ReferenceModel, StarLinkGraph, parse, star_link
+from polyseq import verify
+from polyseq.context import neighbour_table
+from polyseq.corpus import corpus
+from polyseq.graphs import MolGraph, featurize, repeat_monomer
+from polyseq.nets import gin_layer
+from polyseq.verify import gin_deviation, lga_deviation, theorem1_suite
+
+SPECIAL = ["*C*", "*CC*", "*C12CC(C1)C2*", "*CNO*", "*C1CC2CCC1C2*"]
+
+
+@pytest.fixture(scope="module")
+def model():
+    return ReferenceModel.generate(seed=9, d=16, L=3, d_thres=3)
+
+
+def _reference_gin_deviation(model, g, L):
+    """One (2L+3)-fold chain per depth L, features tiled with np.tile."""
+    star = star_link(g)
+    n = star.monomer.n
+    k = 2 * L + 3
+    chain = repeat_monomer(star.monomer, k)
+    x_s = model["input_proj"] @ featurize(star.as_graph())
+    x_u = np.tile(x_s, (1, k))
+    nbr_s, _ = neighbour_table(star.as_graph())
+    nbr_u, _ = neighbour_table(chain)
+    for l in range(L):
+        args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
+                model[f"gin{l}.w2"], model[f"gin{l}.b2"])
+        x_s = gin_layer(nbr_s, x_s, *args)
+        x_u = gin_layer(nbr_u, x_u, *args)
+    mid = (k // 2) * n
+    return float(np.abs(x_u[:, mid:mid + n] - x_s).max())
+
+
+class TestMessagePassingOracle:
+    def test_gin_deviation_keeps_its_value(self, model):
+        for s in corpus(12, seed=5) + SPECIAL:
+            for L in (1, 2, 3):
+                assert (gin_deviation(model, parse(s), L)
+                        == _reference_gin_deviation(model, parse(s), L))
+
+    def test_theorem1_runs_one_pass_per_monomer(self, model, monkeypatch):
+        calls = {"tables": 0, "layers": 0}
+
+        def tables(g):
+            calls["tables"] += 1
+            return neighbour_table(g)
+
+        def layer(*args):
+            calls["layers"] += 1
+            return gin_layer(*args)
+
+        monkeypatch.setattr(verify, "neighbour_table", tables)
+        monkeypatch.setattr(verify, "gin_layer", layer)
+        monomers = [parse(s) for s in corpus(6, seed=5) + SPECIAL]
+        rep = theorem1_suite(monomers, model)
+        # the star and the 9-fold chain, each through model.L layers
+        assert calls == {"tables": 2 * len(monomers),
+                         "layers": 2 * model.L * len(monomers)}
+        assert [c.label for c in rep.cases] == ["L=1", "L=2", "L=3"]
+        assert rep.passed and rep.max_dev < 1e-12
+
+
+class TestAttentionOracle:
+    @pytest.mark.parametrize("d_thres", [2, 3, 4])
+    def test_periodic_unit_matches_the_unroll(self, model, d_thres):
+        for s in corpus(20, seed=6) + SPECIAL:
+            assert lga_deviation(model, parse(s), model.L, d_thres) < 1e-9, s
+
+    def test_negative_control_still_deviates(self, model):
+        assert lga_deviation(model, parse("*CNO*"), model.L, 3,
+                             auto_repeat=False) > 1e-6
+
+    @pytest.mark.parametrize("auto_repeat", [True, False])
+    def test_context_kinds(self, model, monkeypatch, auto_repeat):
+        # the linked side is the forward pass's periodic context, or with
+        # auto_repeat=False the cyclic context of the linked graph
+        seen = []
+
+        def recorded(g, d_thres):
+            seen.append(type(g))
+            return build(g, d_thres)
+
+        build = verify.build_context
+        monkeypatch.setattr(verify, "build_context", recorded)
+        lga_deviation(model, parse("*CC*"), 1, 3, auto_repeat=auto_repeat)
+        first = StarLinkGraph if auto_repeat else MolGraph
+        assert seen[0] is first and issubclass(seen[1], MolGraph)
