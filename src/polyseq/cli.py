@@ -22,6 +22,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import rsit as rsit_mod
 from . import verify as verify_mod
+from .context import build_context
 from .errors import PolyseqError
 from .graphs import dump_star_graph, ring_stats, star_link
 from .nets import ReferenceModel, SpatialDescriptors, forward_polymer, fragcam
@@ -185,13 +186,13 @@ def _backbone_json(s: str) -> str:
 
 
 def _distances_json(s: str, d_thres: int) -> str:
-    """The linked graph's hop distances and its ``dist < d_thres``
-    attention mask, one row per atom."""
-    g = star_link(parse(s)).as_graph()
-    dist = [g.bfs_distances(i) for i in range(g.n)]
-    mask = ["".join("1" if d < d_thres else "0" for d in row) for row in dist]
-    return json.dumps({"n": g.n, "d_thres": d_thres, "dist": dist,
-                       "mask": mask}, separators=(",", ":"))
+    """The periodic attention context the forward pass uses: per atom, its
+    real entries as ``[key, image, dist]`` rows."""
+    ctx = build_context(star_link(parse(s)), d_thres)
+    table = np.stack([ctx.key, ctx.image, ctx.dist], axis=-1)
+    rows = [table[i][~ctx.pad[i]].tolist() for i in range(ctx.n)]
+    return json.dumps({"n": ctx.n, "d_thres": d_thres, "context": rows},
+                      separators=(",", ":"))
 
 
 def _augment_fn(args):

@@ -457,7 +457,13 @@ def feature_dim() -> int:
 
 
 def featurize(g: MolGraph) -> np.ndarray:
-    """Per-atom feature vectors, one column per atom (shape d_atom x n)."""
+    """Per-atom feature vectors, one column per atom (shape d_atom x n).
+
+    The in-ring row (26) flags atoms on a cycle of g.  On a linked graph
+    that includes the cycle the link bond closes, so every backbone atom
+    has it set, where the infinite chain sets it only on ring atoms; every
+    other row equals the chain's.
+    """
     d = feature_dim()
     x = np.zeros((d, g.n))
     ring = g.ring_atoms()

@@ -4,12 +4,11 @@ Each oracle compares a network's per-atom outputs on the linked repeat unit
 (its cyclic graph for message passing, the forward pass's periodic context
 for localized attention) against the outputs on the middle copy of a long
 open-chain unroll.  Initial features are tiled from the linked graph so that
-both computations start from the features of the infinite chain (the open
-chain's own features would differ at ring flags and chain ends, which the
-infinite polymer does not have).  The middle copy of a (2L+3)-fold unroll
-is more than L receptive steps away from either chain end, so exact
-agreement is implied by the locality of the layers; the oracles check it
-numerically.
+both computations start from the same features (the open chain's own differ
+at its ends, and its ring flags leave out the link cycle that the linked
+graph's mark).  The middle copy of a (2L+3)-fold unroll is more than L
+receptive steps away from either chain end, so exact agreement is implied
+by the locality of the layers; the oracles check it numerically.
 """
 
 from __future__ import annotations
@@ -204,10 +203,8 @@ def twin_suite(pairs: list[TwinPair], model: ReferenceModel,
         rep.cases.append(CaseResult(f"pair{idx}-with-backbone", dev,
                                     dev > DISTINCT_FLOOR))
 
-        ca = wl_refine(sa.as_graph(), init=[
-            (a.attr_key(), m) for a, m in zip(sa.monomer.atoms, sa.backbone)])
-        cb = wl_refine(sb.as_graph(), init=[
-            (a.attr_key(), m) for a, m in zip(sb.monomer.atoms, sb.backbone)])
+        ca = wl_refine(sa.as_graph(), lambda i: sa.backbone[i])
+        cb = wl_refine(sb.as_graph(), lambda i: sb.backbone[i])
         split = ca.histogram != cb.histogram
         rep.cases.append(CaseResult(f"pair{idx}-backbone-split-wl", 0.0,
                                     split))

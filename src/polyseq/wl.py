@@ -1,16 +1,16 @@
 """Color refinement, canonical labelling, polymer identity, twin pairs.
 
-``wl_refine`` colors are 16-byte blake2b digests built from canonical
-signatures, so its WL histograms, which the twin generator and the oracles
-compare, are directly comparable across graphs, runs, and platforms.  A
-refinement round hashes each distinct signature once, and the round that
-confirms a stable partition hashes nothing: it compares the count of
-distinct signatures with the count of color classes.
+There is one color refinement, ``_refine``: a splitter queue refines an
+ordered partition of integer cells, first cut by initial color (digests
+of the atom attributes) in color order, to its coarsest equitable
+refinement.  ``wl_refine`` runs it once from every cell and reads off the
+partition's quotient: each cell's initial color, its bonds into every
+cell, and its size.  Two graphs have equal quotients iff 1-WL cannot tell
+them apart (Cai, Fuerer & Immerman 1992).
 
-One complete canonical labelling decides isomorphism and gives graph keys.
-It hashes only the initial colors: individualization-refinement over an
-ordered partition of integer cells, refined from a splitter queue that
-starts, after each individualization, from the split cell alone.  An
+One complete canonical labelling decides isomorphism and gives graph keys:
+individualization-refinement over the same ordered partition, restarting
+``_refine`` after each individualization from the split cell alone.  An
 infinite polymer is identified by its polymer graph: the primitive repeat
 unit closed by its link, with every bond where the chain can be cut
 subdivided by a ``*`` atom.
@@ -34,12 +34,14 @@ def _digest(payload: str) -> bytes:
     return hashlib.blake2b(payload.encode(), digest_size=16).digest()
 
 
-def _repr_digests(keys) -> list[bytes]:
-    """``_digest(repr(key))`` per key, hashing each distinct repr once."""
+def initial_colors(g: MolGraph, extra=None) -> list[bytes]:
+    """Per atom, ``_digest(repr(key))`` of its attribute key, with
+    ``extra(i)`` appended when given; each distinct key is hashed once."""
     memo: dict[str, bytes] = {}
     out = []
-    for key in keys:
-        r = repr(key)
+    for i, atom in enumerate(g.atoms):
+        key = atom.attr_key()
+        r = repr(key if extra is None else key + (extra(i),))
         d = memo.get(r)
         if d is None:
             d = memo[r] = _digest(r)
@@ -47,83 +49,42 @@ def _repr_digests(keys) -> list[bytes]:
     return out
 
 
-def initial_colors(g: MolGraph, extra=None) -> list[bytes]:
-    if extra is None:
-        return _repr_digests(atom.attr_key() for atom in g.atoms)
-    return _repr_digests(atom.attr_key() + (extra(i),)
-                         for i, atom in enumerate(g.atoms))
-
-
 @dataclass
 class ColoringResult:
-    colors: list[bytes]
-    histogram: list[tuple[str, int]]
+    """The ordered equitable partition of a graph's atoms.
+
+    ``colors[i]`` is atom i's cell id.  ``histogram`` lists the cells in
+    order, each as (initial color in hex, quotient row, size), where the
+    quotient row is the sorted (bond order, neighbour cell id) pairs of
+    any member.  ``rounds`` counts the splitter cells refinement used.
+    """
+
+    colors: list[int]
+    histogram: list[tuple[str, tuple, int]]
     rounds: int
 
-    @staticmethod
-    def _hist(colors: list[bytes]) -> list[tuple[str, int]]:
-        counts: dict[bytes, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        return sorted((c.hex(), k) for c, k in counts.items())
 
+def wl_refine(g: MolGraph, extra=None) -> ColoringResult:
+    """1-WL color refinement from the initial colors (``extra``, a map node
+    index -> hashable, folded in).
 
-def _signatures(adj: dict[int, list[tuple[int, str]]],
-                colors: list[bytes]) -> list[tuple]:
-    """Per atom: its color and its sorted (bond order, neighbor color) pairs."""
-    return [(colors[i], tuple(sorted([(o, colors[j]) for j, o in adj[i]])))
-            for i in range(len(adj))]
-
-
-def _recolor(sigs: list[tuple], distinct: set[tuple]) -> list[bytes]:
-    """Next colors: the digest of each distinct signature, computed once.
-
-    The payload spells colors in hex.  Hex preserves byte order, so the
-    neighbor pairs sorted on raw bytes are already in hex order.
+    Two graphs get equal histograms iff they are 1-WL-equivalent.  A split
+    depends only on per-cell counts, so equivalent graphs refine in
+    lockstep and reach equal histograms; and cells paired by equal
+    histograms form an equitable partition of the disjoint union, so every
+    class of its coarsest one holds as many atoms of each graph.
     """
-    hexes = {c: c.hex() for c, _ in distinct}
-    digests = {}
-    for sig in distinct:
-        color, nbr = sig
-        pairs = [(o, hexes[c]) for o, c in nbr]
-        digests[sig] = _digest(f"{hexes[color]}|{pairs}")
-    return [digests[sig] for sig in sigs]
-
-
-def wl_refine(g: MolGraph, init: list | None = None,
-              rounds: int | None = None) -> ColoringResult:
-    """1-WL refinement.
-
-    With ``rounds=None`` the refinement runs until the partition is stable;
-    the last counted round is the one that would split no color class.  The
-    next colors fold in the current ones, so that round is found by counting
-    distinct signatures against classes, and it computes no digests.
-    Otherwise exactly ``rounds`` rounds are applied.  ``init`` may be a list
-    of hashables used as initial colors instead of the atom attributes.
-    """
-    if init is None:
-        colors = initial_colors(g)
-    elif init and isinstance(init[0], bytes):
-        colors = list(init)
-    else:
-        colors = _repr_digests(init)
+    init = initial_colors(g, extra)
     adj = g.adjacency()
-    if rounds is not None:
-        for _ in range(rounds):
-            sigs = _signatures(adj, colors)
-            colors = _recolor(sigs, set(sigs))
-        return ColoringResult(colors, ColoringResult._hist(colors), rounds)
-    classes = len(set(colors))
-    done = 0
-    for t in range(1, g.n + 2):
-        done = t
-        sigs = _signatures(adj, colors)
-        distinct = set(sigs)
-        if len(distinct) == classes:
-            break
-        colors = _recolor(sigs, distinct)
-        classes = len(distinct)
-    return ColoringResult(colors, ColoringResult._hist(colors), done)
+    lab, cell, end = _ordered_cells(init)
+    rounds = _refine(adj, lab, cell, end, sorted(set(cell)))
+    histogram, s = [], 0
+    while s < g.n:
+        i = lab[s]
+        row = tuple(sorted((o, cell[j]) for j, o in adj[i]))
+        histogram.append((init[i].hex(), row, end[s] - s))
+        s = end[s]
+    return ColoringResult(cell, histogram, rounds)
 
 
 def _ordered_cells(colors: list) -> tuple[list[int], list[int], list[int]]:
@@ -143,9 +104,10 @@ def _ordered_cells(colors: list) -> tuple[list[int], list[int], list[int]]:
 
 
 def _refine(adj: dict[int, list[tuple[int, str]]], lab: list[int],
-            cell: list[int], end: list[int], queue: list[int]) -> None:
+            cell: list[int], end: list[int], queue: list[int]) -> int:
     """Refine the ordered partition ``(lab, cell, end)`` in place until it
-    is equitable, from the splitter cells in ``queue``.
+    is equitable, from the splitter cells in ``queue``; return the number
+    of splitters taken off the queue.
 
     Each splitter W splits every cell by its atoms' sorted bond orders into
     W, and only the atoms next to W are looked at.  The pieces take the
@@ -159,9 +121,11 @@ def _refine(adj: dict[int, list[tuple[int, str]]], lab: list[int],
     for s in queue:
         queued[s] = True
     cells = len(set(cell))
+    taken = 0
     for w in queue:
         if cells == n:
             break
+        taken += 1
         queued[w] = False
         hits: dict[int, list[str]] = {}
         for u in lab[w:end[w]]:
@@ -196,6 +160,7 @@ def _refine(adj: dict[int, list[tuple[int, str]]], lab: list[int],
                     queued[start] = True
                 start = stop
             cells += len(pieces) - 1
+    return taken
 
 
 def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:

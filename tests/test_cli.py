@@ -187,11 +187,27 @@ class TestCorpusCommands:
         assert doc["backbone"] == [True, True, False, True]
 
     def test_distances_respects_threshold(self, tmp_path, capsys):
+        # each row at d_thres 2 is the row at 3 less its distance-2 entries
         path = write_lines(tmp_path, "in.txt", ["*CONO*"])
-        assert main(["distances", path, "--d-thres", "2"]) == 0
+        docs = {}
+        for d_thres in (2, 3):
+            assert main(["distances", path, "--d-thres", str(d_thres)]) == 0
+            docs[d_thres] = json.loads(capsys.readouterr().out)
+            assert docs[d_thres]["d_thres"] == d_thres
+        assert docs[2]["context"][0] == [[0, 0, 0], [1, 0, 1], [3, -1, 1]]
+        assert docs[2]["context"] == [[e for e in row if e[2] < 2]
+                                      for row in docs[3]["context"]]
+        assert docs[2]["context"] != docs[3]["context"]
+
+    def test_distances_holds_both_images_of_an_atom(self, tmp_path, capsys):
+        # in the chain of *CNO*, C reaches the previous copy's O over the
+        # link and its own copy's O through N
+        path = write_lines(tmp_path, "in.txt", ["*CNO*"])
+        assert main(["distances", path, "--d-thres", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["d_thres"] == 2
-        assert doc["mask"][0] == "1101"
+        assert doc["n"] == 3
+        assert doc["context"][0] == [[0, 0, 0], [1, -1, 2], [1, 0, 1],
+                                     [2, -1, 1], [2, 0, 2]]
 
     def test_augment_long_chain(self, tmp_path, capsys):
         # the first line is deeper than the default recursion limit

@@ -311,9 +311,11 @@ class TestSerialization:
         path.write_text("*CONO*\n")
         assert main(["distances", str(path), "--d-thres", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["n"] == 4 and doc["d_thres"] == 2
-        assert doc["dist"][0] == [0, 1, 2, 1]
-        assert doc["mask"][0] == "1101"
+        assert doc == {"n": 4, "d_thres": 2, "context": [
+            [[0, 0, 0], [1, 0, 1], [3, -1, 1]],
+            [[0, 0, 1], [1, 0, 0], [2, 0, 1]],
+            [[1, 0, 1], [2, 0, 0], [3, 0, 1]],
+            [[0, 1, 1], [2, 0, 1], [3, 0, 0]]]}
         assert len(EDGE_CODES) == 5
 
 
@@ -352,14 +354,21 @@ def _reference_context(g, d_thres):
                            path_counts=counts, local_mask=dist < d_thres)
 
 
-def _reference_to_json(ctx):
-    return json.dumps({
-        "n": ctx.n,
-        "d_thres": ctx.d_thres,
-        "dist": [[int(v) for v in row] for row in ctx.dist],
-        "mask": ["".join("1" if v else "0" for v in row)
-                 for row in ctx.local_mask],
-    }, separators=(",", ":"))
+def _reference_to_json(star, d_thres):
+    """The periodic context read off the middle copy of a chain long enough
+    that no row reaches its ends: chain atom j is atom j mod n in image
+    j // n - mid."""
+    n, copies = star.monomer.n, 2 * d_thres + 1
+    mid = copies // 2
+    chain = repeat_monomer(star.monomer, copies)
+    dist = _reference_context(chain, d_thres).dist
+    rows = []
+    for i in range(n):
+        row = dist[mid * n + i]
+        rows.append(sorted([j % n, j // n - mid, int(row[j])]
+                           for j in np.flatnonzero(row < d_thres).tolist()))
+    return json.dumps({"n": n, "d_thres": d_thres, "context": rows},
+                      separators=(",", ":"))
 
 
 def _assert_table(ctx, periodic=False):
@@ -483,6 +492,5 @@ def test_distances_output_matches_reference(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["distances", str(path), "--d-thres", "3"]) == 0
     want = "".join(
-        _reference_to_json(_reference_context(
-            star_link(parse(s)).as_graph(), 3)) + "\n" for s in lines)
+        _reference_to_json(star_link(parse(s)), 3) + "\n" for s in lines)
     assert capsys.readouterr().out == want

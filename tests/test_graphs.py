@@ -214,6 +214,22 @@ class TestFeatures:
         ring_row = 13 + 7 + 5 + 1
         assert x[ring_row].sum() == 6
 
+    def test_linked_graph_differs_from_chain_only_in_ring_row(self):
+        # the middle copy of a 9-fold chain has the infinite chain's
+        # features; the linked graph's ring row also marks the link cycle
+        ring_row = 13 + 7 + 5 + 1
+        differs = 0
+        for line in corpus(300, seed=7):
+            star = star_link(parse(line))
+            n = star.monomer.n
+            x = featurize(star.as_graph())
+            chain = featurize(repeat_monomer(star.monomer, 9))[:, 4 * n:5 * n]
+            rest = np.arange(x.shape[0]) != ring_row
+            assert np.array_equal(x[rest], chain[rest]), line
+            assert all(x[ring_row, star.backbone] == 1.0), line
+            differs += not np.array_equal(x[ring_row], chain[ring_row])
+        assert differs == 300
+
     def test_implicit_hydrogens(self):
         g = parse("*CC(=O)O*")
         x = featurize(g)

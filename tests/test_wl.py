@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,12 +42,12 @@ def cycle(elements):
 
 
 class TestRefinement:
-    def test_chain_refines_in_two_rounds(self):
+    def test_chain_refines_to_single_atoms(self):
         g = MolGraph([Atom(e) for e in "CONO"],
                      [Bond(0, 1), Bond(1, 2), Bond(2, 3)])
         res = wl_refine(g)
         assert len(set(res.colors)) == 4
-        assert res.rounds == 2
+        assert [size for _, _, size in res.histogram] == [1, 1, 1, 1]
 
     def test_uniform_cycle_single_class(self):
         res = wl_refine(cycle("CCCC"))
@@ -57,15 +58,21 @@ class TestRefinement:
         g2 = relabel(cycle("CNCN"), [2, 1, 0, 3])
         assert wl_refine(g1).histogram == wl_refine(g2).histogram
 
-    def test_fixed_rounds(self):
-        g = cycle("CCCCCC")
-        r = wl_refine(g, rounds=3)
-        assert r.rounds == 3
-
     def test_custom_init(self):
         g = cycle("CCCC")
-        r = wl_refine(g, init=[0, 0, 1, 1])
+        r = wl_refine(g, lambda i: i < 2)
         assert len(set(r.colors)) > 1
+
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_one_round_separates_discrete_graphs(self, linked):
+        # every atom has its own element, so the initial partition is
+        # already stable; S is bonded to O and N in one, to C and N in the
+        # other, which the first round tells apart
+        a, b = parse("*SOCN*"), parse("*SCON*")
+        if linked:
+            a, b = star_link(a).as_graph(), star_link(b).as_graph()
+        assert wl_refine(a).histogram != wl_refine(b).histogram
+        assert not _reference_wl_equivalent(a, b)
 
 
 class TestIsomorphic:
@@ -245,8 +252,8 @@ class TestBoundaryBridges:
         assert len(translation_variants(g)) == 1
 
 
-# The refinement and the boundary-bridge search as they were before each
-# distinct signature was hashed once; kept as the reference.
+# Digest color refinement to a stable partition and the boundary-bridge
+# search, kept as the reference.
 
 def _reference_digest(payload):
     return hashlib.blake2b(payload.encode(), digest_size=16).digest()
@@ -278,27 +285,30 @@ def _reference_partition(colors):
     return sorted(tuple(v) for v in groups.values())
 
 
-def _reference_wl_refine(g, init=None, rounds=None):
-    if init is None:
-        colors = _reference_initial_colors(g)
-    elif init and isinstance(init[0], bytes):
-        colors = list(init)
-    else:
-        colors = [_reference_digest(repr(v)) for v in init]
-    if rounds is not None:
-        for _ in range(rounds):
-            colors = _reference_refine_once(g, colors)
-        return wl.ColoringResult(colors, wl.ColoringResult._hist(colors),
-                                 rounds)
-    done = 0
-    for t in range(1, g.n + 2):
+def _reference_wl_refine(g, init=None):
+    """Digest colors, refined until a round splits no class.  The colors
+    of two graphs are comparable only after equally many rounds."""
+    colors = _reference_initial_colors(g) if init is None else list(init)
+    for _ in range(g.n + 1):
         nxt = _reference_refine_once(g, colors)
         if _reference_partition(nxt) == _reference_partition(colors):
-            done = t
             break
         colors = nxt
-        done = t
-    return wl.ColoringResult(colors, wl.ColoringResult._hist(colors), done)
+    return colors
+
+
+def _union(a, b):
+    return MolGraph(a.atoms + b.atoms, a.bonds + [
+        Bond(x.u + a.n, x.v + a.n, x.order) for x in b.bonds])
+
+
+def _reference_wl_equivalent(a, b, extra_a=None, extra_b=None):
+    """1-WL equivalence: every class of the stable coloring of the disjoint
+    union holds as many atoms of a as of b."""
+    colors = _reference_wl_refine(_union(a, b), (
+        _reference_initial_colors(a, extra_a)
+        + _reference_initial_colors(b, extra_b)))
+    return Counter(colors[:a.n]) == Counter(colors[a.n:])
 
 
 NODE_CAP = 64  # the node budget of the backtracking search below
@@ -307,11 +317,11 @@ NODE_CAP = 64  # the node budget of the backtracking search below
 def _reference_canonical_key(g, extra=None):
     """``canonical_key`` as it was: a WL hash, canonical up to WL
     distinguishability."""
-    res = _reference_wl_refine(g, init=_reference_initial_colors(g, extra))
-    nodes = sorted(c.hex() for c in res.colors)
+    colors = _reference_wl_refine(g, _reference_initial_colors(g, extra))
+    nodes = sorted(c.hex() for c in colors)
     edges = sorted(
-        (min(res.colors[b.u], res.colors[b.v]).hex(),
-         max(res.colors[b.u], res.colors[b.v]).hex(),
+        (min(colors[b.u], colors[b.v]).hex(),
+         max(colors[b.u], colors[b.v]).hex(),
          b.order)
         for b in g.bonds
     )
@@ -323,12 +333,12 @@ def _reference_isomorphic(g1, g2, extra1=None, extra2=None):
         raise BudgetExceeded(f"graph exceeds {NODE_CAP}-node search budget")
     if g1.n != g2.n or len(g1.bonds) != len(g2.bonds):
         return False, None
-    c1 = _reference_wl_refine(g1, init=_reference_initial_colors(g1, extra1))
-    c2 = _reference_wl_refine(g2, init=_reference_initial_colors(g2, extra2))
-    if c1.histogram != c2.histogram:
+    c1 = _reference_wl_refine(g1, _reference_initial_colors(g1, extra1))
+    c2 = _reference_wl_refine(g2, _reference_initial_colors(g2, extra2))
+    if sorted(c1) != sorted(c2):
         return False, None
     by_color = {}
-    for j, c in enumerate(c2.colors):
+    for j, c in enumerate(c2):
         by_color.setdefault(c, []).append(j)
     order = []
     seen = [False] * g1.n
@@ -350,7 +360,7 @@ def _reference_isomorphic(g1, g2, extra1=None, extra2=None):
     used = [False] * g2.n
 
     def feasible(u, v):
-        if c1.colors[u] != c2.colors[v] or len(adj1[u]) != len(adj2[v]):
+        if c1[u] != c2[v] or len(adj1[u]) != len(adj2[v]):
             return False
         for w, o in adj1[u].items():
             mw = mapping[w]
@@ -367,7 +377,7 @@ def _reference_isomorphic(g1, g2, extra1=None, extra2=None):
         if pos == len(order):
             return True
         u = order[pos]
-        for v in by_color.get(c1.colors[u], []):
+        for v in by_color.get(c1[u], []):
             if not used[v] and feasible(u, v):
                 mapping[u] = v
                 used[v] = True
@@ -494,7 +504,6 @@ def _reference(fn, *args):
     reference, including the bindings ``psmiles`` imported."""
     with pytest.MonkeyPatch.context() as mp:
         for name, ref in [("initial_colors", _reference_initial_colors),
-                          ("wl_refine", _reference_wl_refine),
                           ("isomorphic", _reference_isomorphic),
                           ("separating_bridges", _reference_separating_bridges),
                           ("translation_variants",
@@ -558,9 +567,8 @@ def _reference_generate_twins(h, max_unroll=6):
                 continue
             witness = None
             for k in range(2, max_unroll + 1):
-                ha = wl.wl_refine(wl.repeat_monomer(a, k)).histogram
-                hb = wl.wl_refine(wl.repeat_monomer(b, k)).histogram
-                if ha != hb:
+                if not _reference_wl_equivalent(wl.repeat_monomer(a, k),
+                                                wl.repeat_monomer(b, k)):
                     witness = k
                     break
             if witness is None:
@@ -597,10 +605,6 @@ def _same_partition(keys_a, keys_b):
     first_a, first_b = {}, {}
     return ([first_a.setdefault(k, i) for i, k in enumerate(keys_a)]
             == [first_b.setdefault(k, i) for i, k in enumerate(keys_b)])
-
-
-def _coloring(res):
-    return res.colors, res.histogram, res.rounds
 
 
 def _monomer(g):
@@ -642,29 +646,14 @@ def _refinement_graphs():
 class TestReferenceRefinement:
     def test_refine_to_stability(self):
         for g in _refinement_graphs():
-            assert _coloring(wl_refine(g)) == _coloring(_reference_wl_refine(g))
+            res = wl_refine(g)
+            assert (_reference_partition(res.colors)
+                    == _reference_partition(_reference_wl_refine(g)))
+            assert sum(size for _, _, size in res.histogram) == g.n
 
     def test_empty_graph(self):
-        g = MolGraph([], [])
-        assert _reference_wl_refine(g).rounds == 1
-        assert _coloring(wl_refine(g)) == _coloring(_reference_wl_refine(g))
-
-    @pytest.mark.parametrize("rounds", [0, 3])
-    def test_fixed_rounds(self, rounds):
-        for g in _refinement_graphs():
-            assert (_coloring(wl_refine(g, rounds=rounds))
-                    == _coloring(_reference_wl_refine(g, rounds=rounds)))
-
-    @pytest.mark.parametrize("rounds", [None, 2])
-    def test_custom_init(self, rounds):
-        for g in _refinement_graphs()[1::2]:
-            hashables = [(i % 3, a.element) for i, a in enumerate(g.atoms)]
-            short = [bytes([i % 4]) for i in range(g.n)]
-            pinned = initial_colors(g, lambda i: i == 0)
-            for init in (hashables, short, pinned):
-                assert (_coloring(wl_refine(g, init=init, rounds=rounds))
-                        == _coloring(_reference_wl_refine(g, init=init,
-                                                          rounds=rounds)))
+        assert _reference_wl_refine(MolGraph([], [])) == []
+        assert wl_refine(MolGraph([], [])) == wl.ColoringResult([], [], 0)
 
     def test_initial_colors(self):
         for g in _corpus_monomers()[:300]:
@@ -694,7 +683,7 @@ class TestEquitableRefinement:
     @staticmethod
     def _agrees(g, extra=None):
         cell = _equitable_cells(g, extra)
-        colors = wl_refine(g, init=initial_colors(g, extra)).colors
+        colors = _reference_wl_refine(g, _reference_initial_colors(g, extra))
         return _reference_partition(cell) == _reference_partition(colors)
 
     def test_corpus_monomers_and_star_links(self):
@@ -722,6 +711,60 @@ class TestEquitableRefinement:
             cell = _equitable_cells(g)
             moved = _equitable_cells(relabel(g, perm))
             assert moved == [cell[perm[i]] for i in range(g.n)]
+
+
+def _same_size_pairs(graphs):
+    """Each graph with the next one of its size, in input order."""
+    last, out = {}, []
+    for g in graphs:
+        if g.n in last:
+            out.append((last[g.n], g))
+        last[g.n] = g
+    return out
+
+
+def _backbone(star):
+    return lambda i: star.backbone[i]
+
+
+class TestUnionEquivalence:
+    """Equal ``wl_refine`` histograms mean exactly that the stable coloring
+    of the disjoint union puts as many atoms of one graph as of the other
+    in every class."""
+
+    @staticmethod
+    def _decides(a, b, extra_a=None, extra_b=None):
+        same = (wl_refine(a, extra_a).histogram
+                == wl_refine(b, extra_b).histogram)
+        assert same == _reference_wl_equivalent(a, b, extra_a, extra_b)
+        return same
+
+    def test_same_size_pairs(self):
+        outcomes = Counter(self._decides(a, b) for a, b in
+                           _same_size_pairs(_refinement_graphs()))
+        assert outcomes[True] > 100 and outcomes[False] > 100
+
+    def test_relabellings(self):
+        rng = random.Random(5)
+        for g in _refinement_graphs()[::4]:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert self._decides(g, relabel(g, perm))
+
+    def test_twin_pairs(self):
+        for p in corpus_mod.default_twin_pairs():
+            a, b = p.monomer_a, p.monomer_b
+            sa, sb = star_link(a), star_link(b)
+            # the linked graphs are one graph, which the backbone mask
+            # splits; the witness is the first unroll WL tells apart
+            assert self._decides(sa.as_graph(), sb.as_graph())
+            assert not self._decides(sa.as_graph(), sb.as_graph(),
+                                     _backbone(sa), _backbone(sb))
+            for k in range(1, wl.MAX_UNROLL + 1):
+                same = self._decides(repeat_monomer(a, k),
+                                     repeat_monomer(b, k))
+                if 2 <= k <= p.witness:
+                    assert same == (k < p.witness)
 
 
 class TestBridges:
