@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 verification failure.
 Line commands stream: each non-blank input line prints its result as soon as
-it is computed, in input order, and a bad line is reported on stderr as
-"line N: <error type>: <message>", N its line in the file.  Each command
+it is computed, in input order.  A bad record, a line or a fragcam dataset
+row, is reported on stderr as "line N: <error type>: <message>", N its line
+in the file, and a bad file as "error: <file>: <message>".  Each command
 takes only the options it reads; all randomness derives from --seed.
 """
 
@@ -24,7 +25,7 @@ from . import rsit as rsit_mod
 from . import verify as verify_mod
 from .context import build_context
 from .errors import PolyseqError
-from .graphs import dump_star_graph, ring_stats, star_link
+from .graphs import dump_monomer, dump_star_graph, ring_stats, star_link
 from .nets import ReferenceModel, SpatialDescriptors, forward_polymer, fragcam
 from .psmiles import canonical_form, parse, random_augment, write
 
@@ -41,29 +42,62 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_dataset(path: str) -> list[tuple[str, float]]:
+def _read_csv(path: str, columns: list[str]):
+    """The header of CSV file path, which must start with columns, and its
+    non-blank rows as (line number, fields), all fields stripped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["psmiles",
-                                                                 "value"]:
-            raise PolyseqError(f"{path}: expected CSV header 'psmiles,value'")
-        out = []
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # a blank line, skipped as the line commands do
-            where = f"{path} line {reader.line_num}"
-            if len(row) < 2:
-                raise PolyseqError(f"{where}: short row {row!r}")
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise PolyseqError(f"{where}: {exc}") from None
-            if not math.isfinite(value):
-                raise PolyseqError(f"{where}: non-finite value "
-                                   f"{row[1].strip()!r}")
-            out.append((row[0].strip(), value))
-    return out
+        header = [h.strip() for h in next(reader, [])]
+        if header[:len(columns)] != columns:
+            raise PolyseqError(f"{path}: expected a CSV header starting "
+                               f"{','.join(columns)!r}")
+        rows = [(reader.line_num, [f.strip() for f in row]) for row in reader
+                if len(row) > 1 or row and row[0].strip()]
+    return header, rows
+
+
+def _numbers(path: str, n: int, row: list[str], width: int) -> list[float]:
+    """Fields 1 .. width-1 of row n of CSV file path, as finite floats."""
+    where = f"{path} line {n}"
+    if len(row) < width:
+        raise PolyseqError(f"{where}: short row {row!r}")
+    values = []
+    for text in row[1:width]:
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise PolyseqError(f"{where}: {exc}") from None
+        if not math.isfinite(values[-1]):
+            raise PolyseqError(f"{where}: non-finite value {text!r}")
+    return values
+
+
+def _read_dataset(path: str) -> list[tuple[int, tuple[str, float]]]:
+    """The (psmiles, value) samples of a dataset, numbered by file line."""
+    _, rows = _read_csv(path, ["psmiles", "value"])
+    return [(n, (row[0], *_numbers(path, n, row, 2))) for n, row in rows]
+
+
+def _fits(doc, shape) -> bool:
+    """Whether a JSON document has shape: a type, [shape] or {str: shape}."""
+    if isinstance(shape, list):
+        return isinstance(doc, list) and all(_fits(x, shape[0]) for x in doc)
+    if isinstance(shape, dict):
+        return isinstance(doc, dict) and all(_fits(x, shape[str])
+                                             for x in doc.values())
+    return type(doc) is shape  # not isinstance: JSON true is an int there
+
+
+def _load_json(path: str, shape, what: str):
+    """The JSON document in path, which must have shape, described as what."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise PolyseqError(f"{path}: {exc}") from None
+    if not _fits(doc, shape):
+        raise PolyseqError(f"{path}: expected {what}")
+    return doc
 
 
 def _positive_int(text: str) -> int:
@@ -73,44 +107,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _each_line(fh, fn, emit) -> int:
-    """emit(fn(i, line)) for each non-blank line of fh, read one at a time.
+def _each_record(records, fn, emit) -> int:
+    """emit(fn(i, item)) for the i-th (n, item) of records, one at a time.
 
-    Lines are stripped and i counts the non-blank ones.  A line whose fn
-    raises PolyseqError is reported on stderr with its line number in the
-    file.  Returns the number of such lines.
+    A record whose fn raises PolyseqError or ValueError is reported on
+    stderr with n, its line in the file.  Returns the number of such records.
     """
     errors = 0
-    # str.splitlines, not the file, decides where a line ends, so form feeds
-    # and Unicode line separators end lines too
-    lines = (ln.strip() for chunk in fh for ln in chunk.splitlines())
-    numbered = ((n, s) for n, s in enumerate(lines, 1) if s)
-    for i, (n, s) in enumerate(numbered):
+    for i, (n, item) in enumerate(records):
         try:
-            result = fn(i, s)
-        except PolyseqError as exc:
+            result = fn(i, item)
+        except (PolyseqError, ValueError) as exc:
             errors += 1
             print(f"line {n}: {type(exc).__name__}: {exc}", file=sys.stderr,
                   flush=True)
         else:
             emit(result)
     return errors
-
-
-def _print_now(text: str) -> None:
-    print(text, flush=True)
-
-
-def _monomer_json(g) -> str:
-    doc = {
-        "atoms": [{"index": i, "element": a.element, "aromatic": a.aromatic,
-                   "charge": a.charge, "hcount": a.hcount}
-                  for i, a in enumerate(g.atoms)],
-        "bonds": [{"u": b.u, "v": b.v, "order": b.order} for b in g.bonds],
-        "head": g.head,
-        "tail": g.tail,
-    }
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def _model_from(args, **kw) -> ReferenceModel:
@@ -197,11 +210,9 @@ def _distances_json(s: str, d_thres: int) -> str:
 
 def _augment_fn(args):
     def fn(i, s):
-        outs = []
-        for v in range(args.n_variants):
-            rng = random.Random(f"{args.seed}:{i}:{v}")
-            outs.append(write(random_augment(parse(s), rng)))
-        return "\n".join(outs)
+        rngs = (random.Random(f"{args.seed}:{i}:{v}")
+                for v in range(args.n_variants))
+        return "\n".join(write(random_augment(parse(s), rng)) for rng in rngs)
     return fn
 
 
@@ -210,16 +221,18 @@ def _run_lines(args) -> int:
     with (contextlib.nullcontext(sys.stdin) if args.input == "-"
           else open(args.input)) as fh:
         fn = _LINE_COMMANDS[args.command](args)
-        if args.command != "stats":
-            failed = _each_line(fh, fn, _print_now)
-        else:
-            graphs = []
-            failed = _each_line(fh, fn, graphs.append)
-            mean, frac, _ = ring_stats(graphs)
-            print(json.dumps({"polymers": len(graphs),
-                              "mean_rings": mean,
-                              "frac_more_than_2_rings": frac,
-                              "skipped": failed}))
+        # str.splitlines, not the file, decides where a line ends, so form
+        # feeds and Unicode line separators end lines too
+        lines = (ln.strip() for chunk in fh for ln in chunk.splitlines())
+        records = ((n, s) for n, s in enumerate(lines, 1) if s)
+        graphs = []
+        emit = (graphs.append if args.command == "stats"
+                else lambda text: print(text, flush=True))
+        failed = _each_record(records, fn, emit)
+    if args.command == "stats":
+        mean, frac, _ = ring_stats(graphs)
+        print(json.dumps({"polymers": len(graphs), "mean_rings": mean,
+                          "frac_more_than_2_rings": frac, "skipped": failed}))
     return EXIT_INPUT if failed else EXIT_OK
 
 
@@ -257,7 +270,7 @@ def _run_verify(args) -> int:
 
 def _run_rsit(args) -> int:
     """One rsit run per selected strategy: all four with --compare."""
-    samples = _read_dataset(args.dataset)
+    samples = [sample for _, sample in _read_dataset(args.dataset)]
     model = _model_from(args, d_thres=args.d_thres)
     strategies = rsit_mod.STRATEGIES if args.compare else (args.strategy,)
     reports = {s: rsit_mod.rsit(rsit_mod.ModelPredictor(model, s), samples,
@@ -277,28 +290,26 @@ def _run_rsit(args) -> int:
 
 
 def _run_fragcam(args) -> int:
+    """Rank the fragment labels by mean score over the dataset's rows."""
     samples = _read_dataset(args.dataset)
-    with open(args.fragments) as fh:
-        frag_map = json.load(fh)
+    frag_map = _load_json(args.fragments, {str: {str: [int]}},
+                          "a JSON object of objects of atom-index lists")
     model = _model_from(args, d_thres=args.d_thres)
     by_label: dict[str, list[float]] = {}
-    errors = 0
-    for s, _value in samples:
+
+    def fn(i, sample):
+        s = sample[0]
         if s not in frag_map:
-            print(f"no fragmentation for {s}", file=sys.stderr)
-            errors += 1
-            continue
-        labels = list(frag_map[s])
-        try:
-            g = parse(s)
-            scores, yhat = fragcam(model, g,
-                                   [set(frag_map[s][k]) for k in labels])
-        except (PolyseqError, ValueError) as exc:
-            print(f"{s}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            errors += 1
-            continue
-        for label, score in zip(labels, scores):
+            raise PolyseqError(f"no fragmentation for {s}")
+        frags = frag_map[s]
+        scores, _ = fragcam(model, parse(s), [set(v) for v in frags.values()])
+        return zip(frags, scores)
+
+    def emit(scored):
+        for label, score in scored:
             by_label.setdefault(label, []).append(score)
+
+    errors = _each_record(samples, fn, emit)
     ranking = sorted(((sum(v) / len(v), k) for k, v in by_label.items()),
                      reverse=True)
     print(f"{'fragment':<20}{'mean_score':>14}{'count':>8}")
@@ -313,49 +324,37 @@ def _run_fragcam(args) -> int:
 
 
 def _load_descriptors(args):
+    """The descriptors of each --descriptors row, and the --groups widths."""
     if not args.descriptors:
         return None, None
     if not args.groups:
         raise PolyseqError("--descriptors requires --groups")
-    with open(args.groups) as fh:
-        groups = json.load(fh)
-    if not (isinstance(groups, dict)
-            and all(isinstance(cols, list) for cols in groups.values())):
-        raise PolyseqError("--groups must be a JSON object of column lists")
+    groups = _load_json(args.groups, {str: [str]},
+                        "a JSON object of column lists")
+    path = args.descriptors
+    header, rows = _read_csv(path, ["psmiles"])
+    missing = [c for cols in groups.values() for c in cols
+               if c not in header[1:]]
+    if missing:
+        raise PolyseqError(f"{path}: no column {missing[0]!r}")
     table = {}
-    with open(args.descriptors, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[0] != "psmiles":
-            raise PolyseqError("descriptor CSV must start with 'psmiles'")
-        missing = [c for cols in groups.values() for c in cols
-                   if c not in reader.fieldnames[1:]]
-        if missing:
-            raise PolyseqError(f"descriptor CSV has no column {missing[0]!r}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise PolyseqError(f"descriptor CSV line {reader.line_num}: "
-                                   "field count differs from the header")
-            table[row["psmiles"]] = {k: float(v) for k, v in row.items()
-                                     if k != "psmiles"}
-    dims = {name: len(cols) for name, cols in groups.items()}
-    return (groups, table), dims
+    for n, row in rows:
+        values = dict(zip(header[1:], _numbers(path, n, row, len(header))))
+        table[row[0]] = SpatialDescriptors(
+            [(name, np.array([values[c] for c in cols]))
+             for name, cols in groups.items()])
+    return table, {name: len(cols) for name, cols in groups.items()}
 
 
 def _forward_fn(args):
-    desc, dims = _load_descriptors(args)
+    table, dims = _load_descriptors(args)
     model = _model_from(args, d_thres=args.d_thres, spatial_groups=dims)
 
     def fn(i, s):
-        sd = None
-        if desc is not None:
-            groups, table = desc
-            if s not in table:
-                raise PolyseqError(f"no descriptor row for {s}")
-            row = table[s]
-            sd = SpatialDescriptors(
-                [(name, np.array([row[c] for c in cols]))
-                 for name, cols in groups.items()])
-        res = forward_polymer(model, parse(s), descriptors=sd,
+        if table is not None and s not in table:
+            raise PolyseqError(f"no descriptor row for {s}")
+        res = forward_polymer(model, parse(s),
+                              descriptors=None if table is None else table[s],
                               strategy=args.strategy,
                               use_backbone=not args.no_backbone)
         return json.dumps({"psmiles": s, "yhat": res.yhat})
@@ -365,7 +364,7 @@ def _forward_fn(args):
 # Line commands: each maps the parsed arguments to its per-line function
 # fn(i, s) of the stripped line s and i, its index among non-blank lines.
 _LINE_COMMANDS = {
-    "parse": lambda args: lambda i, s: _monomer_json(parse(s)),
+    "parse": lambda args: lambda i, s: dump_monomer(parse(s)),
     "canon": lambda args: lambda i, s: canonical_form(s),
     "link": lambda args: lambda i, s: dump_star_graph(star_link(parse(s))),
     "backbone": lambda args: lambda i, s: _backbone_json(s),

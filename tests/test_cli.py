@@ -419,7 +419,58 @@ class TestFragcam:
         rc = main(["fragcam", data, "--fragments", str(frag_path),
                    "--dim", "16", "--layers", "1"])
         assert rc == 2
-        assert "no fragmentation" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "line 2: PolyseqError: no fragmentation for *CC*\n")
+
+    def test_bad_rows_are_reported_by_csv_line(self, tmp_path, capsys):
+        # a row that fails is reported as the line commands report a line,
+        # by its line in the CSV file, and the other rows are still ranked
+        frags = {"*CC(C)O*": {"alkyl": [0, 1, 2], "ether": [3]},
+                 "*CCO*": {"alkyl": [0, 1], "ether": [2]},
+                 "*CCN*": {"alkyl": [0, 1], "amine": [2]},
+                 "*C(C*": {"alkyl": [0, 1]}, "*CNO*": {"amine": [1]}}
+        frag_path = tmp_path / "frags.json"
+        frag_path.write_text(json.dumps(frags))
+        opts = ["--fragments", str(frag_path), "--dim", "16", "--layers", "1",
+                "--d-thres", "2"]
+        good = [("*CC(C)O*", 1.0), ("*CCO*", 1.2), ("*CCN*", 1.3)]
+        assert main(["fragcam", write_dataset(tmp_path, good)] + opts) == 0
+        want = capsys.readouterr().out
+        rows = good[:1] + [("*C(C*", 2.0)] + good[1:] + [("*CNO*", 0.5)]
+        data = tmp_path / "data.csv"
+        data.write_text("psmiles,value\n\n" + "".join(f"{s},{v}\n"
+                                                       for s, v in rows))
+        assert main(["fragcam", str(data)] + opts) == 2
+        captured = capsys.readouterr()
+        assert captured.out == want
+        assert captured.err.splitlines() == [
+            "line 4: ParseError: unclosed branch",
+            "line 7: ValueError: fragmentation does not cover atoms [0, 2]"]
+
+    @pytest.mark.parametrize("option, text, message", [
+        ("--fragments", '["*CC*"]', "expected a JSON object of objects"),
+        ("--fragments", '{"*CC*": {"a": "x"}}', "expected a JSON object"),
+        ("--fragments", '{"*CC*": {"a": [0, 1.5]}}', "expected a JSON object"),
+        ("--fragments", '{"*CC*": {"a": [true]}}', "expected a JSON object"),
+        ("--fragments", "not json", "Expecting value"),
+        ("--groups", "{'geom': ['x1']}", "Expecting property name"),
+        ("--groups", '{"geom": [1]}', "expected a JSON object of column"),
+    ])
+    def test_malformed_json_file(self, tmp_path, capsys, option, text,
+                                 message):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        data = write_dataset(tmp_path, [("*CC*", 1.0)])
+        desc = tmp_path / "desc.csv"
+        desc.write_text("psmiles,x1\n*CC*,0.5\n")
+        argv = (["fragcam", data, "--fragments", str(doc)]
+                if option == "--fragments" else
+                ["forward", write_lines(tmp_path, "in.txt", ["*CC*"]),
+                 "--descriptors", str(desc), "--groups", str(doc)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {doc}: {message}")
+        assert len(err.splitlines()) == 1
 
 
 class TestForward:
@@ -481,6 +532,14 @@ class TestForward:
         ("psmiles,x1,x2\n*CC*,0.5\n", {"geom": ["x1", "x2"]}, "line 2"),
         ("psmiles,x1\n*CC*,0.5\n", {"geom": 5}, "column lists"),
         ("psmiles,x1\n*CC*,0.5\n", ["x1"], "column lists"),
+        ("psmiles,x1\n*CC*,nan\n", {"geom": ["x1"]},
+         "desc.csv line 2: non-finite value 'nan'"),
+        ("psmiles,x1\n\n*CC*, inf\n", {"geom": ["x1"]},
+         "desc.csv line 3: non-finite value 'inf'"),
+        ("psmiles,x1,x2\n*CC*,0.5,abc\n", {"geom": ["x1"]},
+         "desc.csv line 2: could not convert string to float: 'abc'"),
+        ("smiles,x1\n*CC*,0.5\n", {"geom": ["x1"]},
+         "desc.csv: expected a CSV header starting 'psmiles'"),
     ])
     def test_descriptor_input_mismatch(self, tmp_path, capsys, csv_text,
                                        groups_doc, fragment):
