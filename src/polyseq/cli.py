@@ -329,8 +329,10 @@ def _load_descriptors(args):
         return None, None
     if not args.groups:
         raise PolyseqError("--descriptors requires --groups")
-    groups = _load_json(args.groups, {str: [str]},
-                        "a JSON object of column lists")
+    what = "a JSON object of column lists, at least one and none empty"
+    groups = _load_json(args.groups, {str: [str]}, what)
+    if not groups or not all(groups.values()):
+        raise PolyseqError(f"{args.groups}: expected {what}")
     path = args.descriptors
     header, rows = _read_csv(path, ["psmiles"])
     missing = [c for cols in groups.values() for c in cols
@@ -339,6 +341,9 @@ def _load_descriptors(args):
         raise PolyseqError(f"{path}: no column {missing[0]!r}")
     table = {}
     for n, row in rows:
+        if row[0] in table:
+            raise PolyseqError(f"{path} line {n}: duplicate row for "
+                               f"{row[0]!r}")
         values = dict(zip(header[1:], _numbers(path, n, row, len(header))))
         table[row[0]] = SpatialDescriptors(
             [(name, np.array([values[c] for c in cols]))

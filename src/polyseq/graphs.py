@@ -378,15 +378,13 @@ def star_link(g: MonomerGraph) -> StarLinkGraph:
     The linking edge is formed as a set union, so a monomer whose boundaries
     coincide or are already bonded is repeated until they are distinct and
     non-adjacent; this keeps every atom's neighbor multiset identical to its
-    counterpart in the infinite chain.
+    counterpart in the infinite chain.  Bonded ends need 2 copies; ends
+    that coincide need 3, since at 2 the junction bond joins them.
     """
     if not g.is_connected():
         raise DisconnectedError("monomer graph is not connected")
-    k = 1
-    m = g
-    while m.head == m.tail or m.has_bond(m.head, m.tail):
-        k += 1
-        m = repeat_monomer(g, k)
+    k = 3 if g.head == g.tail else 2 if g.has_bond(g.head, g.tail) else 1
+    m = g if k == 1 else repeat_monomer(g, k)
     return StarLinkGraph(m, Bond(m.head, m.tail, "single"), auto_repeat_k=k)
 
 
@@ -503,20 +501,19 @@ def apply_backbone_embedding(x: np.ndarray, mask, b: np.ndarray) -> np.ndarray:
 def auto_repeat_for_lga(g: MonomerGraph, d_thres: int) -> tuple[MonomerGraph, int]:
     """Repeat the monomer until the boundary distance exceeds 2*d_thres - 1.
 
-    A k-fold repeat has boundary distance k*d_b + (k - 1), where d_b is the
+    A k-fold repeat has boundary distance k*(d_b + 1) - 1, where d_b is the
     single-monomer boundary distance.  Returns the repeated monomer and the
     minimal k.  On such a unit no path of d_thres - 1 hops wraps round the
-    cyclic linked graph; the attention oracle unrolls it, and the forward
-    pass needs no repeat, since its context is periodic.
+    cyclic linked graph.  No library code calls it (the forward pass's
+    context is periodic, and the oracles size their unrolls by receptive
+    field); it stays public only because ``perfbench/`` binds it.
     """
     if d_thres < 1:
         raise ValueError("d_thres must be >= 1")
     d_b = g.boundary_distance()
     if d_b < 0:
         raise DisconnectedError("boundary atoms not connected")
-    k = 1
-    while k * d_b + (k - 1) <= 2 * d_thres - 1:
-        k += 1
+    k = 2 * d_thres // (d_b + 1) + 1
     return (g if k == 1 else repeat_monomer(g, k)), k
 
 

@@ -274,7 +274,6 @@ class SpatialDescriptors:
     """Named real-vector descriptor groups for one polymer."""
 
     groups: list[tuple[str, np.ndarray]]
-    source: str = ""
 
 
 def project_spatial(sd: SpatialDescriptors,

@@ -2,13 +2,14 @@
 
 Each oracle compares a network's per-atom outputs on the linked repeat unit
 (its cyclic graph for message passing, the forward pass's periodic context
-for localized attention) against the outputs on the middle copy of a long
+for localized attention) against the outputs on the middle copy of an
 open-chain unroll.  Initial features are tiled from the linked graph so that
 both computations start from the same features (the open chain's own differ
 at its ends, and its ring flags leave out the link cycle that the linked
-graph's mark).  The middle copy of a (2L+3)-fold unroll is more than L
-receptive steps away from either chain end, so exact agreement is implied
-by the locality of the layers; the oracles check it numerically.
+graph's mark).  The unroll (``_unroll``) repeats the linked unit enough
+times on either side of its middle copy that no atom past a chain end lies
+within the layers' receptive field, so exact agreement is implied by the
+locality of the layers; the oracles check it numerically.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import build_context, neighbour_table
-from .graphs import (MonomerGraph, auto_repeat_for_lga, featurize,
+from .graphs import (MonomerGraph, StarLinkGraph, featurize,
                      repeat_monomer, star_link)
 from .nets import (ReferenceModel, forward_polymer, gin_layer, layer_weights,
                    local_attention_layer)
@@ -62,28 +63,33 @@ class SuiteReport:
         return out
 
 
+def _unroll(star: StarLinkGraph, reach: int) -> tuple[MonomerGraph, int]:
+    """The (2r+1)-fold unroll of the linked unit and its middle copy's first
+    atom, r = ceil(reach / (d_b + 1)).  Copies meet only at junction bonds,
+    so the first atom past either end is at least r*(d_b + 1) + 1 > reach
+    hops from the middle copy."""
+    r = -(-reach // (star.monomer.boundary_distance() + 1))
+    return repeat_monomer(star.monomer, 2 * r + 1), r * star.monomer.n
+
+
 def _features(model: ReferenceModel, star, chain) -> tuple:
     """Input features of the linked unit, and the same tiled along the
     chain, whose atom j is a copy of unit atom j mod n."""
     x = model["input_proj"] @ featurize(star.as_graph())
-    copies = -(-chain.n // x.shape[1])
-    return x, np.tile(x, (1, copies))[:, :chain.n]
+    return x, np.tile(x, (1, chain.n // x.shape[1]))
 
 
 def _gin_deviations(model: ReferenceModel, g: MonomerGraph,
                     depth: int) -> list[float]:
     """Max per-entry gap between linked-graph and middle-of-unroll outputs
     after each of the first ``depth`` message-passing layers, on the
-    (2*depth+3)-fold unroll, whose middle copy is more than ``depth``
-    steps from either end."""
+    unroll whose middle copy is more than ``depth`` hops from either end."""
     star = star_link(g)
     n = star.monomer.n
-    k = 2 * depth + 3
-    chain = repeat_monomer(star.monomer, k)
+    chain, mid = _unroll(star, depth)
     x_s, x_u = _features(model, star, chain)
     nbr_s, _ = neighbour_table(star.as_graph())
     nbr_u, _ = neighbour_table(chain)
-    mid = (k // 2) * n
     out = []
     for l in range(depth):
         args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
@@ -105,39 +111,31 @@ def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
     """Same comparison for L localized attention layers.
 
     The linked side is the forward pass's: one repeat unit with the
-    periodic context ``build_context(star_link(g), d_thres)``.  The chain
-    unrolls the monomer repeated until its boundary distance exceeds
-    ``2*d_thres - 1`` (``auto_repeat_for_lga``), so that each copy spans
-    that many hops and L layers of ``d_thres - 1`` hops cannot carry the
-    chain ends into the middle copy.  With ``auto_repeat=False``
-    the linked side is the plain cyclic context of the linked graph and
-    the chain unrolls the linked unit itself; the boundary-distance
-    precondition can then be violated, which is the negative control: the
-    cyclic distances disagree with the chain distances inside the mask.
+    periodic context ``build_context(star_link(g), d_thres)``.  Each layer
+    reaches ``d_thres - 1`` hops, so the chain unrolls the linked unit far
+    enough that L layers cannot carry the chain ends into the middle copy.
+    With ``auto_repeat=False`` the linked side is the plain cyclic context
+    of the linked graph instead, whose paths may wrap round the unit when
+    its boundary distance is at most ``2*d_thres - 1``; that is the
+    negative control: the cyclic distances then disagree with the chain
+    distances inside the mask.
     """
     star = star_link(g)
-    if auto_repeat:
-        ctx_s = build_context(star, d_thres)
-        unit = auto_repeat_for_lga(g, d_thres)[0]
-    else:
-        ctx_s = build_context(star.as_graph(), d_thres)
-        unit = star.monomer
-    k = 2 * L + 3
-    chain = repeat_monomer(unit, k)
+    ctx_s = build_context(star if auto_repeat else star.as_graph(), d_thres)
+    chain, mid = _unroll(star, L * (d_thres - 1))
     ctx_u = build_context(chain, d_thres)
     x_s, x_u = _features(model, star, chain)
     for l in range(L):
         w = layer_weights(model, f"attn{l}")
         x_s = local_attention_layer(ctx_s, x_s, w)
         x_u = local_attention_layer(ctx_u, x_u, w)
-    mid = np.arange((k // 2) * unit.n, (k // 2 + 1) * unit.n)
-    return float(np.abs(x_u[:, mid] - x_s[:, mid % star.monomer.n]).max())
+    return float(np.abs(x_u[:, mid:mid + star.monomer.n] - x_s).max())
 
 
 def theorem1_suite(monomers: list[MonomerGraph], model: ReferenceModel,
                    tol: float = 1e-9) -> SuiteReport:
-    """One pass of ``model.L`` message-passing layers per monomer, over its
-    (2L+3)-fold unroll, with the deviation read after each layer."""
+    """One pass of ``model.L`` message-passing layers per monomer, over the
+    unroll for L = ``model.L``, with the deviation read after each layer."""
     rep = SuiteReport("message-passing-equivalence")
     worst = [0.0] * model.L
     for g in monomers:

@@ -455,6 +455,8 @@ class TestFragcam:
         ("--fragments", "not json", "Expecting value"),
         ("--groups", "{'geom': ['x1']}", "Expecting property name"),
         ("--groups", '{"geom": [1]}', "expected a JSON object of column"),
+        ("--groups", "{}", "expected a JSON object of column"),
+        ("--groups", '{"g": []}', "expected a JSON object of column"),
     ])
     def test_malformed_json_file(self, tmp_path, capsys, option, text,
                                  message):
@@ -540,6 +542,8 @@ class TestForward:
          "desc.csv line 2: could not convert string to float: 'abc'"),
         ("smiles,x1\n*CC*,0.5\n", {"geom": ["x1"]},
          "desc.csv: expected a CSV header starting 'psmiles'"),
+        ("psmiles,x1\n*CC*,0.5\n*CC*,0.7\n", {"geom": ["x1"]},
+         "desc.csv line 3: duplicate row for '*CC*'"),
     ])
     def test_descriptor_input_mismatch(self, tmp_path, capsys, csv_text,
                                        groups_doc, fragment):

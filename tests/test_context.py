@@ -17,6 +17,7 @@ from polyseq import (
     star_link,
     strategy_transform,
 )
+from polyseq import verify
 from polyseq.cli import main
 from polyseq.context import EDGE_CODES, edge_code
 from polyseq.corpus import corpus
@@ -415,10 +416,9 @@ def _assert_same_context(g):
 
 
 def _lga_chains(s):
-    """The (2L+3)-fold chains lga_deviation builds, L=3, d_thres 2 and 3."""
+    """The chains lga_deviation builds, L=3, d_thres 2 and 3."""
     for d_thres in (2, 3):
-        m, _ = auto_repeat_for_lga(parse(s), d_thres)
-        yield repeat_monomer(star_link(m).monomer, 2 * 3 + 3)
+        yield verify._unroll(star_link(parse(s)), 3 * (d_thres - 1))[0]
 
 
 class TestReferenceBFS:
@@ -470,7 +470,7 @@ class TestReferenceBFS:
                                   base.local_mask[np.ix_(perm, perm)])
 
     def test_holds_exactly_the_masked_pairs(self):
-        # a 288-atom unroll, the largest the verify oracles build
+        # a 288-atom chain, the 9-fold unroll of a 4-fold repeat unit
         unit = auto_repeat_for_lga(parse("*C(C1(CCCC1)*)NN"), 3)[0]
         chain = repeat_monomer(star_link(unit).monomer, 9)
         assert chain.n == 288

@@ -97,11 +97,26 @@ class TestStarLink:
         assert star.monomer.n == 4
 
     def test_link_never_merges_edges(self):
-        for s in ("*C*", "*CC*", "*CCC*", "*CC(C)O*"):
+        for s in ("*C*", "*CC*", "*CCC*", "*CC(C)O*", "*C(*)O"):
             star = star_link(parse(s))
             m = star.monomer
             pairs = [b.pair() for b in m.bonds] + [star.link.pair()]
             assert len(set(pairs)) == len(pairs)
+
+    def test_repeat_count_is_the_loops(self):
+        # the fewest copies whose boundary atoms are distinct and unbonded
+        for s in corpus(100, seed=19) + ["*C*", "*CC*", "*C(*)O",
+                                         "*C1(*)CC1"]:
+            g = parse(s)
+            k, m = 1, g
+            while m.head == m.tail or m.has_bond(m.head, m.tail):
+                k += 1
+                m = repeat_monomer(g, k)
+            star = star_link(g)
+            assert star.auto_repeat_k == k, s
+            assert (star.monomer.atoms, star.monomer.bonds) == (m.atoms,
+                                                                m.bonds)
+            assert (star.monomer.head, star.monomer.tail) == (m.head, m.tail)
 
 
 class TestBackbone:
@@ -170,7 +185,10 @@ class TestAutoRepeat:
         assert m.boundary_distance() == 4
 
     @pytest.mark.parametrize("s,dt", [("*CC*", 2), ("*CCC*", 3),
-                                      ("*CC(C)O*", 3)])
+                                      ("*CC(C)O*", 3), ("*C*", 1),
+                                      ("*C*", 4), ("*C(*)O", 2),
+                                      ("*CNO*", 3), ("*CCCC*", 2),
+                                      ("*CCCC*", 4)])
     def test_minimality(self, s, dt):
         g = parse(s)
         m, k = auto_repeat_for_lga(g, dt)

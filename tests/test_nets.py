@@ -22,11 +22,11 @@ from polyseq import (
     project_spatial,
     star_link,
 )
-from polyseq import graphs, nets
+from polyseq import graphs, nets, verify
 from polyseq.context import DIST_CLAMP, EDGE_CODES, AttentionContext
 from polyseq.corpus import corpus
 from polyseq.graphs import (apply_backbone_embedding, auto_repeat_for_lga,
-                            featurize, relabel, repeat_monomer)
+                            featurize, relabel)
 from polyseq.nets import (
     N_PATH_CODES,
     _normals,
@@ -100,11 +100,10 @@ def _reference_gin_layer(g, x, w1, b1, w2, b2):
     return w2 @ np.maximum(w1 @ s + b1[:, None], 0.0) + b2[:, None]
 
 
-def _nine_fold_chains(lines, d_thres=3):
-    """The 9-fold unrolls the L=3 oracles build, one per line."""
+def _oracle_chains(lines, d_thres=3):
+    """The unrolls lga_deviation builds at L=3, one per line."""
     for s in lines:
-        unit, _ = auto_repeat_for_lga(parse(s), d_thres)
-        yield repeat_monomer(star_link(unit).monomer, 9)
+        yield verify._unroll(star_link(parse(s)), 3 * (d_thres - 1))[0]
 
 
 def normals_reference(seed, name, count):
@@ -384,7 +383,7 @@ class TestNeighbourTables:
     def test_gin_matches_bond_loop(self, model):
         rng = np.random.default_rng(5)
         graphs = [star_link(parse(s)).as_graph() for s in self.LINES]
-        for g in graphs + list(_nine_fold_chains(self.LINES)):
+        for g in graphs + list(_oracle_chains(self.LINES)):
             nbr, _ = neighbour_table(g)
             x = rng.normal(size=(model.d, g.n)) * 2
             for l in range(model.L):
@@ -398,7 +397,7 @@ class TestNeighbourTables:
     @pytest.mark.parametrize("d_thres", [2, 3, 4])
     def test_attention_matches_dense_on_chains(self, model, d_thres):
         rng = np.random.default_rng(d_thres)
-        for g in _nine_fold_chains(self.LINES, d_thres):
+        for g in _oracle_chains(self.LINES, d_thres):
             ctx = build_context(g, d_thres)
             x = rng.normal(size=(model.d, g.n))
             for l in range(model.L):
@@ -430,7 +429,7 @@ class TestNeighbourTables:
     @pytest.mark.parametrize("extra", [0, 3])
     def test_attention_ignores_pads(self, model, extra):
         rng = np.random.default_rng(extra)
-        for g in _nine_fold_chains(self.LINES[-3:]):
+        for g in _oracle_chains(self.LINES[-3:]):
             ctx = build_context(g, 3)
             assert ctx.pad.any()
             moved = self._repadded(ctx, rng, extra)
@@ -446,7 +445,7 @@ class TestNeighbourTables:
         rng = np.random.default_rng(6)
         args = (model["gin0.w1"], model["gin0.b1"],
                 model["gin0.w2"], model["gin0.b2"])
-        for g in _nine_fold_chains(self.LINES[-3:]):
+        for g in _oracle_chains(self.LINES[-3:]):
             nbr, _ = neighbour_table(g)
             wide = np.hstack([nbr, np.full((g.n, 2), g.n)])
             x = rng.normal(size=(model.d, g.n))

@@ -9,7 +9,8 @@ from polyseq.graphs import MolGraph, featurize, repeat_monomer
 from polyseq.nets import gin_layer
 from polyseq.verify import gin_deviation, lga_deviation, theorem1_suite
 
-SPECIAL = ["*C*", "*CC*", "*C12CC(C1)C2*", "*CNO*", "*C1CC2CCC1C2*"]
+SPECIAL = ["*C*", "*CC*", "*C12CC(C1)C2*", "*CNO*", "*C1CC2CCC1C2*",
+           "*C(*)O"]
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ class TestMessagePassingOracle:
         monkeypatch.setattr(verify, "gin_layer", layer)
         monomers = [parse(s) for s in corpus(6, seed=5) + SPECIAL]
         rep = theorem1_suite(monomers, model)
-        # the star and the 9-fold chain, each through model.L layers
+        # the star and its unroll, each through model.L layers
         assert calls == {"tables": 2 * len(monomers),
                          "layers": 2 * model.L * len(monomers)}
         assert [c.label for c in rep.cases] == ["L=1", "L=2", "L=3"]
@@ -90,3 +91,43 @@ class TestAttentionOracle:
         lga_deviation(model, parse("*CC*"), 1, 3, auto_repeat=auto_repeat)
         first = StarLinkGraph if auto_repeat else MolGraph
         assert seen[0] is first and issubclass(seen[1], MolGraph)
+
+
+class TestUnroll:
+    """The oracles' unroll is as short as the receptive field allows."""
+
+    def test_ends_lie_past_the_reach(self):
+        # on two more copies, the outermost ones sit more than reach hops
+        # from the middle copy: no atom past the unroll's ends is reachable
+        for s in corpus(30, seed=8) + SPECIAL:
+            star = star_link(parse(s))
+            n = star.monomer.n
+            for reach in range(1, 10):
+                chain, mid = verify._unroll(star, reach)
+                copies = chain.n // n
+                assert chain.n == copies * n and mid == copies // 2 * n
+                wider = repeat_monomer(star.monomer, copies + 2)
+                dist = [wider.bfs_distances(mid + n + i) for i in range(n)]
+                ends = [j for j in range(wider.n) if j < n or j >= wider.n - n]
+                assert min(d[j] for d in dist for j in ends) > reach, s
+                # one copy fewer on either side lets an end into the reach
+                if copies > 1:
+                    assert min(d[j] for d in dist
+                               for j in range(n, 2 * n)) <= reach, s
+
+    def test_one_copy_fewer_deviates(self, model, monkeypatch):
+        g = parse("*CNO*")
+        devs = [gin_deviation(model, g, 3)] + [
+            lga_deviation(model, g, 3, dt) for dt in (2, 3)]
+        assert max(devs) < 1e-9
+        unroll = verify._unroll
+
+        def shorter(star, reach):
+            chain, mid = unroll(star, reach)
+            n = star.monomer.n
+            return repeat_monomer(star.monomer, chain.n // n - 2), mid - n
+
+        monkeypatch.setattr(verify, "_unroll", shorter)
+        devs = [gin_deviation(model, g, 3)] + [
+            lga_deviation(model, g, 3, dt) for dt in (2, 3)]
+        assert min(devs) > verify.DISTINCT_FLOOR
