@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -238,11 +239,12 @@ def _run_lines(args) -> int:
 
 def _run_verify(args) -> int:
     rng = random.Random(args.seed)
+    # the weights do not depend on d_thres: one model serves every suite
+    model = None if args.suite == "lemma1" else _model_from(args)
     reports = []
     if args.suite in ("theorem1", "theorem2", "all"):
         monomers = [corpus_mod.random_monomer(rng)
                     for _ in range(args.count)]
-        model = _model_from(args)
         if args.suite in ("theorem1", "all"):
             reports.append(verify_mod.theorem1_suite(monomers, model,
                                                      tol=args.tolerance))
@@ -259,7 +261,8 @@ def _run_verify(args) -> int:
             # which a pair's isomorphic linked graphs share, so only the
             # backbone can tell the two units apart in the forward pass
             reports.append(verify_mod.twin_suite(
-                pairs, _model_from(args, d_thres=2), tol=args.tolerance))
+                pairs, dataclasses.replace(model, d_thres=2),
+                tol=args.tolerance))
     failed = False
     for rep in reports:
         for line in rep.lines():

@@ -81,6 +81,7 @@ class MolGraph:
         self.atoms = list(atoms)
         self.bonds = list(bonds)
         self._adj: dict[int, list[tuple[int, str]]] | None = None
+        self._dfs: tuple[int, DepthFirst] | None = None
         pairs = [b.pair() for b in bonds]
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate bond between the same atom pair")
@@ -165,7 +166,15 @@ class MolGraph:
         ``back`` (descendant, ancestor) pairs, in the order the search first
         meets them; and the ``bridges`` as (parent, child, order) tree bonds.
         The graph is connected iff ``end[first] == n``.
+
+        The last search is memoised with its ``first``, as ``adjacency()``
+        is, so neither the graph nor the lists returned may be mutated.
         """
+        if self._dfs is None or self._dfs[0] != first:
+            self._dfs = (first, self._depth_first(first))
+        return self._dfs[1]
+
+    def _depth_first(self, first: int) -> DepthFirst:
         adj = self.adjacency()
         n = self.n
         disc, low, end, parent = [-1] * n, [0] * n, [0] * n, [-1] * n

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DisconnectedError
@@ -297,29 +298,36 @@ def separating_bridges(g: MonomerGraph) -> list[tuple[int, int]]:
     translation of the same polymer: the chain bonds to ``*`` are single,
     so a double or aromatic bridge is never a cut point.
     """
-    return [edge for edge, _ in _head_sides(g)]
+    return [edge for edge, _ in _cut_bridges(g)]
+
+
+def _cut_bridges(g: MonomerGraph) -> list[tuple[tuple[int, int], int]]:
+    """Boundary-separating single-bond bridges, sorted, each with its child
+    in ``g.dfs(g.head)``.
+
+    A bridge (p, c) of that search separates head from tail iff tail lies
+    in c's subtree ``[disc[c], end[c])``, or, when head does not reach
+    tail, always.
+    """
+    search = g.dfs(g.head)
+    disc, end = search.disc, search.end
+    head_end, t = end[g.head], disc[g.tail]
+    return sorted(((min(p, c), max(p, c)), c) for p, c, bond in search.bridges
+                  if bond == "single"
+                  and (t >= head_end or disc[c] <= t < end[c]))
 
 
 def _head_sides(g: MonomerGraph) -> list[tuple[tuple[int, int], set[int]]]:
-    """Boundary-separating single-bond bridges, sorted, each with the atoms
-    on head's side.
-
-    In ``g.dfs(g.head)`` a bridge (p, c) separates head from tail iff tail
-    lies in c's subtree ``[disc[c], end[c])``, or, when head does not reach
-    tail, always.  Its head side is head's component less c's subtree.
-    """
+    """``_cut_bridges`` with, for each, the atoms on head's side: head's
+    component less the child's subtree."""
     search = g.dfs(g.head)
     pre, disc, end = search.order, search.disc, search.end
     head_end = end[g.head]
-    t = disc[g.tail]
     out = []
-    for p, c, bond in search.bridges:
-        if bond != "single" or (t < head_end and not disc[c] <= t < end[c]):
-            continue
+    for edge, c in _cut_bridges(g):
         side = set(pre[:min(disc[c], head_end)])
         side.update(pre[end[c]:head_end])
-        out.append(((min(p, c), max(p, c)), side))
-    out.sort(key=lambda item: item[0])
+        out.append((edge, side))
     return out
 
 
@@ -341,11 +349,16 @@ def primitive_reduce(g: MonomerGraph) -> MonomerGraph:
     g is k-periodic when boundary-separating bridges split off c*n/k atoms
     on the head side for every c < k, and the k segments between them, each
     from the atom entered to the atom left, are isomorphic with those two
-    atoms pinned; the first segment is then the unit.  Returns g itself
-    when no reduction applies, and raises DisconnectedError on a
-    disconnected monomer.
+    atoms pinned; the first segment is then the unit.  Each k, largest
+    first, meets the tests cheapest first: the bridge sizes; the segments'
+    atom multisets, read off g before any segment is built; the extraction's
+    own map, under which a segment laid out like the first (atoms, bonds,
+    entry and exit, each segment numbered in g's order) matches it atom for
+    atom; and only then the canonical labellings, the first segment's at
+    most once.  Returns g itself when no reduction applies, and raises
+    DisconnectedError on a disconnected monomer.
     """
-    if not g.is_connected():
+    if g.dfs(g.head).end[g.head] != g.n:
         raise DisconnectedError("monomer graph is not connected")
     n = g.n
     by_size = {len(side): (edge, side) for edge, side in _head_sides(g)}
@@ -353,17 +366,40 @@ def primitive_reduce(g: MonomerGraph) -> MonomerGraph:
         usize = n // k
         if n % k or any(c * usize not in by_size for c in range(1, k)):
             continue
-        segments, done, entry = [], set(), g.head
+        parts, done, entry = [], set(), g.head
         for c in range(1, k):
             (x, y), side = by_size[c * usize]
             leave, enter = (x, y) if x in side else (y, x)
-            segments.append(_extract(g, side - done, entry, leave))
+            parts.append((side - done, entry, leave))
             done, entry = side, enter
-        segments.append(_extract(g, set(range(n)) - done, entry, g.tail))
-        if all(monomer_isomorphic(s, segments[0], allow_swap=False)
-               for s in segments[1:]):
-            return segments[0]
+        parts.append((set(range(n)) - done, entry, g.tail))
+        atoms = Counter(g.atoms[i] for i in parts[0][0])
+        if any(Counter(g.atoms[i] for i in nodes) != atoms
+               for nodes, _, _ in parts[1:]):
+            continue
+        unit, *rest = [_extract(g, *part) for part in parts]
+        layout, cert = _layout(unit), None
+        for s in rest:
+            if _layout(s) == layout:
+                continue
+            if cert is None:
+                cert = _certificate(unit)
+            if _certificate(s) != cert:
+                break
+        else:
+            return unit
     return g
+
+
+def _layout(g: MonomerGraph) -> tuple:
+    """Atoms, bonds and boundary atoms by index: equal layouts make the
+    identity map a boundary-pinned isomorphism."""
+    return g.atoms, {(b.pair(), b.order) for b in g.bonds}, g.head, g.tail
+
+
+def _certificate(g: MonomerGraph) -> tuple:
+    """The canonical labelling's certificate with head and tail pinned."""
+    return canonical_labelling(g, _boundary_role(g))[0]
 
 
 def polymer_graph(g: MonomerGraph) -> MolGraph:

@@ -11,7 +11,7 @@ from polyseq.cli import build_parser, main
 from polyseq.corpus import default_twin_pairs
 from polyseq.nets import ReferenceModel
 from polyseq.psmiles import augment_rewrites
-from polyseq.verify import lemma1_suite
+from polyseq.verify import lemma1_suite, twin_suite
 from polyseq.wl import TwinPair
 
 
@@ -264,6 +264,25 @@ class TestVerify:
                    "--layers", "1", "--tolerance", "0"])
         assert rc == 3
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["all", "theorem3"])
+    def test_weights_generated_once(self, monkeypatch, capsys, suite):
+        # the twin suite reruns the theorem suites' weights at d_thres=2
+        want = twin_suite(default_twin_pairs(),
+                          ReferenceModel.generate(0, d=16, L=1, d_thres=2),
+                          tol=1e-9).lines()
+        calls = []
+        generate = ReferenceModel.generate.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return generate(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceModel, "generate", classmethod(counted))
+        assert main(["verify", suite, "--count", "2", "--dim", "16",
+                     "--layers", "1"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[-len(want):] == want
 
     def test_lemma1(self, capsys):
         rc = main(["verify", "lemma1"])

@@ -616,6 +616,35 @@ def _reduction(reduce, g):
     return unit is g, _monomer(unit)
 
 
+def _joined(*units):
+    """The units in a row, each one's tail bonded to the next one's head."""
+    atoms, bonds, tail = [], [], None
+    for u in units:
+        off = len(atoms)
+        atoms += u.atoms
+        bonds += [Bond(b.u + off, b.v + off, b.order) for b in u.bonds]
+        if tail is not None:
+            bonds.append(Bond(tail, off + u.head))
+        tail = off + u.tail
+    return MonomerGraph(atoms, bonds, units[0].head, tail)
+
+
+def _decoys(g):
+    """Chains of g and a unit of g's size that is not g with its boundary
+    pinned: each bridge-size test of a 2- or 3-fold repeat passes, but the
+    segments are another cut or orientation of g (the same atom keys,
+    other bonds) or g with one atom changed (other keys)."""
+    flipped = MonomerGraph(g.atoms, g.bonds, g.tail, g.head)
+    i = g.n // 2
+    atoms = list(g.atoms)
+    atoms[i] = Atom("N" if atoms[i].element != "N" else "O")
+    changed = MonomerGraph(atoms, g.bonds, g.head, g.tail)
+    others = translation_variants(g)[1:3] + [flipped, changed]
+    return ([_joined(g, o) for o in others]
+            + [_joined(g, g, o) for o in others]
+            + [_joined(g, o, g) for o in others])
+
+
 def _disconnected_monomers():
     atoms = [Atom("C")] * 5
     return [MonomerGraph(atoms, [Bond(0, 1), Bond(1, 2), Bond(3, 4)], 0, 4),
@@ -805,6 +834,52 @@ class TestHeadSides:
         assert all(g.bond_order(*edge) == "single" for edge, _ in sides)
 
 
+class TestReductionWork:
+    """``primitive_reduce`` labels only what the cheaper tests leave, and
+    ``polymer_graph`` searches an unreduced unit once."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        work = Counter()
+        labelling, search = wl.canonical_labelling, MolGraph._depth_first
+
+        def counted_labelling(*args, **kwargs):
+            work["labellings"] += 1
+            return labelling(*args, **kwargs)
+
+        def counted_search(self, first):
+            work["searches"] += 1
+            return search(self, first)
+
+        monkeypatch.setattr(wl, "canonical_labelling", counted_labelling)
+        monkeypatch.setattr(MolGraph, "_depth_first", counted_search)
+        return work
+
+    @pytest.mark.parametrize("units", [("*CCO*", "*CCN*"),
+                                       ("*CC(C)O*", "*CC(N)O*", "*CC(C)O*")])
+    def test_decoy_rejected_by_atom_keys(self, work, units):
+        g = _joined(*map(parse, units))
+        assert primitive_reduce(g) is g
+        assert work["labellings"] == 0
+
+    @pytest.mark.parametrize("line", ["*CCO*", "*CC(C)O*", "*c1ccc(*)cc1",
+                                      "*CC1(C2CCC3(CCC3)C2)CC1*"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_repeat_reduced_by_its_layout(self, work, line, k):
+        g = parse(line)
+        assert _monomer(primitive_reduce(repeat_monomer(g, k))) == _monomer(g)
+        assert work["labellings"] == 0
+
+    @pytest.mark.parametrize("line", ["*CCO*", "*CC(C)OC(=O)*",
+                                      "*c1ccc(*)cc1"])
+    def test_unreduced_unit_searched_once(self, work, line):
+        g = parse(line)
+        work.clear()
+        wl.polymer_graph(g)
+        assert primitive_reduce(g) is g
+        assert work["searches"] == 1
+
+
 class TestReferenceMonomerFunctions:
     def test_boundary_bridges(self):
         for g in _corpus_monomers() + tuple(_disconnected_monomers()):
@@ -818,7 +893,14 @@ class TestReferenceMonomerFunctions:
 
     def test_primitive_reduce(self):
         graphs = list(_corpus_monomers()[::3])
-        graphs += [repeat_monomer(g, k) for g in graphs[:40] for k in (2, 3)]
+        repeats = [repeat_monomer(g, k) for g in graphs[:40] for k in (2, 3)]
+        rng = random.Random(19)
+        # translations put the segments out of the layout the extraction's
+        # own map matches, and so do relabellings
+        graphs += repeats + [v for r in repeats[:16]
+                             for v in translation_variants(r)[1:]]
+        graphs += [relabel(r, rng.sample(range(r.n), r.n)) for r in repeats]
+        graphs += [d for g in graphs[:12] for d in _decoys(g)]
         for g in graphs:
             assert (_reduction(primitive_reduce, g)
                     == _reference(_reduction, _reference_primitive_reduce, g))
