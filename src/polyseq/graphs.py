@@ -122,25 +122,9 @@ class MolGraph:
     def has_bond(self, u: int, v: int) -> bool:
         return any(j == v for j, _ in self.adjacency()[u])
 
-    def n_components(self) -> int:
-        adj = self.adjacency()
-        seen = [False] * self.n
-        count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            count += 1
-            seen[start] = True
-            stack = [start]
-            while stack:
-                for v, _ in adj[stack.pop()]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-        return count
-
     def is_connected(self) -> bool:
-        return self.n > 0 and self.n_components() == 1
+        """One nonempty component: the memoised ``dfs(0)`` reaches all."""
+        return self.n > 0 and self.dfs(0).end[0] == self.n
 
     def bfs_distances(self, source: int) -> list[int]:
         dist = [-1] * self.n
@@ -165,7 +149,8 @@ class MolGraph:
         each atom's tree ``parent`` (-1 at a root); the non-tree bonds as
         ``back`` (descendant, ancestor) pairs, in the order the search first
         meets them; and the ``bridges`` as (parent, child, order) tree bonds.
-        The graph is connected iff ``end[first] == n``.
+        The graph is connected iff ``end[first] == n``, as ``is_connected``
+        and ``wl._cut_bridges`` read it.
 
         The last search is memoised with its ``first``, as ``adjacency()``
         is, so neither the graph nor the lists returned may be mutated.
@@ -267,8 +252,9 @@ class MolGraph:
         return rings
 
     def cyclomatic_number(self) -> int:
-        """Independent ring count: bonds - atoms + connected components."""
-        return len(self.bonds) - self.n + self.n_components()
+        """Independent ring count: bonds - atoms + connected components, the
+        roots of a depth-first search that is not memoised on the graph."""
+        return len(self.bonds) - self.n + self._depth_first(0).parent.count(-1)
 
 
 def _min_cycle_basis(atoms: list[int], edges: list[tuple[int, int]],

@@ -159,9 +159,7 @@ class ReferenceModel:
                                "seed": self.seed}
                               if self.seed is not None else None)},
             "weights": {
-                name: {"rows": (arr.shape[0] if arr.ndim == 2 else 1),
-                       "cols": (arr.shape[1] if arr.ndim == 2
-                                else arr.shape[0]),
+                name: {"shape": list(arr.shape),
                        "data": [repr(float(v)) for v in arr.ravel()]}
                 for name, arr in sorted(self.weights.items())
             },
@@ -174,12 +172,9 @@ class ReferenceModel:
         with open(path) as fh:
             doc = json.load(fh)
         meta = doc["meta"]
-        weights = {}
-        for name, spec in doc["weights"].items():
-            arr = np.array([float(v) for v in spec["data"]])
-            if spec["rows"] > 1:
-                arr = arr.reshape(spec["rows"], spec["cols"])
-            weights[name] = arr
+        weights = {name: np.array([float(v) for v in spec["data"]])
+                   .reshape(spec["shape"])
+                   for name, spec in doc["weights"].items()}
         seed = (meta.get("seed") or {}).get("seed")
         return cls(meta["d"], meta["L"], meta["d_thres"], meta["d_atom"],
                    weights, seed, dict(meta.get("spatial_groups") or {}))

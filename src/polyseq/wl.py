@@ -13,7 +13,8 @@ individualization-refinement over the same ordered partition, restarting
 ``_refine`` after each individualization from the split cell alone.  An
 infinite polymer is identified by its polymer graph: the primitive repeat
 unit closed by its link, with every bond where the chain can be cut
-subdivided by a ``*`` atom.
+subdivided by a ``*`` atom.  The cut points, and whether the unit is
+connected, are read off one depth-first search from head (``_cut_bridges``).
 """
 
 from __future__ import annotations
@@ -296,49 +297,38 @@ def separating_bridges(g: MonomerGraph) -> list[tuple[int, int]]:
 
     These are exactly the bonds of the infinite chain whose cut yields a
     translation of the same polymer: the chain bonds to ``*`` are single,
-    so a double or aromatic bridge is never a cut point.
+    so a double or aromatic bridge is never a cut point.  A disconnected
+    monomer raises DisconnectedError.
     """
-    return [edge for edge, _ in _cut_bridges(g)]
+    return [(min(p, c), max(p, c)) for p, c in _cut_bridges(g)]
 
 
-def _cut_bridges(g: MonomerGraph) -> list[tuple[tuple[int, int], int]]:
-    """Boundary-separating single-bond bridges, sorted, each with its child
-    in ``g.dfs(g.head)``.
-
-    A bridge (p, c) of that search separates head from tail iff tail lies
-    in c's subtree ``[disc[c], end[c])``, or, when head does not reach
-    tail, always.
+def _cut_bridges(g: MonomerGraph) -> list[tuple[int, int]]:
+    """Boundary-separating single-bond bridges as (parent, child) tree bonds
+    of ``g.dfs(g.head)``, sorted by atom pair: head is on the parent's side,
+    so one separates it from tail iff tail is in the child's subtree.
+    Raises DisconnectedError when head's tree misses an atom.
     """
     search = g.dfs(g.head)
     disc, end = search.disc, search.end
-    head_end, t = end[g.head], disc[g.tail]
-    return sorted(((min(p, c), max(p, c)), c) for p, c, bond in search.bridges
-                  if bond == "single"
-                  and (t >= head_end or disc[c] <= t < end[c]))
-
-
-def _head_sides(g: MonomerGraph) -> list[tuple[tuple[int, int], set[int]]]:
-    """``_cut_bridges`` with, for each, the atoms on head's side: head's
-    component less the child's subtree."""
-    search = g.dfs(g.head)
-    pre, disc, end = search.order, search.disc, search.end
-    head_end = end[g.head]
-    out = []
-    for edge, c in _cut_bridges(g):
-        side = set(pre[:min(disc[c], head_end)])
-        side.update(pre[end[c]:head_end])
-        out.append((edge, side))
-    return out
+    if end[g.head] != g.n:
+        raise DisconnectedError("monomer graph is not connected")
+    t = disc[g.tail]
+    return sorted(((p, c) for p, c, bond in search.bridges
+                   if bond == "single" and disc[c] <= t < end[c]), key=sorted)
 
 
 def translation_variants(g: MonomerGraph) -> list[MonomerGraph]:
-    """All monomers obtainable by re-cutting the chain of g's polymer."""
+    """All monomers obtainable by re-cutting the chain of g's polymer: g,
+    then per ``_cut_bridges`` bond (p, c) g cut there and closed, headed at
+    c and tailed at p.  Raises DisconnectedError on a disconnected g."""
     variants = [g]
-    for (x, y), head_side in _head_sides(g):
-        hx, ty = (x, y) if x in head_side else (y, x)
-        bonds = [b for b in g.bonds if b.pair() != (x, y)]
-        bonds.append(Bond(g.head, g.tail, "single"))
-        variants.append(MonomerGraph(g.atoms, bonds, ty, hx,
+    link = Bond(g.head, g.tail, "single")
+    for p, c in _cut_bridges(g):
+        cut = (min(p, c), max(p, c))
+        bonds = [b for b in g.bonds if b.pair() != cut]
+        bonds.append(link)
+        variants.append(MonomerGraph(g.atoms, bonds, c, p,
                                      g.stereo_discarded))
     return variants
 
@@ -349,30 +339,31 @@ def primitive_reduce(g: MonomerGraph) -> MonomerGraph:
     g is k-periodic when boundary-separating bridges split off c*n/k atoms
     on the head side for every c < k, and the k segments between them, each
     from the atom entered to the atom left, are isomorphic with those two
-    atoms pinned; the first segment is then the unit.  Each k, largest
-    first, meets the tests cheapest first: the bridge sizes; the segments'
-    atom multisets, read off g before any segment is built; the extraction's
-    own map, under which a segment laid out like the first (atoms, bonds,
-    entry and exit, each segment numbered in g's order) matches it atom for
-    atom; and only then the canonical labellings, the first segment's at
-    most once.  Returns g itself when no reduction applies, and raises
-    DisconnectedError on a disconnected monomer.
+    atoms pinned; the first segment is then the unit.  A cut bridge (p, c)
+    of ``g.dfs(g.head)`` leaves ``n - (end[c] - disc[c])`` atoms on head's
+    side, and a segment is one child's subtree less the next's.  Each k,
+    largest first, meets the tests cheapest first: the bridge sizes; the
+    segments' atom multisets, read off g before any segment is built; the
+    extraction's own map, under which a segment laid out like the first
+    (atoms, bonds, entry and exit, each segment numbered in g's order)
+    matches it atom for atom; and only then the canonical labellings, the
+    first segment's at most once.  Returns g itself when no reduction
+    applies, and raises DisconnectedError on a disconnected monomer.
     """
-    if g.dfs(g.head).end[g.head] != g.n:
-        raise DisconnectedError("monomer graph is not connected")
+    order, disc, end, *_ = g.dfs(g.head)
     n = g.n
-    by_size = {len(side): (edge, side) for edge, side in _head_sides(g)}
+    by_size = {n - (end[c] - disc[c]): (p, c) for p, c in _cut_bridges(g)}
     for k in range(n, 1, -1):
         usize = n // k
         if n % k or any(c * usize not in by_size for c in range(1, k)):
             continue
-        parts, done, entry = [], set(), g.head
+        parts, entry, lo, hi = [], g.head, 0, n
         for c in range(1, k):
-            (x, y), side = by_size[c * usize]
-            leave, enter = (x, y) if x in side else (y, x)
-            parts.append((side - done, entry, leave))
-            done, entry = side, enter
-        parts.append((set(range(n)) - done, entry, g.tail))
+            leave, enter = by_size[c * usize]
+            parts.append((set(order[lo:disc[enter]] + order[end[enter]:hi]),
+                          entry, leave))
+            entry, lo, hi = enter, disc[enter], end[enter]
+        parts.append((set(order[lo:hi]), entry, g.tail))
         atoms = Counter(g.atoms[i] for i in parts[0][0])
         if any(Counter(g.atoms[i] for i in nodes) != atoms
                for nodes, _, _ in parts[1:]):

@@ -189,6 +189,25 @@ class TestWeights:
         for k in model.weights:
             assert np.array_equal(loaded[k], model[k])
 
+    @pytest.mark.parametrize("d, groups", [(1, {"one": 1, "three": 3}),
+                                           (8, {"one": 1})])
+    def test_save_load_keeps_shapes(self, d, groups, tmp_path):
+        # a one-row (d = 1) or one-column (1-wide group) matrix loads with
+        # its own shape, so the loaded model runs
+        model = ReferenceModel.generate(seed=5, d=d, L=1,
+                                        spatial_groups=groups)
+        path = str(tmp_path / "model.json")
+        model.save(path)
+        loaded = ReferenceModel.load(path)
+        assert ({k: w.shape for k, w in loaded.weights.items()}
+                == {k: w.shape for k, w in model.weights.items()})
+        assert loaded.digest() == model.digest()
+        sd = SpatialDescriptors([(name, np.linspace(0.5, 1.5, dim))
+                                 for name, dim in groups.items()])
+        g = parse("*CC(C)OC(=O)*")
+        assert (forward_polymer(loaded, g, sd).yhat
+                == forward_polymer(model, g, sd).yhat)
+
     def test_missing_weight_raises(self, model):
         with pytest.raises(KeyError):
             model["attn9.wq"]

@@ -26,7 +26,7 @@ from polyseq.graphs import (
     star_link,
     strategy_transform,
 )
-from polyseq.psmiles import _atom_token, _bond_symbol
+from polyseq.psmiles import _atom_token, _bond_symbol, augment_rewrites
 from polyseq.wl import translation_variants
 
 
@@ -100,6 +100,21 @@ class TestParse:
         nh = g.atoms[3]
         assert nh.aromatic and nh.hcount == 1
 
+    @pytest.mark.parametrize("s", [
+        "*c1ccc(*)cc1", "*CC(=O)N*", "*CC(C)(C(=O)OC)*", "*CC%12CCCC%12*",
+        "*C%11CCC1CC%111*", "*C[N+](C)(C)C[13CH2]O[O-]*", "*[Si](Cl)(Br)O*",
+        "*c1cc[nH]c1*", "*C(*)C", "*C(=O)Oc1ccc(C(C)(C)c2ccc(O*)cc2)cc1",
+    ])
+    def test_output_is_connected(self, s):
+        # parse checks no connectivity: every atom bonds to the one before
+        # it or to its branch point, and the stars it drops are leaves
+        assert parse(s).is_connected()
+
+    def test_corpus_output_is_connected(self):
+        for line in corpus(300, seed=7):
+            for s in [line, *augment_rewrites(parse(line))]:
+                assert parse(s).is_connected(), s
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("bad", [
@@ -129,8 +144,9 @@ class TestParseErrors:
             parse(bad)
 
     def test_dot_rejected(self):
-        with pytest.raises(DisconnectedError):
-            parse("*CC*.O")
+        for s in ("*CC*.O", "*CC.CC*", "*C1.C1*", "*C(.C)C*"):
+            with pytest.raises(DisconnectedError):
+                parse(s)
 
     def test_star_needs_single_bond(self):
         with pytest.raises(ParseError):

@@ -30,9 +30,9 @@ from polyseq.cli import main
 from polyseq import corpus as corpus_mod
 from polyseq.corpus import corpus, ring_pair_seed
 from polyseq.graphs import relabel
-from polyseq.psmiles import canonical_form, random_augment
-from polyseq.wl import (_extract, _head_sides, initial_colors,
-                        separating_bridges, translation_variants)
+from polyseq.psmiles import augment_rewrites, canonical_form, random_augment
+from polyseq.wl import (_extract, initial_colors, separating_bridges,
+                        translation_variants)
 
 
 def cycle(elements):
@@ -240,11 +240,14 @@ class TestGoldenKeys:
 
 
 class TestBoundaryBridges:
-    def test_disconnected_monomer_counts_every_bridge(self):
+    def test_disconnected_monomer_raises(self):
+        # (3, 4) is a bridge, but no cut of it re-cuts the chain
         g = MonomerGraph([Atom("C")] * 5,
                          [Bond(0, 1), Bond(1, 2), Bond(3, 4)], 0, 4)
-        assert separating_bridges(g) == [(0, 1), (1, 2), (3, 4)]
-        assert len(translation_variants(g)) == 4
+        with pytest.raises(DisconnectedError):
+            separating_bridges(g)
+        with pytest.raises(DisconnectedError):
+            translation_variants(g)
 
     def test_head_equals_tail(self):
         g = MonomerGraph([Atom("C")] * 3, [Bond(0, 1), Bond(1, 2)], 1, 1)
@@ -411,15 +414,25 @@ def _reference_bridges(g):
     """The bonds whose deletion raises the component count, found without
     the depth-first search that ``MolGraph.bridges`` shares with the code
     under test."""
-    count = g.n_components()
+    count = _reference_components(g)
     return {b.pair() for i, b in enumerate(g.bonds)
-            if MolGraph(g.atoms, g.bonds[:i] + g.bonds[i + 1:]).n_components()
-            > count}
+            if _reference_components(
+                MolGraph(g.atoms, g.bonds[:i] + g.bonds[i + 1:])) > count}
+
+
+def _reference_components(g):
+    seen, count = set(), 0
+    for start in range(g.n):
+        if start not in seen:
+            count += 1
+            seen |= _reference_component_without(g, None, start)
+    return count
 
 
 def _reference_head_sides(g):
-    """``wl._head_sides`` as it was: the bridges on one BFS-tree path from
-    head to tail, then one DFS per bridge for its head side."""
+    """Each cut bridge with the atoms on head's side, found as ``wl`` once
+    did: the bridges on one BFS-tree path from head to tail, then one DFS
+    per bridge for its head side."""
     bridges = _reference_bridges(g).intersection(
         b.pair() for b in g.bonds if b.order == "single")
     parent = {g.head: g.head}
@@ -808,35 +821,45 @@ class TestBridges:
             assert g.bridges() == _reference_bridges(g)
 
 
+def _assert_head_sides(g):
+    """Each re-cut of g is tailed at its bridge's end on head's side and
+    headed at the other end, on the reference's per-bridge head sides."""
+    sides = _reference_head_sides(g)
+    variants = translation_variants(g)[1:]
+    assert len(variants) == len(sides)
+    for v, ((x, y), side) in zip(variants, sides):
+        assert (v.tail, v.head) == ((x, y) if x in side else (y, x))
+
+
 class TestHeadSides:
-    """The one-DFS head sides equal the per-bridge search they replace."""
+    """Translations re-cut at the head sides of the per-bridge search."""
 
     def test_corpus_and_translations(self):
         for line in corpus(600, seed=7):
             for g in translation_variants(parse(line)):
-                assert _head_sides(g) == _reference_head_sides(g)
+                _assert_head_sides(g)
 
-    def test_disconnected_and_head_equals_tail(self):
+    def test_head_equals_tail(self):
         loop = MonomerGraph([Atom("C")] * 4, [Bond(0, 1), Bond(1, 2),
                                               Bond(2, 0), Bond(0, 3)], 3, 3)
         chain = MonomerGraph([Atom("C")] * 3, [Bond(0, 1), Bond(1, 2)], 1, 1)
-        for g in _disconnected_monomers() + [loop, chain]:
-            assert _head_sides(g) == _reference_head_sides(g)
-        assert _head_sides(loop) == _head_sides(chain) == []
+        for g in (loop, chain):
+            _assert_head_sides(g)
+            assert translation_variants(g) == [g]
 
     @pytest.mark.parametrize("line", ["*CC=C(C)C*", "*C(C)=CC*", "*CC=CC*",
                                       "*C=CC#CC*", "*CC=CC(=O)O*",
                                       "*C1CC1C=CC*"])
     def test_double_bond_bridges_are_not_cut(self, line):
         g = parse(line)
-        sides = _head_sides(g)
-        assert sides == _reference_head_sides(g)
-        assert all(g.bond_order(*edge) == "single" for edge, _ in sides)
+        _assert_head_sides(g)
+        assert all(g.bond_order(*edge) == "single"
+                   for edge in separating_bridges(g))
 
 
 class TestReductionWork:
-    """``primitive_reduce`` labels only what the cheaper tests leave, and
-    ``polymer_graph`` searches an unreduced unit once."""
+    """``primitive_reduce`` labels only what the cheaper tests leave, and an
+    unreduced unit takes one search from string to polymer graph."""
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -871,10 +894,10 @@ class TestReductionWork:
         assert work["labellings"] == 0
 
     @pytest.mark.parametrize("line", ["*CCO*", "*CC(C)OC(=O)*",
-                                      "*c1ccc(*)cc1"])
+                                      "*c1ccc(*)cc1", "CC(*)CO*"])
     def test_unreduced_unit_searched_once(self, work, line):
+        # from string to polymer graph: parse searches nothing
         g = parse(line)
-        work.clear()
         wl.polymer_graph(g)
         assert primitive_reduce(g) is g
         assert work["searches"] == 1
@@ -882,7 +905,7 @@ class TestReductionWork:
 
 class TestReferenceMonomerFunctions:
     def test_boundary_bridges(self):
-        for g in _corpus_monomers() + tuple(_disconnected_monomers()):
+        for g in _corpus_monomers():
             assert separating_bridges(g) == _reference_separating_bridges(g)
             assert ([_monomer(v) for v in translation_variants(g)]
                     == [_monomer(v)
@@ -908,11 +931,14 @@ class TestReferenceMonomerFunctions:
     def test_disconnected_monomer_is_rejected(self):
         # the reference returns two of these unreduced and raises KeyError
         # on the third, whose head side of bridge (1, 2) is the lone head
+        rng = random.Random(3)
         for g in _disconnected_monomers():
-            with pytest.raises(DisconnectedError):
-                primitive_reduce(g)
-            with pytest.raises(DisconnectedError):
-                canonical_form(g)
+            for fn in (primitive_reduce, canonical_form, separating_bridges,
+                       translation_variants, augment_rewrites,
+                       lambda m: random_augment(m, rng),
+                       lambda m: polymer_equal(m, m)):
+                with pytest.raises(DisconnectedError):
+                    fn(g)
 
     def test_canonical_form(self):
         # the same partition: the reference collides only outside this corpus
