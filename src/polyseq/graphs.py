@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DisconnectedError
 
-BOND_ORDERS = ("single", "double", "triple", "aromatic")
 BOND_VALENCE = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
 
 # Written bare (outside brackets); anything else needs bracket notation.
@@ -127,13 +126,14 @@ class MolGraph:
         return self.n > 0 and self.dfs(0).end[0] == self.n
 
     def bfs_distances(self, source: int) -> list[int]:
+        adj = self.adjacency()
         dist = [-1] * self.n
         dist[source] = 0
         queue = [source]
         while queue:
             nxt = []
             for u in queue:
-                for v in self.neighbors(u):
+                for v, _ in adj[u]:
                     if dist[v] < 0:
                         dist[v] = dist[u] + 1
                         nxt.append(v)
@@ -149,8 +149,9 @@ class MolGraph:
         each atom's tree ``parent`` (-1 at a root); the non-tree bonds as
         ``back`` (descendant, ancestor) pairs, in the order the search first
         meets them; and the ``bridges`` as (parent, child, order) tree bonds.
-        The graph is connected iff ``end[first] == n``, as ``is_connected``
-        and ``wl._cut_bridges`` read it.
+        The graph is connected iff ``end[first] == n``, as ``is_connected``,
+        ``wl._cut_bridges`` and ``psmiles.write`` read it; ``bridges()`` and
+        ``sssr`` read the bridges, and ``wl.primitive_reduce`` the subtrees.
 
         The last search is memoised with its ``first``, as ``adjacency()``
         is, so neither the graph nor the lists returned may be mutated.
@@ -174,24 +175,27 @@ class MolGraph:
             stack = [(root, "", iter(adj[root]))]
             while stack:
                 u, bond, nbrs = stack[-1]
+                du, pu = disc[u], parent[u]
                 for v, o in nbrs:
-                    if disc[v] < 0:
+                    dv = disc[v]
+                    if dv < 0:
                         parent[v] = u
                         disc[v] = low[v] = len(order)
                         order.append(v)
                         stack.append((v, o, iter(adj[v])))
                         break
-                    if disc[v] < disc[u] and v != parent[u]:
+                    if dv < du and v != pu:
                         back.append((u, v))
-                        low[u] = min(low[u], disc[v])
+                        if dv < low[u]:
+                            low[u] = dv
                 else:
                     stack.pop()
                     end[u] = len(order)
-                    p = parent[u]
-                    if p >= 0:
-                        low[p] = min(low[p], low[u])
-                        if low[u] > disc[p]:
-                            bridges.append((p, u, bond))
+                    if pu >= 0:
+                        if low[u] < low[pu]:
+                            low[pu] = low[u]
+                        if low[u] > disc[pu]:
+                            bridges.append((pu, u, bond))
         return DepthFirst(order, disc, end, parent, back, bridges)
 
     def bridges(self) -> set[tuple[int, int]]:
@@ -211,44 +215,40 @@ class MolGraph:
     def sssr(self) -> list[set[int]]:
         """Smallest set of smallest rings: a minimum cycle basis, as atom sets.
 
-        Pendant trees are peeled off down to the 2-core.  A core component
-        with as many bonds as atoms is one ring; any other component takes
-        Horton's candidate cycles (Horton 1987), shortest first, keeping each
-        one that is GF(2)-independent of those kept before it (Kavitha et
-        al. 2009, "Cycle bases in graphs").
+        Every ring lies in one 2-edge-connected block, read off the memoised
+        ``dfs(0)``: walking its preorder, a tree bond that is not a bridge
+        puts the child in its parent's block.  A block with as many bonds as
+        atoms is one ring; any other block takes Horton's candidate cycles
+        (Horton 1987), shortest first, keeping each one that is
+        GF(2)-independent of those kept before it (Kavitha et al. 2009,
+        "Cycle bases in graphs").
         """
         adj = self.adjacency()
-        degree = [len(adj[i]) for i in range(self.n)]
-        in_core = [True] * self.n
-        stack = [i for i in range(self.n) if degree[i] < 2]
-        while stack:
-            u = stack.pop()
-            if not in_core[u]:
-                continue
-            in_core[u] = False
-            for v, _ in adj[u]:
-                if in_core[v]:
-                    degree[v] -= 1
-                    if degree[v] == 1:
-                        stack.append(v)
+        search = self.dfs(0)
+        below_bridge = {c for _, c, _ in search.bridges}
+        block = [0] * self.n
+        for v in search.order:
+            p = search.parent[v]
+            block[v] = v if p < 0 or v in below_bridge else block[p]
         rings: list[set[int]] = []
-        seen = [not c for c in in_core]
+        seen = [False] * self.n
         for start in range(self.n):
             if seen[start]:
                 continue
             seen[start] = True
+            b = block[start]
             atoms = [start]
             for u in atoms:
                 for v, _ in adj[u]:
-                    if not seen[v]:
+                    if block[v] == b and not seen[v]:
                         seen[v] = True
                         atoms.append(v)
             edges = [(u, v) for u in atoms for v, _ in adj[u]
-                     if u < v and in_core[v]]
+                     if u < v and block[v] == b]
             if len(edges) == len(atoms):
                 rings.append(set(atoms))
-            else:
-                rings.extend(_min_cycle_basis(atoms, edges, adj, in_core))
+            elif edges:
+                rings.extend(_min_cycle_basis(atoms, edges, adj, block))
         return rings
 
     def cyclomatic_number(self) -> int:
@@ -259,14 +259,17 @@ class MolGraph:
 
 def _min_cycle_basis(atoms: list[int], edges: list[tuple[int, int]],
                      adj: dict[int, list[tuple[int, str]]],
-                     in_core: list[bool]) -> list[set[int]]:
-    """Minimum cycle basis of one connected component of the 2-core.
+                     block: list[int]) -> list[set[int]]:
+    """Minimum cycle basis of one 2-edge-connected block of ``block``
+    labels, its ``atoms`` in BFS order from the lowest, ``edges`` in turn.
 
     A cycle is an int whose bit k marks ``edges[k]``.  The candidates are
-    Horton's: for every root r, its BFS tree, and every bond uw whose ends
-    hang in different subtrees of r, the tree path u..r..w closed by uw.
+    Horton's: for every root r, its BFS tree inside the block, and every
+    bond uw whose ends hang in different subtrees of r, the tree path
+    u..r..w closed by uw.
     """
     index = {e: k for k, e in enumerate(edges)}
+    b = block[atoms[0]]
     candidates: set[int] = set()
     for root in atoms:
         path = {root: 0}  # atom -> bonds of its tree path to the root
@@ -274,7 +277,7 @@ def _min_cycle_basis(atoms: list[int], edges: list[tuple[int, int]],
         order = [root]
         for u in order:
             for v, _ in adj[u]:
-                if in_core[v] and v not in path:
+                if block[v] == b and v not in path:
                     path[v] = path[u] | 1 << index[min(u, v), max(u, v)]
                     branch[v] = v if u == root else branch[u]
                     order.append(v)
@@ -383,27 +386,21 @@ def star_link(g: MonomerGraph) -> StarLinkGraph:
     return StarLinkGraph(m, Bond(m.head, m.tail, "single"), auto_repeat_k=k)
 
 
-def shortest_boundary_path(g: MonomerGraph) -> list[int]:
-    """Lexicographically smallest shortest head-to-tail path (atom indices)."""
-    dist = g.bfs_distances(g.tail)
-    if dist[g.head] < 0:
-        raise DisconnectedError("boundary atoms not connected")
-    path = [g.head]
-    u = g.head
-    while u != g.tail:
-        u = min(v for v in g.neighbors(u) if dist[v] == dist[u] - 1)
-        path.append(u)
-    return path
-
-
 def detect_backbone(g: MonomerGraph) -> list[bool]:
-    """Backbone mask: boundary shortest-path atoms plus rings touching them.
+    """Backbone mask: every atom on a shortest boundary path, plus the
+    rings touching one.
 
-    The path is computed inside the monomer (the linking edge never counts),
-    and every SSSR ring of the monomer sharing at least one atom with the
+    Atom v is on a shortest head-to-tail path iff d(head, v) + d(v, tail)
+    == d(head, tail), read off two BFS distance arrays inside the monomer
+    (the linking edge never counts), so no tie is broken by atom index.
+    Every SSSR ring of the monomer sharing at least one atom with such a
     path is absorbed into the backbone.
     """
-    path = set(shortest_boundary_path(g))
+    from_head, from_tail = g.bfs_distances(g.head), g.bfs_distances(g.tail)
+    d = from_head[g.tail]
+    if d < 0:
+        raise DisconnectedError("boundary atoms not connected")
+    path = {v for v in range(g.n) if from_head[v] + from_tail[v] == d}
     marked = set(path)
     for ring in g.sssr():
         if ring & path:

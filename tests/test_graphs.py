@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,14 +24,13 @@ from polyseq import (
     star_link,
     strategy_transform,
 )
-from polyseq import nets
+from polyseq import graphs, nets
 from polyseq.corpus import RING_FIXTURE, corpus, ring_pair_seed
 from polyseq.graphs import (
     dump_star_graph,
     feature_dim,
     implicit_hydrogens,
     relabel,
-    shortest_boundary_path,
 )
 from polyseq.verify import gin_deviation, lga_deviation
 
@@ -44,6 +44,7 @@ RING_SYSTEMS = {
     "bicyclo[2.2.2]octane": "*C12CCC(*)(CC1)CC2",
     "bicyclo[1.1.1]pentane": "*C12CC(*)(C1)C2",
     "cubane": "*C12C3C4C1C5C2C3C45*",
+    "spiro[2.3]hexane": "*C1CC(C12CC2)*",
 }
 # Adamantane cage on the backbone: 4 six-rings, any 3 of which form a
 # minimum cycle basis, so which rings the path touches depends on numbering.
@@ -444,7 +445,10 @@ class TestMinimumCycleBasis:
         return [set(c) for c in nx.minimum_cycle_basis(h)]
 
     def nx_backbone(self, nx, g):
-        path = set(shortest_boundary_path(g))
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(b.pair() for b in g.bonds)
+        path = {v for p in nx.all_shortest_paths(h, g.head, g.tail) for v in p}
         marked = set(path)
         for ring in self.nx_rings(nx, g):
             if ring & path:
@@ -494,6 +498,45 @@ class TestMinimumCycleBasis:
                   MolGraph([], [])):
             self.compare(nx, g)
         assert tri_and_atom.sssr() == [{0, 1, 2}]
+
+
+class TestRingWork:
+    """``sssr`` reads its blocks off the memoised search: rings joined by a
+    bridge skip Horton's candidates, and one search serves the string's
+    whole way to a backbone."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        work = Counter()
+        basis, search = graphs._min_cycle_basis, MolGraph._depth_first
+
+        def counted_basis(*args):
+            work["bases"] += 1
+            return basis(*args)
+
+        def counted_search(self, first):
+            work["searches"] += 1
+            return search(self, first)
+
+        monkeypatch.setattr(graphs, "_min_cycle_basis", counted_basis)
+        monkeypatch.setattr(MolGraph, "_depth_first", counted_search)
+        return work
+
+    @pytest.mark.parametrize("g, bases", [
+        (lambda: parse("*C1CCC(CC1)C1CCC(*)CC1"), 0),
+        (lambda: repeat_monomer(parse("*CC1CCCC1*"), 2), 0),
+        (lambda: ring_pair_seed(5, 6), 0),
+        (lambda: parse("*CC1CCC2(CC1)CCCC2*"), 1),
+    ], ids=["bridged rings", "doubled ring unit", "ring pair", "spiro"])
+    def test_horton_only_on_blocks_with_several_rings(self, work, g, bases):
+        g = g()
+        assert len(g.sssr()) == 2
+        assert work["bases"] == bases
+
+    def test_one_search_from_string_to_backbone(self, work):
+        star = star_link(parse("*CC1CCC2(CC1)CCCC2*"))
+        assert star.auto_repeat_k == 1 and all(star.backbone)
+        assert work["searches"] == 1
 
 
 def backbone_violations(s, n_perms, seed=0):
