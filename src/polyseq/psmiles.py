@@ -5,19 +5,23 @@ mark the polymerization endpoints of the repeat unit.  Parsing produces a
 :class:`~polyseq.graphs.MonomerGraph` whose ``head``/``tail`` are the real
 atoms the stars were bonded to; the stars themselves are dropped.
 
-Supported syntax: organic-subset atoms, aromatic lowercase atoms, bracket
-atoms with isotope, chirality (recorded as discarded), explicit hydrogen
-count, charge, and atom class, ring-bond digits and two-digit ``%nn``,
-branches, and the bond symbols ``- = # : / \\``.  Directional bonds and
-chirality marks are accepted but not modeled; the parse flags
-``stereo_discarded`` instead.
-Dot-separated components are rejected because a repeat unit must be one
-connected fragment.
+Supported syntax, as in OpenSMILES: organic-subset atoms, aromatic
+lowercase atoms, bracket atoms ``[isotope symbol chirality Hcount charge
+:class]``, ring-bond digits and two-digit ``%nn``, branches, and the bond
+symbols ``- = # : / \\``.  Chirality is ``@``, ``@@`` or a class
+``@TH1``-``2``, ``@AL1``-``2``, ``@SP1``-``3``, ``@TB1``-``20`` or
+``@OH1``-``30``; a bracket atom has exactly its written H count (0 when
+none is written).  Directional bonds and chirality marks are accepted but
+not modeled; the parse flags ``stereo_discarded`` instead.
+A ring bond between two atoms that are already bonded is rejected, and so
+are dot-separated components, because a repeat unit must be one connected
+fragment.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from .errors import DisconnectedError, LexError, ParseError
 from .graphs import (
@@ -36,98 +40,35 @@ from .wl import canonical_key, polymer_graph, translation_variants
 AROMATIC_ORGANIC = ("b", "c", "n", "o", "p", "s")
 _BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
                "/": "single", "\\": "single"}
+# Atoms written without brackets; Atom is frozen, so every parse shares them.
+_BARE_ATOMS = {"*": Atom("*"),
+               **{s: Atom(s) for s in ORGANIC_SUBSET},
+               **{s: Atom(s.upper(), True) for s in AROMATIC_ORGANIC}}
 
 
-class _Cursor:
-    __slots__ = ("s", "i")
+def _either(symbols) -> str:
+    """Regex alternation of literal symbols, longest first (Cl before C)."""
+    return "|".join(map(re.escape, sorted(symbols, key=len, reverse=True)))
 
-    def __init__(self, s: str):
-        self.s = s
-        self.i = 0
 
-    def peek(self) -> str:
-        return self.s[self.i] if self.i < len(self.s) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.i += 1
-        return ch
-
-    def digits(self) -> str:
-        start = self.i
-        while self.peek().isascii() and self.peek().isdigit():
-            self.i += 1
-        return self.s[start:self.i]
+# One alternative per token kind, matched at each position.  Digits are
+# [0-9], never \d, which also takes other scripts' digits such as '²'.
+_TOKEN = re.compile(
+    rf"(?P<atom>{_either(_BARE_ATOMS)})"
+    r"|(?P<bond>[-=#:/\\])"
+    r"|(?P<ring>[0-9]|%[0-9]{2})"
+    r"|(?P<branch>[()])"
+    r"|(?P<bracket>\[(?P<isotope>[0-9]*)(?P<symbol>\*|[A-Z][a-z]?|"
+    rf"{_either(e.lower() for e in AROMATIC_CAPABLE)})"
+    r"(?P<chirality>@(?:@|TH[12]|AL[12]|SP[123]|TB(?:1[0-9]|20|[1-9])"
+    r"|OH(?:[12][0-9]|30|[1-9]))?)?"
+    r"(?:H(?P<hcount>[0-9]*))?"
+    r"(?P<charge>[+-][0-9]+|\++|-+)?"
+    r"(?::(?P<class>[0-9]+))?\])")
 
 
 def _default_order(a: Atom, b: Atom) -> str:
     return "aromatic" if (a.aromatic and b.aromatic) else "single"
-
-
-def _bracket_atom(cur: _Cursor) -> tuple[Atom, bool]:
-    pos = cur.i
-    cur.take()  # '['
-    iso = cur.digits()
-    isotope = int(iso) if iso else None
-
-    ch = cur.peek()
-    stereo = False
-    if ch == "*":
-        cur.take()
-        element, aromatic = "*", False
-    elif ch.isupper():
-        # in brackets a lowercase letter after an uppercase one always
-        # belongs to the element symbol (H counts are uppercase)
-        sym = cur.take()
-        if cur.peek().islower():
-            sym += cur.take()
-        element, aromatic = sym, False
-    elif ch.islower():
-        sym = cur.take()
-        if sym + cur.peek() in ("se", "as"):
-            sym += cur.take()
-        element = sym.capitalize()
-        if element not in AROMATIC_CAPABLE:
-            raise ParseError(f"atom {sym!r} cannot be aromatic (col {pos})")
-        aromatic = True
-    else:
-        raise ParseError(f"expected element symbol at col {cur.i}")
-
-    while cur.peek() == "@":
-        cur.take()
-        stereo = True
-    if stereo and cur.peek() in ("T", "A", "S", "O"):  # @TH1, @AL2, ...
-        while cur.peek().isalnum():
-            cur.take()
-
-    hcount = 0  # OpenSMILES: a bracket atom has exactly its written H count
-    if cur.peek() == "H":
-        cur.take()
-        d = cur.digits()
-        hcount = int(d) if d else 1
-
-    charge = 0
-    if cur.peek() in ("+", "-"):
-        sign = 1 if cur.take() == "+" else -1
-        d = cur.digits()
-        if d:
-            charge = sign * int(d)
-        else:
-            charge = sign
-            while cur.peek() in ("+", "-"):
-                if (cur.peek() == "+") != (sign > 0):
-                    raise ParseError(f"mixed charge signs at col {cur.i}")
-                cur.take()
-                charge += sign
-
-    if cur.peek() == ":":
-        cur.take()
-        if not cur.digits():
-            raise ParseError(f"expected atom class digits at col {cur.i}")
-
-    if cur.take() != "]":
-        raise ParseError(f"unterminated bracket atom at col {pos}")
-    return Atom(element, aromatic, charge, hcount, isotope), stereo
 
 
 def parse(s: str) -> MonomerGraph:
@@ -135,7 +76,6 @@ def parse(s: str) -> MonomerGraph:
     text = s.strip()
     if not text:
         raise ParseError("empty input")
-    cur = _Cursor(text)
     atoms: list[Atom] = []
     bonds: list[Bond] = []
     prev: int | None = None
@@ -167,70 +107,59 @@ def parse(s: str) -> MonomerGraph:
             if o1 is not None and pending is not None and o1 != pending:
                 raise ParseError(f"conflicting orders for ring bond {num}")
             order = o1 or pending or _default_order(atoms[other], atoms[prev])
-            bonds.append(Bond(other, prev, order))
+            bond = Bond(other, prev, order)
+            if any(b.pair() == bond.pair() for b in bonds):
+                raise ParseError(f"ring bond {num} joins atoms already bonded")
+            bonds.append(bond)
         else:
             ring_open[num] = (prev, pending)
         pending = None
 
-    while True:
-        ch = cur.peek()
-        if not ch:
-            break
-        if ch in _BOND_CHARS:
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            ch = text[pos]
+            if ch == ".":
+                raise DisconnectedError("dot-separated components are not a "
+                                        "single repeat unit")
+            if ch == "[":
+                raise ParseError(f"malformed bracket atom at col {pos}")
+            if ch == "%":
+                raise ParseError(f"'%' needs two digits at col {pos + 1}")
+            raise LexError(f"illegal character {ch!r} at col {pos}")
+        kind, tok = m.lastgroup, m[0]
+        if kind == "atom":
+            add_atom(_BARE_ATOMS[tok])
+        elif kind == "bond":
             if pending is not None:
-                raise ParseError(f"doubled bond symbol at col {cur.i}")
-            if ch in "/\\":
-                stereo = True
-            pending = _BOND_CHARS[ch]
-            cur.take()
-        elif ch == "(":
+                raise ParseError(f"doubled bond symbol at col {pos}")
+            stereo = stereo or tok in "/\\"
+            pending = _BOND_CHARS[tok]
+        elif kind == "ring":
+            close_ring(int(tok.lstrip("%")))
+        elif tok == "(":
             if prev is None:
                 raise ParseError("branch opened before any atom")
             if pending is not None:
-                raise ParseError(f"bond symbol before '(' at col {cur.i}")
+                raise ParseError(f"bond symbol before '(' at col {pos}")
             stack.append(prev)
-            cur.take()
-        elif ch == ")":
+        elif tok == ")":
             if not stack:
-                raise ParseError(f"unmatched ')' at col {cur.i}")
+                raise ParseError(f"unmatched ')' at col {pos}")
             if pending is not None:
-                raise ParseError(f"dangling bond symbol at col {cur.i}")
+                raise ParseError(f"dangling bond symbol at col {pos}")
             prev = stack.pop()
-            cur.take()
-        elif ch == ".":
-            raise DisconnectedError("dot-separated components are not a "
-                                    "single repeat unit")
-        elif ch.isascii() and ch.isdigit():
-            close_ring(int(cur.take()))
-        elif ch == "%":  # exactly two digits: %111 is ring 11, then 1
-            d = text[cur.i + 1:cur.i + 3]
-            if len(d) < 2 or not (d.isascii() and d.isdigit()):
-                raise ParseError(f"'%' needs two digits at col {cur.i + 1}")
-            cur.i += 3
-            close_ring(int(d))
-        elif ch == "[":
-            atom, st = _bracket_atom(cur)
-            stereo = stereo or st
-            add_atom(atom)
-        elif ch == "*":
-            cur.take()
-            add_atom(Atom("*"))
-        elif ch.isupper():
-            sym = cur.take()
-            if sym + cur.peek() in ("Cl", "Br"):
-                sym += cur.take()
-            if sym not in ORGANIC_SUBSET:
-                raise LexError(f"atom {sym!r} needs bracket notation "
-                               f"(col {cur.i - len(sym)})")
-            add_atom(Atom(sym))
-        elif ch.islower():
-            sym = cur.take()
-            if sym not in AROMATIC_ORGANIC:
-                raise LexError(f"unknown aromatic atom {sym!r} at col "
-                               f"{cur.i - 1}")
-            add_atom(Atom(sym.upper(), aromatic=True))
         else:
-            raise LexError(f"illegal character {ch!r} at col {cur.i}")
+            sym, h, q = m["symbol"], m["hcount"], m["charge"] or ""
+            stereo = stereo or m["chirality"] is not None
+            add_atom(Atom(
+                sym.capitalize(), sym.islower(),  # "se" is aromatic Se
+                # "-2" by number, "--" by repetition
+                int(q) if q[1:].isdigit() else q.count("+") - q.count("-"),
+                0 if h is None else int(h or 1),  # OpenSMILES: default 0
+                int(m["isotope"]) if m["isotope"] else None))
+        pos = m.end()
 
     if pending is not None:
         raise ParseError("trailing bond symbol")

@@ -8,6 +8,7 @@ from polyseq import (
     DisconnectedError,
     LexError,
     ParseError,
+    PolyseqError,
     canonical_form,
     monomer_isomorphic,
     parse,
@@ -91,6 +92,17 @@ class TestParse:
         assert parse("*N[C@H](C)C(=O)O*").stereo_discarded
         assert not parse("*CC*").stereo_discarded
 
+    @pytest.mark.parametrize("s, hcount, charge", [
+        ("*C[C@TH1H](O)C*", 1, 0), ("*C[C@OH12H+]C*", 1, 1),
+        ("*C[C@SP1H2]C*", 2, 0), ("*C[C@AL2H]=C=CC*", 1, 0),
+        ("*C[C@TB20H3-2]C*", 3, -2), ("*C[C@OH30H]C*", 1, 0),
+    ])
+    def test_chirality_class_keeps_h_count(self, s, hcount, charge):
+        # the class takes its letters and number only, not the H count
+        g = parse(s)
+        assert (g.atoms[1].hcount, g.atoms[1].charge) == (hcount, charge)
+        assert g.stereo_discarded
+
     def test_shared_boundary_atom(self):
         g = parse("*C(*)C")
         assert g.head == g.tail == 0
@@ -128,6 +140,8 @@ class TestParseErrors:
         "", "*C(C*", "*CC)*", "*C1CC*", "*C==C*", "*CC*C", "*", "**",
         "*C(*)(*)C", "*C[C*", "*C11C*", "=*CC*", "*C(-)C*",
         "*C%1CC1*", "*C%*", "*CC%", "*C%a1CC1*", "*C%\u00b21CC1*",
+        "*CC1C1*", "*C12C12*", "*C(C1)1C*", "*C[C@@@H]C*", "*C[C@TH3]C*",
+        "*C[C@TB21]C*", "*C[C@T]C*", "*C[\u00c9]C*",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
@@ -155,6 +169,26 @@ class TestParseErrors:
     def test_conflicting_ring_orders(self):
         with pytest.raises(ParseError):
             parse("*C=1CCCC-1*")
+
+
+# Single characters and whole tokens of the P-SMILES grammar.
+TOKENS = [*"CcNnOoSsPpBbFI*()[]=#-:/\\123%0+@H.", "Cl", "Br", "[nH]",
+          "[C@@H]", "[C@TH1H]", "[13C]", "[O-]", "[NH3+]", "%12", "[Si]",
+          "[*]"]
+
+
+class TestParseContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=14)
+           .map("".join))
+    def test_graph_or_polyseq_error(self, s):
+        # framed in stars, about one draw in ten parses
+        for text in (s, f"*{s}*"):
+            try:
+                g = parse(text)
+            except PolyseqError:
+                continue
+            assert monomer_isomorphic(parse(write(g)), g, allow_swap=False)
 
 
 class TestWrite:
