@@ -81,6 +81,7 @@ class MolGraph:
         self.bonds = list(bonds)
         self._adj: dict[int, list[tuple[int, str]]] | None = None
         self._dfs: tuple[int, DepthFirst] | None = None
+        self._connected: bool | None = None
         pairs = [b.pair() for b in bonds]
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate bond between the same atom pair")
@@ -122,8 +123,14 @@ class MolGraph:
         return any(j == v for j, _ in self.adjacency()[u])
 
     def is_connected(self) -> bool:
-        """One nonempty component: the memoised ``dfs(0)`` reaches all."""
-        return self.n > 0 and self.dfs(0).end[0] == self.n
+        """One nonempty component: the memoised ``dfs(0)`` reaches all.
+
+        The answer is memoised too, and ``repeat_monomer`` hands its unit's
+        on, so an unroll of a searched unit is never searched itself.
+        """
+        if self._connected is None:
+            self._connected = self.n > 0 and self.dfs(0).end[0] == self.n
+        return self._connected
 
     def bfs_distances(self, source: int) -> list[int]:
         adj = self.adjacency()
@@ -366,8 +373,11 @@ def repeat_monomer(g: MonomerGraph, k: int) -> MonomerGraph:
         bonds.extend(Bond(b.u + off, b.v + off, b.order) for b in g.bonds)
         if c > 0:
             bonds.append(Bond((c - 1) * n + g.tail, off + g.head, "single"))
-    return MonomerGraph(atoms, bonds, g.head, (k - 1) * n + g.tail,
-                        g.stereo_discarded)
+    out = MonomerGraph(atoms, bonds, g.head, (k - 1) * n + g.tail,
+                       g.stereo_discarded)
+    # connected iff the unit is, since copies meet only at tail-head bonds
+    out._connected = g._connected
+    return out
 
 
 def star_link(g: MonomerGraph) -> StarLinkGraph:

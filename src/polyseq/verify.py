@@ -10,6 +10,13 @@ graph's mark).  The unroll (``_unroll``) repeats the linked unit enough
 times on either side of its middle copy that no atom past a chain end lies
 within the layers' receptive field, so exact agreement is implied by the
 locality of the layers; the oracles check it numerically.
+
+Each oracle call runs its two sides as one disjoint union, the linked side
+first and the chain after it: one neighbour table or attention context,
+features tiled once, each layer run once over the concatenated columns,
+and the deviation read off the two column blocks.  Outputs may differ from
+separate passes in the last bits (a wider row or matrix regroups sums),
+never in what the oracles decide.
 """
 
 from __future__ import annotations
@@ -72,31 +79,37 @@ def _unroll(star: StarLinkGraph, reach: int) -> tuple[MonomerGraph, int]:
     return repeat_monomer(star.monomer, 2 * r + 1), r * star.monomer.n
 
 
-def _features(model: ReferenceModel, star, chain) -> tuple:
-    """Input features of the linked unit, and the same tiled along the
-    chain, whose atom j is a copy of unit atom j mod n."""
+def _features(model: ReferenceModel, star, chain) -> np.ndarray:
+    """Input features of the linked unit followed by the same tiled along
+    the chain, whose atom j is a copy of unit atom j mod n: the columns of
+    the union [linked side, chain]."""
     x = model["input_proj"] @ featurize(star.as_graph())
-    return x, np.tile(x, (1, chain.n // x.shape[1]))
+    return np.tile(x, (1, 1 + chain.n // x.shape[1]))
+
+
+def _gap(x: np.ndarray, n: int, mid: int) -> float:
+    """Max per-entry gap between the union's linked side, its first n
+    columns, and the chain's middle copy, whose first atom ``mid`` sits
+    in column n + mid."""
+    return float(np.abs(x[:, n + mid:2 * n + mid] - x[:, :n]).max())
 
 
 def _gin_deviations(model: ReferenceModel, g: MonomerGraph,
                     depth: int) -> list[float]:
     """Max per-entry gap between linked-graph and middle-of-unroll outputs
     after each of the first ``depth`` message-passing layers, on the
-    unroll whose middle copy is more than ``depth`` hops from either end."""
+    unroll whose middle copy is more than ``depth`` hops from either end.
+    Both sides run as one union, so each layer runs once."""
     star = star_link(g)
     n = star.monomer.n
     chain, mid = _unroll(star, depth)
-    x_s, x_u = _features(model, star, chain)
-    nbr_s, _ = neighbour_table(star.as_graph())
-    nbr_u, _ = neighbour_table(chain)
+    nbr, _ = neighbour_table([star.as_graph(), chain])
+    x = _features(model, star, chain)
     out = []
     for l in range(depth):
-        args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
-                model[f"gin{l}.w2"], model[f"gin{l}.b2"])
-        x_s = gin_layer(nbr_s, x_s, *args)
-        x_u = gin_layer(nbr_u, x_u, *args)
-        out.append(float(np.abs(x_u[:, mid:mid + n] - x_s).max()))
+        x = gin_layer(nbr, x, model[f"gin{l}.w1"], model[f"gin{l}.b1"],
+                      model[f"gin{l}.w2"], model[f"gin{l}.b2"])
+        out.append(_gap(x, n, mid))
     return out
 
 
@@ -114,22 +127,21 @@ def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
     periodic context ``build_context(star_link(g), d_thres)``.  Each layer
     reaches ``d_thres - 1`` hops, so the chain unrolls the linked unit far
     enough that L layers cannot carry the chain ends into the middle copy.
-    With ``auto_repeat=False`` the linked side is the plain cyclic context
-    of the linked graph instead, whose paths may wrap round the unit when
-    its boundary distance is at most ``2*d_thres - 1``; that is the
-    negative control: the cyclic distances then disagree with the chain
-    distances inside the mask.
+    Both sides share one context, that of the union [linked side, chain],
+    so each layer runs once.  With ``auto_repeat=False`` the linked side
+    is the plain cyclic context of the linked graph instead, whose paths
+    may wrap round the unit when its boundary distance is at most
+    ``2*d_thres - 1``; that is the negative control: the cyclic distances
+    then disagree with the chain distances inside the mask.
     """
     star = star_link(g)
-    ctx_s = build_context(star if auto_repeat else star.as_graph(), d_thres)
     chain, mid = _unroll(star, L * (d_thres - 1))
-    ctx_u = build_context(chain, d_thres)
-    x_s, x_u = _features(model, star, chain)
+    ctx = build_context([star if auto_repeat else star.as_graph(), chain],
+                        d_thres)
+    x = _features(model, star, chain)
     for l in range(L):
-        w = layer_weights(model, f"attn{l}")
-        x_s = local_attention_layer(ctx_s, x_s, w)
-        x_u = local_attention_layer(ctx_u, x_u, w)
-    return float(np.abs(x_u[:, mid:mid + star.monomer.n] - x_s).max())
+        x = local_attention_layer(ctx, x, layer_weights(model, f"attn{l}"))
+    return _gap(x, star.monomer.n, mid)
 
 
 def theorem1_suite(monomers: list[MonomerGraph], model: ReferenceModel,

@@ -19,7 +19,7 @@ from polyseq import (
 )
 from polyseq import verify
 from polyseq.cli import main
-from polyseq.context import EDGE_CODES, edge_code
+from polyseq.context import EDGE_CODES, edge_code, neighbour_table
 from polyseq.corpus import corpus
 from polyseq.graphs import Atom, Bond, MolGraph, relabel
 from polyseq.nets import ReferenceModel
@@ -304,6 +304,90 @@ class TestFolding:
         dropped.pad[0, 4] = True
         _assert_table(dropped, periodic=True)
         assert not fold_equivalent(dropped, un_ctx, 4, 4)
+
+
+def _assert_union(members, d_thres):
+    """Member i's rows of the union context are its own context's, every
+    key offset by the atoms of the members before it; only the pad width
+    may grow."""
+    union = build_context(members, d_thres)
+    start = 0
+    for g in members:
+        own = build_context(g, d_thres)
+        rows, width = slice(start, start + own.n), own.pad.shape[1]
+        assert union.pad.shape[1] >= width and union.pad[rows, width:].all()
+        assert np.array_equal(union.pad[rows, :width], own.pad)
+        for name, shift in (("key", start), ("dist", 0), ("image", 0),
+                            ("path_counts", 0)):
+            got = getattr(union, name)[rows, :width]
+            assert got.tobytes() == (getattr(own, name) + shift).tobytes()
+        start += own.n
+    assert union.n == start and union.d_thres == d_thres
+    return union
+
+
+class TestUnion:
+    """build_context and neighbour_table over a sequence of graphs describe
+    their disjoint union."""
+
+    @pytest.mark.parametrize("d_thres", [1, 2, 3, 4])
+    def test_mixed_members(self, d_thres):
+        # periodic units, plain and cyclic graphs and an open chain, with
+        # rows of unequal width
+        a, b = star_link(parse("*CC(C)OC(=O)*")), star_link(parse("*CNO*"))
+        members = [a, parse("*C1CC2CCC1C2*"), b.as_graph(), star_link(
+            parse("*C*")), repeat_monomer(b.monomer, 5), b,
+            MolGraph([Atom("C")], [])]
+        _assert_table(_assert_union(members, d_thres), periodic=True)
+        plain = [g for g in members if isinstance(g, MolGraph)]
+        _assert_table(_assert_union(plain, d_thres))
+
+    @pytest.mark.parametrize("d_thres", [1, 2, 3, 4])
+    def test_oracle_unions(self, d_thres):
+        # the unions the attention oracle builds, the negative control's
+        # narrower cyclic rows among them
+        for s in corpus(300, seed=15) + ["*CNO*", "*C*", "*CC*"]:
+            star = star_link(parse(s))
+            chain, _ = verify._unroll(star, 3 * (d_thres - 1))
+            _assert_union([star, chain], d_thres)
+            _assert_union([star.as_graph(), chain], d_thres)
+
+    @pytest.mark.parametrize("d_thres", [1, 2, 3, 4])
+    def test_one_graph_is_the_union_of_one(self, d_thres):
+        for s in corpus(20, seed=15) + ["*C*"]:
+            star = star_link(parse(s))
+            for g in (star, star.as_graph(), parse(s)):
+                a, b = build_context(g, d_thres), build_context([g], d_thres)
+                for name in ("key", "dist", "image", "path_counts", "pad"):
+                    assert (getattr(a, name).tobytes()
+                            == getattr(b, name).tobytes())
+                assert a.n == b.n
+
+    def test_neighbour_tables(self):
+        # stacked member tables, keys offset and pads re-pointed one past
+        # the union's last atom
+        members = [star_link(parse(s)).as_graph() for s in corpus(8, seed=3)]
+        members += [repeat_monomer(parse("*C1CC2CCC1C2*"), 3),
+                    MolGraph([Atom("C")], [])]
+        nbr, code = neighbour_table(members)
+        n = sum(g.n for g in members)
+        start = 0
+        for g in members:
+            own_nbr, own_code = neighbour_table(g)
+            rows, width = slice(start, start + g.n), own_nbr.shape[1]
+            assert np.array_equal(nbr[rows, :width], np.where(
+                own_nbr == g.n, n, own_nbr + start))
+            assert np.array_equal(code[rows, :width], own_code)
+            assert (nbr[rows, width:] == n).all()
+            assert not code[rows, width:].any()
+            start += g.n
+        assert nbr.shape[0] == n
+
+    def test_every_member_must_be_connected(self):
+        with pytest.raises(DisconnectedError):
+            build_context([parse("*CC*"), MolGraph([Atom("C")] * 2, [])], 2)
+        with pytest.raises(DisconnectedError):
+            build_context([], 2)
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,22 +21,25 @@ def model():
 
 
 def _reference_gin_deviation(model, g, L):
-    """One (2L+3)-fold chain per depth L, features tiled with np.tile."""
+    """One pass over the linked graph and the oracle's chain side by side:
+    their own neighbour tables stacked, the chain's shifted past the linked
+    graph's atoms, with every pad re-pointed one past the last column."""
     star = star_link(g)
     n = star.monomer.n
-    k = 2 * L + 3
-    chain = repeat_monomer(star.monomer, k)
-    x_s = model["input_proj"] @ featurize(star.as_graph())
-    x_u = np.tile(x_s, (1, k))
+    chain, mid = verify._unroll(star, L)
+    x = model["input_proj"] @ featurize(star.as_graph())
+    x = np.tile(x, (1, 1 + chain.n // n))
     nbr_s, _ = neighbour_table(star.as_graph())
     nbr_u, _ = neighbour_table(chain)
+    width = max(nbr_s.shape[1], nbr_u.shape[1])
+    nbr = np.full((n + chain.n, width), n + chain.n)
+    nbr[:n, :nbr_s.shape[1]] = np.where(nbr_s == n, n + chain.n, nbr_s)
+    nbr[n:, :nbr_u.shape[1]] = nbr_u + n
     for l in range(L):
         args = (model[f"gin{l}.w1"], model[f"gin{l}.b1"],
                 model[f"gin{l}.w2"], model[f"gin{l}.b2"])
-        x_s = gin_layer(nbr_s, x_s, *args)
-        x_u = gin_layer(nbr_u, x_u, *args)
-    mid = (k // 2) * n
-    return float(np.abs(x_u[:, mid:mid + n] - x_s).max())
+        x = gin_layer(nbr, x, *args)
+    return float(np.abs(x[:, n + mid:2 * n + mid] - x[:, :n]).max())
 
 
 class TestMessagePassingOracle:
@@ -59,9 +64,9 @@ class TestMessagePassingOracle:
         monkeypatch.setattr(verify, "gin_layer", layer)
         monomers = [parse(s) for s in corpus(6, seed=5) + SPECIAL]
         rep = theorem1_suite(monomers, model)
-        # the star and its unroll, each through model.L layers
-        assert calls == {"tables": 2 * len(monomers),
-                         "layers": 2 * model.L * len(monomers)}
+        # the star and its unroll as one union, through model.L layers
+        assert calls == {"tables": len(monomers),
+                         "layers": model.L * len(monomers)}
         assert [c.label for c in rep.cases] == ["L=1", "L=2", "L=3"]
         assert rep.passed and rep.max_dev < 1e-12
 
@@ -79,18 +84,93 @@ class TestAttentionOracle:
     @pytest.mark.parametrize("auto_repeat", [True, False])
     def test_context_kinds(self, model, monkeypatch, auto_repeat):
         # the linked side is the forward pass's periodic context, or with
-        # auto_repeat=False the cyclic context of the linked graph
+        # auto_repeat=False the cyclic context of the linked graph, and
+        # the chain follows it in one union
         seen = []
 
-        def recorded(g, d_thres):
-            seen.append(type(g))
-            return build(g, d_thres)
+        def recorded(graphs, d_thres):
+            seen.append([type(g) for g in graphs])
+            return build(graphs, d_thres)
 
         build = verify.build_context
         monkeypatch.setattr(verify, "build_context", recorded)
         lga_deviation(model, parse("*CC*"), 1, 3, auto_repeat=auto_repeat)
         first = StarLinkGraph if auto_repeat else MolGraph
-        assert seen[0] is first and issubclass(seen[1], MolGraph)
+        assert len(seen) == 1 and len(seen[0]) == 2
+        assert seen[0][0] is first and issubclass(seen[0][1], MolGraph)
+
+
+class TestOnePass:
+    """Each oracle call builds one table or context for the union [linked
+    side, chain] and runs each layer once over it."""
+
+    LINES = corpus(12, seed=6) + SPECIAL
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("build_context", "neighbour_table", "gin_layer",
+                     "local_attention_layer"):
+            monkeypatch.setattr(verify, name,
+                                counted(name, getattr(verify, name)))
+        return calls
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_gin_deviation(self, model, calls, L):
+        for s in self.LINES:
+            calls.clear()
+            assert gin_deviation(model, parse(s), L) < 1e-12, s
+            assert calls == {"neighbour_table": 1, "gin_layer": L}, s
+
+    @pytest.mark.parametrize("d_thres", [2, 3, 4])
+    def test_lga_deviation(self, model, calls, d_thres):
+        for s in self.LINES:
+            calls.clear()
+            assert lga_deviation(model, parse(s), model.L, d_thres) < 1e-12
+            assert calls == {"build_context": 1,
+                             "local_attention_layer": model.L}, s
+
+    def test_negative_control(self, model, calls):
+        # the cyclic side's rows are narrower than the chain's
+        neg = lga_deviation(model, parse("*CNO*"), model.L, 3,
+                            auto_repeat=False)
+        assert neg > verify.DISTINCT_FLOOR
+        assert calls == {"build_context": 1,
+                         "local_attention_layer": model.L}
+
+    def test_no_search_on_the_chain(self, model, monkeypatch):
+        # the chain is an unroll of a connected unit, so it is connected
+        # without a search of its own
+        searched = []
+        search = MolGraph._depth_first
+
+        def counted(self, first):
+            searched.append(self)
+            return search(self, first)
+
+        chains = []
+        unroll = verify._unroll
+
+        def recorded(star, reach):
+            chains.append(unroll(star, reach))
+            return chains[-1]
+
+        monkeypatch.setattr(MolGraph, "_depth_first", counted)
+        monkeypatch.setattr(verify, "_unroll", recorded)
+        for s in self.LINES:
+            g = parse(s)
+            del searched[:], chains[:]
+            lga_deviation(model, g, model.L, 3)
+            gin_deviation(model, g, model.L)
+            assert len(chains) == 2 and searched, s
+            assert not [h for h in searched for c, _ in chains if h is c], s
 
 
 class TestUnroll:
