@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -309,7 +309,14 @@ def _min_cycle_basis(atoms: list[int], edges: list[tuple[int, int]],
 
 
 class MonomerGraph(MolGraph):
-    """Repeat-unit graph with the two polymerization boundary atoms."""
+    """Repeat-unit graph with the two polymerization boundary atoms.
+
+    What ``star_link`` derives from the unit is memoised on it, as ``dfs``
+    is: its auto-repeated copy, and a linked unit's graph, backbone,
+    features and unrolls (see :class:`StarLinkGraph`).  The memo starts as
+    None and holds nothing that refers back to the unit, so a unit is
+    freed by reference counting alone.
+    """
 
     def __init__(self, atoms, bonds, head: int, tail: int,
                  stereo_discarded: bool = False):
@@ -319,9 +326,21 @@ class MonomerGraph(MolGraph):
         self.head = head
         self.tail = tail
         self.stereo_discarded = stereo_discarded
+        self._derived: dict | None = None
 
     def boundary_distance(self) -> int:
         return self.bfs_distances(self.head)[self.tail]
+
+    def _memo(self, key, build):
+        """``build()``, built on the first call with ``key``: k for
+        ``repeat_monomer(self, k)``, ``"backbone"``, and a link bond and
+        ``("features", link)`` for the graph it closes and its features."""
+        memo = self._derived
+        if memo is None:
+            memo = self._derived = {}
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
 
 @dataclass
@@ -335,27 +354,38 @@ class StarLinkGraph:
     ``as_graph`` is the cyclic graph of the unit; ``build_context`` reads the
     unit as the periodic graph of the infinite chain instead, where the link
     bonds the tail to the next copy's head.
+
+    What the star derives (``as_graph``, ``backbone``, ``features`` and
+    ``unroll(k)``) is built on first read and memoised on ``monomer``, so
+    every ``star_link`` of one unit shares it; none of it may be mutated.
     """
 
     monomer: MonomerGraph
     link: Bond
     auto_repeat_k: int = 1
-    _graph: MolGraph | None = field(default=None, repr=False)
-    _backbone: list[bool] | None = field(default=None, repr=False,
-                                         compare=False)
 
     def as_graph(self) -> MolGraph:
-        if self._graph is None:
-            self._graph = MolGraph(self.monomer.atoms,
-                                   self.monomer.bonds + [self.link])
-        return self._graph
+        m, link = self.monomer, self.link
+        return m._memo(link, lambda: MolGraph(m.atoms, m.bonds + [link]))
 
     @property
     def backbone(self) -> list[bool]:
-        """``detect_backbone`` of the linked monomer, found on first read."""
-        if self._backbone is None:
-            self._backbone = detect_backbone(self.monomer)
-        return self._backbone
+        """``detect_backbone`` of the linked monomer."""
+        return self.monomer._memo("backbone",
+                                  lambda: detect_backbone(self.monomer))
+
+    @property
+    def features(self) -> np.ndarray:
+        """``featurize(as_graph())``, read-only."""
+        def build():
+            x = featurize(self.as_graph())
+            x.flags.writeable = False
+            return x
+        return self.monomer._memo(("features", self.link), build)
+
+    def unroll(self, k: int) -> MonomerGraph:
+        """``repeat_monomer(monomer, k)``, the k-fold open chain."""
+        return self.monomer._memo(k, lambda: repeat_monomer(self.monomer, k))
 
 
 def repeat_monomer(g: MonomerGraph, k: int) -> MonomerGraph:
@@ -392,7 +422,7 @@ def star_link(g: MonomerGraph) -> StarLinkGraph:
     if not g.is_connected():
         raise DisconnectedError("monomer graph is not connected")
     k = 3 if g.head == g.tail else 2 if g.has_bond(g.head, g.tail) else 1
-    m = g if k == 1 else repeat_monomer(g, k)
+    m = g if k == 1 else g._memo(k, lambda: repeat_monomer(g, k))
     return StarLinkGraph(m, Bond(m.head, m.tail, "single"), auto_repeat_k=k)
 
 

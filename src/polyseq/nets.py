@@ -345,15 +345,15 @@ def forward_polymer(model: ReferenceModel, g: MonomerGraph,
     """
     if strategy == "link":
         star = star_link(g)
-        graph = star.as_graph()
-        mask = star.backbone
+        features, mask = star.features, star.backbone
         ctx = build_context(star, model.d_thres)
     else:
         graph = strategy_transform(g, strategy)
+        features = featurize(graph)
         mask = detect_backbone(g) + [False] * (graph.n - g.n)
         ctx = build_context(graph, model.d_thres)
 
-    x = model["input_proj"] @ featurize(graph)
+    x = model["input_proj"] @ features
     if use_backbone:
         x = apply_backbone_embedding(x, mask, model["backbone"])
     for l in range(model.L):

@@ -17,6 +17,11 @@ features tiled once, each layer run once over the concatenated columns,
 and the deviation read off the two column blocks.  Outputs may differ from
 separate passes in the last bits (a wider row or matrix regroups sums),
 never in what the oracles decide.
+
+The linked unit, its features and its unrolls come from the memo of
+``star_link(g)`` on the unit (``StarLinkGraph.features`` and
+``StarLinkGraph.unroll``), so the oracle calls on one monomer link,
+featurize and unroll it once, each unroll once per copy count.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import build_context, neighbour_table
-from .graphs import (MonomerGraph, StarLinkGraph, featurize,
-                     repeat_monomer, star_link)
+from .graphs import MonomerGraph, StarLinkGraph, star_link
 from .nets import (ReferenceModel, forward_polymer, gin_layer, layer_weights,
                    local_attention_layer)
 from .wl import TwinPair, wl_refine
@@ -76,14 +80,14 @@ def _unroll(star: StarLinkGraph, reach: int) -> tuple[MonomerGraph, int]:
     so the first atom past either end is at least r*(d_b + 1) + 1 > reach
     hops from the middle copy."""
     r = -(-reach // (star.monomer.boundary_distance() + 1))
-    return repeat_monomer(star.monomer, 2 * r + 1), r * star.monomer.n
+    return star.unroll(2 * r + 1), r * star.monomer.n
 
 
 def _features(model: ReferenceModel, star, chain) -> np.ndarray:
     """Input features of the linked unit followed by the same tiled along
     the chain, whose atom j is a copy of unit atom j mod n: the columns of
     the union [linked side, chain]."""
-    x = model["input_proj"] @ featurize(star.as_graph())
+    x = model["input_proj"] @ star.features
     return np.tile(x, (1, 1 + chain.n // x.shape[1]))
 
 

@@ -119,6 +119,46 @@ class TestStarLink:
                                                                 m.bonds)
             assert (star.monomer.head, star.monomer.tail) == (m.head, m.tail)
 
+    @pytest.mark.parametrize("read", ["as_graph", "backbone", "features"])
+    def test_equal_after_derived_reads(self, read):
+        # what a star derives is memoised on its unit, not on the star, so
+        # reading it on either side or both leaves two links of one unit
+        # equal
+        get = {"as_graph": lambda st: st.as_graph(),
+               "backbone": lambda st: st.backbone,
+               "features": lambda st: st.features}[read]
+        for s in ("*CONO*", "*CC*", "*C*", "*C(*)O", "*C1CC(*)C1"):
+            g = parse(s)
+            for sides in ((0,), (1,), (0, 1)):
+                pair = [star_link(g), star_link(g)]
+                for i in sides:
+                    get(pair[i])
+                assert pair[0] == pair[1], (s, sides)
+
+    def test_links_of_one_unit_share_what_they_derive(self):
+        for s in ("*CONO*", "*CC*", "*C*", "*C(*)O"):
+            g = parse(s)
+            a, b = star_link(g), star_link(g)
+            assert a.monomer is b.monomer
+            assert a.as_graph() is b.as_graph()
+            assert a.backbone is b.backbone
+            assert a.features is b.features
+            assert a.unroll(5) is b.unroll(5)
+            want = repeat_monomer(a.monomer, 5)
+            assert ((a.unroll(5).atoms, a.unroll(5).bonds, a.unroll(5).head,
+                     a.unroll(5).tail)
+                    == (want.atoms, want.bonds, want.head, want.tail))
+
+    def test_features_are_read_only(self):
+        star = star_link(parse("*CC(C)O*"))
+        x = star.features
+        assert np.array_equal(x, featurize(star.as_graph()))
+        with pytest.raises(ValueError):
+            x[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            x += 1.0
+        assert np.array_equal(star_link(parse("*CC(C)O*")).features, x)
+
 
 class TestBackbone:
     def test_star_backbone_found_on_first_read(self, monkeypatch):

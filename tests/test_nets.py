@@ -391,6 +391,19 @@ class TestPeriodicForward:
                 assert calls["repeat_monomer"] == 0, s
             calls["repeat_monomer"] = 0
 
+    def test_second_call_keeps_the_bits(self, model):
+        # the second call reads the unit's memoised features and backbone
+        for s in self.LINES[:60] + ["*C*", "*CC*", "*C(*)O"]:
+            g = parse(s)
+            for use_backbone in (True, False):
+                first = forward_polymer(model, g, use_backbone=use_backbone)
+                again = forward_polymer(model, g, use_backbone=use_backbone)
+                fresh = forward_polymer(model, parse(s),
+                                        use_backbone=use_backbone)
+                assert first.yhat == again.yhat == fresh.yhat, s
+                assert np.array_equal(first.xts, again.xts), s
+                assert np.array_equal(first.xts, fresh.xts), s
+
 
 class TestNeighbourTables:
     """The padded tables match the loops they replaced, and pads are

@@ -1,14 +1,15 @@
+import gc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from polyseq import ReferenceModel, StarLinkGraph, parse, star_link
-from polyseq import verify
+from polyseq import graphs, verify
 from polyseq.context import neighbour_table
 from polyseq.corpus import corpus
 from polyseq.graphs import MolGraph, featurize, repeat_monomer
-from polyseq.nets import gin_layer
+from polyseq.nets import forward_polymer, gin_layer
 from polyseq.verify import gin_deviation, lga_deviation, theorem1_suite
 
 SPECIAL = ["*C*", "*CC*", "*C12CC(C1)C2*", "*CNO*", "*C1CC2CCC1C2*",
@@ -171,6 +172,64 @@ class TestOnePass:
             gin_deviation(model, g, model.L)
             assert len(chains) == 2 and searched, s
             assert not [h for h in searched for c, _ in chains if h is c], s
+
+
+class TestSharedUnit:
+    """The five oracle calls of a benchmark item on one monomer link,
+    featurize and unroll it once: what the star derives is memoised on
+    the unit."""
+
+    LINES = corpus(12, seed=6) + SPECIAL
+
+    @staticmethod
+    def item(model, g):
+        return ([gin_deviation(model, g, L) for L in (1, 2, 3)]
+                + [lga_deviation(model, g, 3, dt) for dt in (2, 3)])
+
+    def test_builds_each_once(self, model, monkeypatch):
+        built = {"featurize": [], "repeat_monomer": []}
+        for name, log in built.items():
+            def counted(*args, _orig=getattr(graphs, name), _log=log):
+                _log.append(args)
+                return _orig(*args)
+
+            monkeypatch.setattr(graphs, name, counted)
+        for s in self.LINES:
+            g = parse(s)
+            for log in built.values():
+                log.clear()
+            devs = self.item(model, g)
+            star = star_link(g)
+            assert len(built["featurize"]) == 1, s
+            # one unroll per copy count: gin reaches L = 1..3 hops,
+            # attention 3 * (d_thres - 1)
+            d_b = star.monomer.boundary_distance()
+            copies = {2 * -(-reach // (d_b + 1)) + 1 for reach in (1, 2, 3, 6)}
+            repeats = built["repeat_monomer"]
+            unrolls = sorted(k for u, k in repeats if u is star.monomer)
+            assert unrolls == sorted(copies), s
+            # and star_link repeats a unit whose ends coincide or bond once
+            auto = [(u, k) for u, k in repeats if u is not star.monomer]
+            k = star.auto_repeat_k
+            assert auto == ([(g, k)] if k > 1 else []), s
+            # the memo changes no bit, fresh or hit
+            assert self.item(model, g) == devs, s
+            assert self.item(model, parse(s)) == devs, s
+
+    def test_memo_leaves_no_cycles(self, model):
+        # the memo refers to nothing that refers back to the unit, so the
+        # forward pass and the oracles leave nothing for the collector
+        lines = corpus(100, seed=7) + ["*C*", "*CC*", "*C(*)O"]
+        gc.collect()
+        gc.disable()
+        try:
+            for s in lines:
+                g = parse(s)
+                forward_polymer(model, g)
+                self.item(model, g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestUnroll:
