@@ -320,6 +320,69 @@ class TestFeatures:
         g = parse("*C[NH+]C[O-]*")
         assert [implicit_hydrogens(g, i) for i in (1, 3)] == [1, 0]
 
+    @pytest.mark.parametrize("s", [
+        "*C[Fe-3]C*",                 # charge below -2
+        "*C[Fe+4]C*",                 # charge above 2
+        "*C[NH5]C*",                  # H count above 4
+        "*[Mo](F)(F)(F)(F)(F)(F)C*",  # degree above 6
+        "*C[Si](C)(C)C*",             # element outside the vocabulary
+        "*c1cc(*)[se]c1",             # aromatic, outside the vocabulary
+        "*[13CH2]C([2H])[18O]*",      # isotopes
+        "*CC(=O)O[N+](C)(C)C*",
+    ])
+    def test_matches_reference(self, s):
+        g = parse(s)
+        for graph in [star_link(g).as_graph(),
+                      *(strategy_transform(g, strategy)
+                        for strategy in ("keep", "remove", "substitute"))]:
+            x = featurize(graph)
+            assert x.tobytes() == feature_reference(graph).tobytes(), s
+            for start, stop in FEATURE_ONE_HOTS:
+                assert (x[start:stop].sum(axis=0) == 1.0).all(), s
+
+
+# The feature column, written out: element one-hot (12 symbols, then other),
+# degree 0-6, charge -2..2, aromatic, in ring, implicit H 0-4.
+REFERENCE_ELEMENTS = ["B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I",
+                      "H", "*"]
+FEATURE_ONE_HOTS = [(0, 13), (13, 20), (20, 25), (27, 32)]
+
+
+def feature_reference(g):
+    """featurize, one atom at a time from the bond list: a ring atom has a
+    bond whose removal leaves its ends connected."""
+    def connected_without(bond):
+        rest = [b for b in g.bonds if b is not bond]
+        seen, todo = {bond.u}, [bond.u]
+        while todo:
+            a = todo.pop()
+            for b in rest:
+                for p, q in ((b.u, b.v), (b.v, b.u)):
+                    if p == a and q not in seen:
+                        seen.add(q)
+                        todo.append(q)
+        return bond.v in seen
+
+    x = np.zeros((32, g.n))
+    for i, atom in enumerate(g.atoms):
+        mine = [b for b in g.bonds if i in (b.u, b.v)]
+        element = (REFERENCE_ELEMENTS.index(atom.element)
+                   if atom.element in REFERENCE_ELEMENTS else 12)
+        x[element, i] = 1.0
+        x[13 + min(len(mine), 6), i] = 1.0
+        x[20 + min(max(atom.charge, -2), 2) + 2, i] = 1.0
+        x[25, i] = float(atom.aromatic)
+        x[26, i] = float(any(connected_without(b) for b in mine))
+        if atom.hcount is None:
+            used = sum(graphs.BOND_VALENCE[b.order] for b in mine)
+            valence = graphs.DEFAULT_VALENCE.get((atom.element, atom.charge),
+                                                 0)
+            h = max(0, valence - int(np.ceil(used)))
+        else:
+            h = atom.hcount
+        x[27 + min(h, 4), i] = 1.0
+    return x
+
 
 class TestBackboneEmbedding:
     def test_masked_columns_only(self):
