@@ -108,6 +108,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"{text} is not a finite positive "
+                                         "number")
+    return value
+
+
 def _each_record(records, fn, emit) -> int:
     """emit(fn(i, item)) for the i-th (n, item) of records, one at a time.
 
@@ -138,7 +146,7 @@ _OPTIONS = {
     "layers": dict(type=_positive_int, default=3),
     "dim": dict(type=_positive_int, default=64),
     "strategy": dict(default="link", choices=rsit_mod.STRATEGIES),
-    "tolerance": dict(type=float, default=1e-9),
+    "tolerance": dict(type=_positive_float, default=1e-9),
 }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +39,15 @@ DEFAULT_VALENCE = {(element, q): min(e - q, 8 - e + q)
                    for q in range(e - 8, e + 1)}
 
 FEATURE_ELEMENTS = ORGANIC_SUBSET + ("H", "*")
+
+# The feature column as block widths, top to bottom: the element one-hot
+# (FEATURE_ELEMENTS, then "other"), degree 0-6, charge -2..2, the aromatic
+# and in-ring flags, and the implicit H count 0-4.
+FEATURE_BLOCKS = {"element": len(FEATURE_ELEMENTS) + 1, "degree": 7,
+                  "charge": 5, "aromatic": 1, "ring": 1, "hydrogens": 5}
+_BLOCK_STARTS = list(accumulate(FEATURE_BLOCKS.values(), initial=0))[:-1]
+_BLOCK_TOPS = [width - 1 for width in FEATURE_BLOCKS.values()]
+_ELEMENT_ROW = {e: row for row, e in enumerate(FEATURE_ELEMENTS)}
 
 
 @dataclass(frozen=True)
@@ -212,12 +222,8 @@ class MolGraph:
     def ring_atoms(self) -> set[int]:
         """Atoms incident to at least one non-bridge edge (i.e. on a cycle)."""
         bridge_set = self.bridges()
-        out: set[int] = set()
-        for b in self.bonds:
-            if b.pair() not in bridge_set:
-                out.add(b.u)
-                out.add(b.v)
-        return out
+        return {a for b in self.bonds if b.pair() not in bridge_set
+                for a in (b.u, b.v)}
 
     def sssr(self) -> list[set[int]]:
         """Smallest set of smallest rings: a minimum cycle basis, as atom sets.
@@ -333,8 +339,8 @@ class MonomerGraph(MolGraph):
 
     def _memo(self, key, build):
         """``build()``, built on the first call with ``key``: k for
-        ``repeat_monomer(self, k)``, ``"backbone"``, and a link bond and
-        ``("features", link)`` for the graph it closes and its features."""
+        ``repeat_monomer(self, k)``, and ``"graph"``, ``"backbone"`` and
+        ``"features"`` for what a star on this unit reads."""
         memo = self._derived
         if memo is None:
             memo = self._derived = {}
@@ -350,7 +356,8 @@ class StarLinkGraph:
     ``monomer`` is the repeat unit actually linked; it may be an auto-repeated
     copy of the input when the original boundary atoms coincide or are already
     bonded (linking those directly would merge edges and change neighbor
-    multisets).  ``auto_repeat_k`` records the repeat count used.
+    multisets).  ``auto_repeat_k`` records the repeat count used.  ``link``,
+    the single bond from the unit's head to its tail, is read off the unit.
     ``as_graph`` is the cyclic graph of the unit; ``build_context`` reads the
     unit as the periodic graph of the infinite chain instead, where the link
     bonds the tail to the next copy's head.
@@ -361,12 +368,15 @@ class StarLinkGraph:
     """
 
     monomer: MonomerGraph
-    link: Bond
     auto_repeat_k: int = 1
 
+    @property
+    def link(self) -> Bond:
+        return Bond(self.monomer.head, self.monomer.tail, "single")
+
     def as_graph(self) -> MolGraph:
-        m, link = self.monomer, self.link
-        return m._memo(link, lambda: MolGraph(m.atoms, m.bonds + [link]))
+        return self.monomer._memo("graph", lambda: MolGraph(
+            self.monomer.atoms, self.monomer.bonds + [self.link]))
 
     @property
     def backbone(self) -> list[bool]:
@@ -381,7 +391,7 @@ class StarLinkGraph:
             x = featurize(self.as_graph())
             x.flags.writeable = False
             return x
-        return self.monomer._memo(("features", self.link), build)
+        return self.monomer._memo("features", build)
 
     def unroll(self, k: int) -> MonomerGraph:
         """``repeat_monomer(monomer, k)``, the k-fold open chain."""
@@ -423,7 +433,7 @@ def star_link(g: MonomerGraph) -> StarLinkGraph:
         raise DisconnectedError("monomer graph is not connected")
     k = 3 if g.head == g.tail else 2 if g.has_bond(g.head, g.tail) else 1
     m = g if k == 1 else g._memo(k, lambda: repeat_monomer(g, k))
-    return StarLinkGraph(m, Bond(m.head, m.tail, "single"), auto_repeat_k=k)
+    return StarLinkGraph(m, k)
 
 
 def detect_backbone(g: MonomerGraph) -> list[bool]:
@@ -459,13 +469,10 @@ def strategy_transform(g: MonomerGraph, strategy: str) -> MolGraph:
         return MolGraph(g.atoms, g.bonds)
     if strategy == "link":
         return star_link(g).as_graph()
-    if strategy == "keep":
-        cap = Atom("*")
-    elif strategy == "substitute":
-        cap = Atom("H")
-    else:
+    cap = {"keep": "*", "substitute": "H"}.get(strategy)
+    if cap is None:
         raise ValueError(f"unknown strategy: {strategy!r}")
-    atoms = list(g.atoms) + [cap, cap]
+    atoms = list(g.atoms) + [Atom(cap)] * 2
     bonds = list(g.bonds) + [Bond(g.head, g.n, "single"),
                              Bond(g.tail, g.n + 1, "single")]
     return MolGraph(atoms, bonds)
@@ -481,40 +488,29 @@ def implicit_hydrogens(g: MolGraph, i: int) -> int:
 
 
 def feature_dim() -> int:
-    # element one-hot (+other), degree 0-6, charge -2..2, aromatic, in-ring,
-    # implicit H 0-4
-    return (len(FEATURE_ELEMENTS) + 1) + 7 + 5 + 1 + 1 + 5
+    """Rows of a feature column: the sum of ``FEATURE_BLOCKS``."""
+    return sum(FEATURE_BLOCKS.values())
 
 
 def featurize(g: MolGraph) -> np.ndarray:
-    """Per-atom feature vectors, one column per atom (shape d_atom x n).
-
-    The in-ring row (26) flags atoms on a cycle of g.  On a linked graph
-    that includes the cycle the link bond closes, so every backbone atom
-    has it set, where the infinite chain sets it only on ring atoms; every
-    other row equals the chain's.
-    """
-    d = feature_dim()
-    x = np.zeros((d, g.n))
+    """Per-atom feature vectors, one column per atom (feature_dim() rows):
+    the blocks of ``FEATURE_BLOCKS`` top to bottom, a count past either
+    end of its block setting the end row.  The in-ring row flags atoms on
+    a cycle of g; on a linked graph that includes the cycle the link bond
+    closes, so every backbone atom has it set, where the infinite chain
+    sets it only on ring atoms.  Every other row equals the chain's."""
+    x = np.zeros((feature_dim(), g.n))
     ring = g.ring_atoms()
-    n_elem = len(FEATURE_ELEMENTS) + 1
+    element, degree, charge, aromatic, in_ring, hydrogens = _BLOCK_STARTS
+    other, top_degree, top_charge, _, _, top_h = _BLOCK_TOPS
+    q = top_charge // 2  # the charge block runs from -q to q
     for i, atom in enumerate(g.atoms):
-        row = 0
-        try:
-            e = FEATURE_ELEMENTS.index(atom.element)
-        except ValueError:
-            e = n_elem - 1
-        x[row + e, i] = 1.0
-        row += n_elem
-        x[row + min(g.degree(i), 6), i] = 1.0
-        row += 7
-        x[row + min(max(atom.charge, -2), 2) + 2, i] = 1.0
-        row += 5
-        x[row, i] = 1.0 if atom.aromatic else 0.0
-        row += 1
-        x[row, i] = 1.0 if i in ring else 0.0
-        row += 1
-        x[row + min(implicit_hydrogens(g, i), 4), i] = 1.0
+        x[element + _ELEMENT_ROW.get(atom.element, other), i] = 1.0
+        x[degree + min(g.degree(i), top_degree), i] = 1.0
+        x[charge + q + min(max(atom.charge, -q), q), i] = 1.0
+        x[aromatic, i] = atom.aromatic
+        x[in_ring, i] = i in ring
+        x[hydrogens + min(implicit_hydrogens(g, i), top_h), i] = 1.0
     return x
 
 

@@ -18,13 +18,14 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .context import AttentionContext, DIST_CLAMP, EDGE_CODES, build_context
 from .graphs import (
-    FEATURE_ELEMENTS,
+    FEATURE_BLOCKS,
     MonomerGraph,
     apply_backbone_embedding,
     detect_backbone,
@@ -70,7 +71,7 @@ def _normals(seed: int, name: str, count: int) -> np.ndarray:
 
 N_PATH_CODES = len(EDGE_CODES)
 N_DIST_BUCKETS = DIST_CLAMP + 2  # 0..32 plus overflow
-N_ATOM_CLASSES = len(FEATURE_ELEMENTS) + 1
+N_ATOM_CLASSES = FEATURE_BLOCKS["element"]
 
 _ATTN_MATS = ("wq", "wk", "wv", "ffn_w1", "ffn_w2")
 _ATTN_VECS = ("ffn_b1", "ffn_b2")
@@ -78,17 +79,15 @@ _ATTN_LN = ("ln1", "ln2")
 LN_EPS = 1e-12  # added to the variance in layer_norm
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceModel:
-    """Immutable bundle of named weights plus the run configuration."""
+    """Immutable bundle of named weights, the attention threshold and the
+    seed.  Width ``d`` and depth ``L`` are read off the weights: the length
+    of the head and the number of attention layers."""
 
-    d: int
-    L: int
-    d_thres: int
-    d_atom: int
     weights: dict[str, np.ndarray]
+    d_thres: int
     seed: int | None = None
-    spatial_groups: dict[str, int] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -96,14 +95,21 @@ class ReferenceModel:
         except KeyError:
             raise KeyError(f"model has no weight {name!r}") from None
 
+    @cached_property
+    def d(self) -> int:
+        return len(self["head"])
+
+    @cached_property
+    def L(self) -> int:
+        return sum(name.startswith("attn") and name.endswith(".wq")
+                   for name in self.weights)
+
     @classmethod
     def generate(cls, seed: int, d: int = 64, L: int = 3, d_thres: int = 3,
                  spatial_groups: dict[str, int] | None = None
                  ) -> "ReferenceModel":
-        if d < 1 or L < 1:
-            raise ValueError("model width and depth must be >= 1")
-        d_atom = feature_dim()
-        spatial_groups = dict(spatial_groups or {})
+        if d < 1 or L < 1 or d_thres < 1:
+            raise ValueError("model width, depth and d_thres must be >= 1")
         scale = 1.0 / math.sqrt(d)
         w: dict[str, np.ndarray] = {}
 
@@ -117,7 +123,7 @@ class ReferenceModel:
             w[name + "_gain"] = 1.0 + 0.1 * _normals(seed, name + "_gain", size)
             w[name + "_bias"] = 0.1 * _normals(seed, name + "_bias", size)
 
-        mat("input_proj", d, d_atom)
+        mat("input_proj", d, feature_dim())
         vec("backbone", d)
         for l in range(L):
             for k in _ATTN_MATS:
@@ -135,11 +141,11 @@ class ReferenceModel:
         for k in ("wq", "wk", "wv"):
             mat(f"fusion.{k}", d, d)
         ln("fusion.ln", d)
-        for name, dim in spatial_groups.items():
+        for name, dim in (spatial_groups or {}).items():
             mat(f"spatial.{name}", d, dim)
         vec("head", d)
         mat("mask_classifier", N_ATOM_CLASSES, d)
-        return cls(d, L, d_thres, d_atom, w, seed, spatial_groups)
+        return cls(w, d_thres, seed)
 
     def digest(self) -> str:
         """16-hex-digit blake2b of every weight's name and float64 bytes,
@@ -151,19 +157,13 @@ class ReferenceModel:
         return h.hexdigest()
 
     def save(self, path: str) -> None:
-        doc = {
-            "meta": {"d": self.d, "L": self.L, "d_thres": self.d_thres,
-                     "d_atom": self.d_atom,
-                     "spatial_groups": self.spatial_groups,
-                     "seed": ({"algorithm": "counter-mix-v1",
-                               "seed": self.seed}
-                              if self.seed is not None else None)},
-            "weights": {
-                name: {"shape": list(arr.shape),
-                       "data": [repr(float(v)) for v in arr.ravel()]}
-                for name, arr in sorted(self.weights.items())
-            },
-        }
+        seed = (None if self.seed is None
+                else {"algorithm": "counter-mix-v1", "seed": self.seed})
+        weights = {name: {"shape": list(arr.shape),
+                          "data": [repr(float(v)) for v in arr.ravel()]}
+                   for name, arr in sorted(self.weights.items())}
+        doc = {"meta": {"d_thres": self.d_thres, "seed": seed},
+               "weights": weights}
         with open(path, "w") as fh:
             json.dump(doc, fh)
 
@@ -171,13 +171,11 @@ class ReferenceModel:
     def load(cls, path: str) -> "ReferenceModel":
         with open(path) as fh:
             doc = json.load(fh)
-        meta = doc["meta"]
         weights = {name: np.array([float(v) for v in spec["data"]])
                    .reshape(spec["shape"])
                    for name, spec in doc["weights"].items()}
-        seed = (meta.get("seed") or {}).get("seed")
-        return cls(meta["d"], meta["L"], meta["d_thres"], meta["d_atom"],
-                   weights, seed, dict(meta.get("spatial_groups") or {}))
+        seed = (doc["meta"].get("seed") or {}).get("seed")
+        return cls(weights, doc["meta"]["d_thres"], seed)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray | None = None,
@@ -222,10 +220,10 @@ def gin_layer(nbr: np.ndarray, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
 
 def attention_bias(ctx: AttentionContext, dist_table: np.ndarray,
                    path_weights: np.ndarray) -> np.ndarray:
-    """A^d + A^p per pair: distance-bucket lookup plus averaged path-code
-    functional, laid out as the context's (n, D) table."""
-    buckets = np.minimum(ctx.dist, DIST_CLAMP + 1)
-    a_d = dist_table[buckets]
+    """A^d + A^p per pair: distance-bucket lookup, where a distance past
+    the table's last bucket reads that overflow bucket, plus averaged
+    path-code functional, laid out as the context's (n, D) table."""
+    a_d = dist_table[np.minimum(ctx.dist, len(dist_table) - 1)]
     a_p = ctx.path_onehot_means() @ path_weights
     return a_d + a_p
 
@@ -306,12 +304,9 @@ def mask_atoms(x: np.ndarray, p_mask: float,
     """Zero whole atom columns independently with probability p_mask."""
     if not 0.0 <= p_mask <= 1.0:
         raise ValueError("p_mask must be in [0, 1]")
+    masked = [j for j in range(x.shape[1]) if rng.random() < p_mask]
     out = x.copy()
-    masked = []
-    for j in range(x.shape[1]):
-        if rng.random() < p_mask:
-            out[:, j] = 0.0
-            masked.append(j)
+    out[:, masked] = 0.0
     return out, masked
 
 

@@ -260,10 +260,20 @@ class TestVerify:
         assert lines and all(l.startswith("PASS") for l in lines)
 
     def test_theorem1_impossible_tolerance_fails(self, capsys):
-        rc = main(["verify", "theorem1", "--count", "3", "--dim", "16",
-                   "--layers", "1", "--tolerance", "0"])
+        # the least positive float is below the last-bit rounding that the
+        # third layer picks up, so that layer's case fails
+        rc = main(["verify", "theorem1", "--count", "5", "--dim", "16",
+                   "--layers", "3", "--tolerance", "5e-324"])
         assert rc == 3
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "-1", "inf"])
+    def test_tolerance_must_be_finite_positive(self, tolerance, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "theorem1", "--count", "2",
+                  "--tolerance", tolerance])
+        assert exc.value.code == 1
+        assert "not a finite positive number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["all", "theorem3"])
     def test_weights_generated_once(self, monkeypatch, capsys, suite):

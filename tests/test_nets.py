@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import sys
@@ -183,11 +184,16 @@ class TestWeights:
     def test_save_load_round_trip(self, model, tmp_path):
         path = str(tmp_path / "model.json")
         model.save(path)
+        with open(path) as fh:  # the shape is read off the weights
+            assert sorted(json.load(fh)["meta"]) == ["d_thres", "seed"]
         loaded = ReferenceModel.load(path)
         assert loaded.d == model.d and loaded.L == model.L
-        assert loaded.seed == model.seed
+        assert loaded.seed == model.seed and loaded.d_thres == model.d_thres
         for k in model.weights:
             assert np.array_equal(loaded[k], model[k])
+        g = parse("*CC(C)O*")
+        assert (forward_polymer(loaded, g).yhat
+                == forward_polymer(model, g).yhat)
 
     @pytest.mark.parametrize("d, groups", [(1, {"one": 1, "three": 3}),
                                            (8, {"one": 1})])
@@ -212,10 +218,38 @@ class TestWeights:
         with pytest.raises(KeyError):
             model["attn9.wq"]
 
-    @pytest.mark.parametrize("d, L", [(0, 1), (-4, 1), (8, 0), (8, -1)])
-    def test_non_positive_size_raises(self, d, L):
+    @pytest.mark.parametrize("d, L, d_thres", [
+        (0, 1, 3), (-4, 1, 3), (8, 0, 3), (8, -1, 3), (8, 1, 0)],
+        ids=["0-1", "-4-1", "8-0", "8--1", "d_thres-0"])
+    def test_non_positive_size_raises(self, d, L, d_thres):
+        # a model with d_thres < 1 would fail only at its first forward pass
         with pytest.raises(ValueError):
-            ReferenceModel.generate(seed=1, d=d, L=L)
+            ReferenceModel.generate(seed=1, d=d, L=L, d_thres=d_thres)
+
+    @pytest.mark.parametrize("d, L, groups", [(1, 1, {}), (8, 2, {"g": 3}),
+                                              (64, 3, {})])
+    def test_shape_read_off_weights(self, d, L, groups):
+        model = ReferenceModel.generate(seed=2, d=d, L=L,
+                                        spatial_groups=groups)
+        assert (model.d, model.L) == (d, L)
+
+    def test_load_reads_shape_off_weights(self, tmp_path):
+        # files written before the shape was read off the weights carry it
+        # in their meta too; it is ignored, so an edited L changes nothing
+        model = ReferenceModel.generate(seed=9, d=8, L=3,
+                                        spatial_groups={"g": 2})
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        doc = json.loads(path.read_text())
+        doc["meta"].update(d=8, L=2, d_atom=graphs.feature_dim(),
+                           spatial_groups={"g": 2})
+        path.write_text(json.dumps(doc))
+        loaded = ReferenceModel.load(str(path))
+        assert loaded.digest() == model.digest()
+        assert (loaded.d, loaded.L, loaded.d_thres) == (8, 3, 3)
+        g = parse("*CC(C)O*")
+        assert (forward_polymer(loaded, g).yhat
+                == forward_polymer(model, g).yhat)
 
     def test_spatial_groups(self):
         m = ReferenceModel.generate(seed=1, d=8, L=1,
