@@ -6,7 +6,10 @@ LayerNorm/FFN blocks, backbone-embedding injection, spatial projection,
 cross-modal fusion, mean pooling with a linear head, masked-atom corruption,
 and fragment attribution.  Weights are either loaded from a JSON file or
 regenerated bit-exactly from a seed with a counter-based generator
-("counter-mix-v1"), so no weight files need to ship.
+("counter-mix-v1"), so no weight files need to ship.  A regenerated weight
+is drawn on its first read, from its own named stream, so a pass pays only
+for the weights it reads; ``digest`` and ``save`` draw every weight.  Each
+attention layer's weight dict is built once per model (``layers``).
 
 Column convention: feature matrices are (d, n) with one column per atom, and
 attention matrices are column-stochastic (each column sums to 1).
@@ -18,6 +21,7 @@ import hashlib
 import json
 import math
 import random
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,15 +83,55 @@ _ATTN_LN = ("ln1", "ln2")
 LN_EPS = 1e-12  # added to the variance in layer_norm
 
 
+class _DrawnWeights(Mapping):
+    """Read-only map from weight name to array that draws a weight from its
+    counter-mix-v1 stream on the first read and keeps it.
+
+    Each name's table entry is its shape and the map applied to the drawn
+    normals.  Names come from the table, so iterating, ``len`` and ``in``
+    draw nothing, and a pass pays only for the weights it reads.
+    """
+
+    def __init__(self, seed: int, table: dict[
+            str, tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]]):
+        self._seed = seed
+        self._table = table
+        self._drawn: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        arr = self._drawn.get(name)
+        if arr is None:
+            shape, f = self._table[name]
+            arr = f(_normals(self._seed, name, math.prod(shape))
+                    .reshape(shape))
+            # threads that race on one name all keep the first array
+            arr = self._drawn.setdefault(name, arr)
+        return arr
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._table
+
+
 @dataclass(frozen=True)
 class ReferenceModel:
     """Immutable bundle of named weights, the attention threshold and the
     seed.  Width ``d`` and depth ``L`` are read off the weights: the length
     of the head and the number of attention layers."""
 
-    weights: dict[str, np.ndarray]
+    weights: Mapping[str, np.ndarray]
     d_thres: int
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        # a model with d_thres < 1 would fail only at its first forward pass
+        if self.d_thres < 1:
+            raise ValueError("d_thres must be >= 1")
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -104,24 +148,32 @@ class ReferenceModel:
         return sum(name.startswith("attn") and name.endswith(".wq")
                    for name in self.weights)
 
+    @cached_property
+    def layers(self) -> tuple[dict[str, np.ndarray], ...]:
+        """Each attention layer's weights, as ``local_attention_layer``
+        reads them."""
+        return tuple(layer_weights(self, f"attn{l}") for l in range(self.L))
+
     @classmethod
     def generate(cls, seed: int, d: int = 64, L: int = 3, d_thres: int = 3,
                  spatial_groups: dict[str, int] | None = None
                  ) -> "ReferenceModel":
-        if d < 1 or L < 1 or d_thres < 1:
-            raise ValueError("model width, depth and d_thres must be >= 1")
+        """The model of ``seed``.  Only names, shapes and maps are recorded
+        here: each weight is drawn on its first read."""
+        if d < 1 or L < 1:
+            raise ValueError("model width and depth must be >= 1")
         scale = 1.0 / math.sqrt(d)
-        w: dict[str, np.ndarray] = {}
+        table = {}
 
         def mat(name: str, rows: int, cols: int) -> None:
-            w[name] = _normals(seed, name, rows * cols).reshape(rows, cols) * scale
+            table[name] = ((rows, cols), lambda z: z * scale)
 
         def vec(name: str, size: int) -> None:
-            w[name] = _normals(seed, name, size) * scale
+            table[name] = ((size,), lambda z: z * scale)
 
         def ln(name: str, size: int) -> None:
-            w[name + "_gain"] = 1.0 + 0.1 * _normals(seed, name + "_gain", size)
-            w[name + "_bias"] = 0.1 * _normals(seed, name + "_bias", size)
+            table[name + "_gain"] = ((size,), lambda z: 1.0 + 0.1 * z)
+            table[name + "_bias"] = ((size,), lambda z: 0.1 * z)
 
         mat("input_proj", d, feature_dim())
         vec("backbone", d)
@@ -145,7 +197,7 @@ class ReferenceModel:
             mat(f"spatial.{name}", d, dim)
         vec("head", d)
         mat("mask_classifier", N_ATOM_CLASSES, d)
-        return cls(w, d_thres, seed)
+        return cls(_DrawnWeights(seed, table), d_thres, seed)
 
     def digest(self) -> str:
         """16-hex-digit blake2b of every weight's name and float64 bytes,
@@ -351,8 +403,8 @@ def forward_polymer(model: ReferenceModel, g: MonomerGraph,
     x = model["input_proj"] @ features
     if use_backbone:
         x = apply_backbone_embedding(x, mask, model["backbone"])
-    for l in range(model.L):
-        x = local_attention_layer(ctx, x, layer_weights(model, f"attn{l}"))
+    for w in model.layers:
+        x = local_attention_layer(ctx, x, w)
     if descriptors is not None:
         x = cross_modal_fusion(x, project_spatial(descriptors, model), model)
     # the mean is summed in extended precision and rounded once, so that

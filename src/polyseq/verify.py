@@ -32,7 +32,7 @@ import numpy as np
 
 from .context import build_context, neighbour_table
 from .graphs import MonomerGraph, StarLinkGraph, star_link
-from .nets import (ReferenceModel, forward_polymer, gin_layer, layer_weights,
+from .nets import (ReferenceModel, forward_polymer, gin_layer,
                    local_attention_layer)
 from .wl import TwinPair, wl_refine
 
@@ -144,7 +144,7 @@ def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
                         d_thres)
     x = _features(model, star, chain)
     for l in range(L):
-        x = local_attention_layer(ctx, x, layer_weights(model, f"attn{l}"))
+        x = local_attention_layer(ctx, x, model.layers[l])
     return _gap(x, star.monomer.n, mid)
 
 

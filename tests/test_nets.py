@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -154,6 +155,43 @@ class TestWeights:
     ])
     def test_golden_digest(self, args, kwargs, digest):
         assert ReferenceModel.generate(*args, **kwargs).digest() == digest
+        # each weight has its own stream: the order of first reads does
+        # not move a bit
+        model = ReferenceModel.generate(*args, **kwargs)
+        names = list(model.weights)
+        random.Random(digest).shuffle(names)
+        for name in names:
+            model[name]
+        assert model.digest() == digest
+
+    def test_draws_on_first_read(self, monkeypatch):
+        drawn = []
+
+        def normals(seed, name, count):
+            drawn.append(name)
+            return _normals(seed, name, count)
+
+        monkeypatch.setattr(nets, "_normals", normals)
+        model = ReferenceModel.generate(0, spatial_groups={"g": 2})
+        # the name table answers these without drawing
+        assert model.L == 3 and len(model.weights) == 61
+        assert "head" in model.weights and "attn3.wq" not in model.weights
+        assert drawn == []
+        sd = SpatialDescriptors([("g", np.array([0.5, -1.0]))])
+        yhat = forward_polymer(model, parse("*CC(C)O*"), sd).yhat
+        # each weight a pass reads is drawn once; the GIN layers and the
+        # masked-atom head are not read
+        assert sorted(drawn) == sorted(
+            n for n in model.weights
+            if not (n.startswith("gin") or n == "mask_classifier"))
+        assert forward_polymer(model, parse("*CC(C)O*"), sd).yhat == yhat
+        assert len(drawn) == 48
+
+    def test_replace_shares_the_draws(self):
+        model = ReferenceModel.generate(seed=7, d=16, L=2, d_thres=3)
+        other = dataclasses.replace(model, d_thres=2)
+        for name in model.weights:
+            assert other[name] is model[name]
 
     def test_digest_tracks_weights(self, model, tmp_path):
         path = str(tmp_path / "model.json")
@@ -181,7 +219,9 @@ class TestWeights:
         assert np.array_equal(a["attn0.wq"], b["attn0.wq"])
         assert np.array_equal(a["head"], b["head"])
 
-    def test_save_load_round_trip(self, model, tmp_path):
+    def test_save_load_round_trip(self, tmp_path):
+        # saving a fresh model draws every weight
+        model = ReferenceModel.generate(seed=7, d=16, L=2, d_thres=3)
         path = str(tmp_path / "model.json")
         model.save(path)
         with open(path) as fh:  # the shape is read off the weights
@@ -194,6 +234,9 @@ class TestWeights:
         g = parse("*CC(C)O*")
         assert (forward_polymer(loaded, g).yhat
                 == forward_polymer(model, g).yhat)
+        again = tmp_path / "again.json"
+        loaded.save(str(again))
+        assert again.read_bytes() == (tmp_path / "model.json").read_bytes()
 
     @pytest.mark.parametrize("d, groups", [(1, {"one": 1, "three": 3}),
                                            (8, {"one": 1})])
@@ -225,6 +268,17 @@ class TestWeights:
         # a model with d_thres < 1 would fail only at its first forward pass
         with pytest.raises(ValueError):
             ReferenceModel.generate(seed=1, d=d, L=L, d_thres=d_thres)
+
+    def test_non_positive_d_thres_raises_at_load(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        doc = json.loads(path.read_text())
+        doc["meta"]["d_thres"] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            ReferenceModel.load(str(path))
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, d_thres=0)
 
     @pytest.mark.parametrize("d, L, groups", [(1, 1, {}), (8, 2, {"g": 3}),
                                               (64, 3, {})])
@@ -630,6 +684,29 @@ class TestForward:
         with_sd = forward_polymer(m, g, descriptors=sd)
         without = forward_polymer(m, g)
         assert abs(with_sd.yhat - without.yhat) > 1e-9
+
+    @pytest.mark.parametrize("strategy", ["link", "keep", "remove",
+                                          "substitute"])
+    def test_draw_order_keeps_the_bits(self, strategy):
+        # a fresh model draws each weight as the first pass reads it; the
+        # other has drawn them all, in table order, before any pass
+        groups = {"shape": 3, "charge": 2}
+        lines = corpus(200, seed=7)
+        rng = random.Random(7)
+        sds = [SpatialDescriptors([(name, np.array([rng.gauss(0.0, 1.0)
+                                                    for _ in range(dim)]))
+                                   for name, dim in groups.items()])
+               for _ in lines]
+        for descs in (sds, [None] * len(lines)):
+            lazy = ReferenceModel.generate(0, spatial_groups=groups)
+            m = ReferenceModel.generate(0, spatial_groups=groups)
+            drawn = ReferenceModel(dict(m.weights), m.d_thres, m.seed)
+            for s, sd in zip(lines, descs):
+                g = parse(s)
+                a = forward_polymer(lazy, g, sd, strategy)
+                b = forward_polymer(drawn, g, sd, strategy)
+                assert a.yhat == b.yhat, s
+                assert a.xts.tobytes() == b.xts.tobytes(), s
 
 
 class TestFragCam:
