@@ -239,7 +239,7 @@ def _run_lines(args) -> int:
                 else lambda text: print(text, flush=True))
         failed = _each_record(records, fn, emit)
     if args.command == "stats":
-        mean, frac, _ = ring_stats(graphs)
+        mean, frac = ring_stats(graphs)
         print(json.dumps({"polymers": len(graphs), "mean_rings": mean,
                           "frac_more_than_2_rings": frac, "skipped": failed}))
     return EXIT_INPUT if failed else EXIT_OK

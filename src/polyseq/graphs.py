@@ -99,9 +99,6 @@ class MolGraph:
             if b.u == b.v or not (0 <= b.u < len(atoms) and 0 <= b.v < len(atoms)):
                 raise ValueError(f"bond endpoints out of range: {b}")
 
-    def __len__(self) -> int:
-        return len(self.atoms)
-
     @property
     def n(self) -> int:
         return len(self.atoms)
@@ -459,16 +456,14 @@ def detect_backbone(g: MonomerGraph) -> list[bool]:
 
 
 def strategy_transform(g: MonomerGraph, strategy: str) -> MolGraph:
-    """One of the four endpoint-handling strategies.
+    """The graph of one of the three endpoint baselines.
 
     ``keep`` reinstates the two stars as pseudo-atoms, ``remove`` drops them,
-    ``substitute`` caps the boundaries with hydrogens, ``link`` bonds the
-    boundaries together.
+    ``substitute`` caps the boundaries with hydrogens.  The fourth strategy,
+    ``link``, is the star-linking graph, ``star_link(g).as_graph()``.
     """
     if strategy == "remove":
         return MolGraph(g.atoms, g.bonds)
-    if strategy == "link":
-        return star_link(g).as_graph()
     cap = {"keep": "*", "substitute": "H"}.get(strategy)
     if cap is None:
         raise ValueError(f"unknown strategy: {strategy!r}")
@@ -545,24 +540,15 @@ def auto_repeat_for_lga(g: MonomerGraph, d_thres: int) -> tuple[MonomerGraph, in
     return (g if k == 1 else repeat_monomer(g, k)), k
 
 
-def ring_stats(graphs) -> tuple[float, float, int]:
-    """(mean rings per polymer, fraction with >2 rings, skipped count).
-
-    Accepts an iterable of MonomerGraph-or-None; ``None`` entries count as
-    skipped (unparsable corpus lines).
-    """
-    counts = []
-    skipped = 0
-    for g in graphs:
-        if g is None:
-            skipped += 1
-            continue
-        counts.append(g.cyclomatic_number())
+def ring_stats(graphs) -> tuple[float, float]:
+    """(mean rings per polymer, fraction with >2 rings); (0.0, 0.0) for no
+    graphs."""
+    counts = [g.cyclomatic_number() for g in graphs]
     if not counts:
-        return 0.0, 0.0, skipped
+        return 0.0, 0.0
     mean = sum(counts) / len(counts)
     frac = sum(1 for c in counts if c > 2) / len(counts)
-    return mean, frac, skipped
+    return mean, frac
 
 
 def _graph_doc(g: MolGraph, atom_fields=lambda i: {}) -> dict:

@@ -129,9 +129,10 @@ class ReferenceModel:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        # a model with d_thres < 1 would fail only at its first forward pass
-        if self.d_thres < 1:
-            raise ValueError("d_thres must be >= 1")
+        # generate, load and replace all pass here: 0 or 2.0 would fail
+        # only at the first forward pass, and True would run as 1
+        if type(self.d_thres) is not int or self.d_thres < 1:
+            raise ValueError(f"d_thres must be an int >= 1: {self.d_thres!r}")
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -152,7 +153,10 @@ class ReferenceModel:
     def layers(self) -> tuple[dict[str, np.ndarray], ...]:
         """Each attention layer's weights, as ``local_attention_layer``
         reads them."""
-        return tuple(layer_weights(self, f"attn{l}") for l in range(self.L))
+        keys = (*_ATTN_MATS, *_ATTN_VECS, "dist", "path",
+                *(f"{ln}_{s}" for ln in _ATTN_LN for s in ("gain", "bias")))
+        return tuple({k: self[f"attn{l}.{k}"] for k in keys}
+                     for l in range(self.L))
 
     @classmethod
     def generate(cls, seed: int, d: int = 64, L: int = 3, d_thres: int = 3,
@@ -230,22 +234,17 @@ class ReferenceModel:
         return cls(weights, doc["meta"]["d_thres"], seed)
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray | None = None,
-               bias: np.ndarray | None = None) -> np.ndarray:
+def layer_norm(x: np.ndarray, gain: np.ndarray,
+               bias: np.ndarray) -> np.ndarray:
     """Per-column normalization over the feature axis, then gain and bias.
 
-    One centring serves the mean and the variance; the result is the same,
-    bit for bit, as ``(x - x.mean(0)) / np.sqrt(x.var(0) + LN_EPS)``.
+    One centring serves the mean and the variance; the normalized part is
+    the same, bit for bit, as ``(x - x.mean(0)) / np.sqrt(x.var(0) + LN_EPS)``.
     """
     n = x.shape[0]
     xc = x - x.sum(axis=0, keepdims=True) / n
     var = (xc * xc).sum(axis=0, keepdims=True) / n
-    out = xc / np.sqrt(var + LN_EPS)
-    if gain is not None:
-        out = out * gain[:, None]
-    if bias is not None:
-        out = out + bias[:, None]
-    return out
+    return xc / np.sqrt(var + LN_EPS) * gain[:, None] + bias[:, None]
 
 
 def softmax_columns(s: np.ndarray) -> np.ndarray:
@@ -306,12 +305,6 @@ def local_attention_layer(ctx: AttentionContext, x: np.ndarray,
     ffn = w["ffn_w2"] @ np.maximum(
         w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]
     return layer_norm(ffn + x1, w["ln2_gain"], w["ln2_bias"])
-
-
-def layer_weights(model: ReferenceModel, prefix: str) -> dict[str, np.ndarray]:
-    keys = set(_ATTN_MATS) | set(_ATTN_VECS) | {"dist", "path"}
-    keys |= {f"{ln}_{s}" for ln in _ATTN_LN for s in ("gain", "bias")}
-    return {k: model[f"{prefix}.{k}"] for k in keys}
 
 
 @dataclass
@@ -439,9 +432,7 @@ def normalize_fragmentation(frags: list[set[int]], n: int) -> list[list[int]]:
 
 
 def fragcam(model: ReferenceModel, g: MonomerGraph,
-            fragmentation: list[set[int]],
-            descriptors: SpatialDescriptors | None = None
-            ) -> tuple[list[float], float]:
+            fragmentation: list[set[int]]) -> tuple[list[float], float]:
     """Per-fragment attribution scores a_i with sum(a_i) == yhat exactly.
 
     h_i sums the final representations of fragment i's atoms, the pooled
@@ -451,7 +442,7 @@ def fragcam(model: ReferenceModel, g: MonomerGraph,
     only when its boundary atoms coincide or are bonded; outputs are read
     from the first copy, whose columns correspond to the input atoms.
     """
-    res = forward_polymer(model, g, descriptors=descriptors, strategy="link")
+    res = forward_polymer(model, g)
     parts = normalize_fragmentation(fragmentation, g.n)
     x0 = res.xts[:, :g.n]
     n_f = len(parts)

@@ -422,8 +422,11 @@ class TestStrategies:
         assert [a.element for a in out.atoms[2:]] == ["H", "H"]
 
     def test_link_closes_cycle(self):
-        out = strategy_transform(parse("*CONO*"), "link")
-        assert out.cyclomatic_number() == 1
+        # link is no endpoint baseline: its graph is the star-linking graph
+        g = parse("*CONO*")
+        assert star_link(g).as_graph().cyclomatic_number() == 1
+        with pytest.raises(ValueError):
+            strategy_transform(g, "link")
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -431,16 +434,15 @@ class TestStrategies:
 
 
 class TestRingStats:
-    def test_counts_and_skips(self):
-        graphs = [parse("*CC*"), parse("*c1ccc(*)cc1"), None,
+    def test_counts(self):
+        graphs = [parse("*CC*"), parse("*c1ccc(*)cc1"),
                   parse("*CC(c1ccccc1)c1ccccc1*")]
-        mean, frac, skipped = ring_stats(graphs)
-        assert skipped == 1
+        mean, frac = ring_stats(graphs)
         assert mean == pytest.approx(1.0)
         assert frac == 0.0
 
     def test_empty(self):
-        assert ring_stats([None]) == (0.0, 0.0, 1)
+        assert ring_stats([]) == (0.0, 0.0)
 
 
 class TestGraphBasics:

@@ -33,7 +33,6 @@ from polyseq.nets import (
     N_PATH_CODES,
     _normals,
     classify_atoms,
-    layer_weights,
     normalize_fragmentation,
     softmax_columns,
 )
@@ -87,8 +86,8 @@ def _reference_link_forward(model, g):
     x = apply_backbone_embedding(model["input_proj"] @ featurize(graph),
                                  star.backbone, model["backbone"])
     ctx = build_context(graph, model.d_thres)
-    for l in range(model.L):
-        x = local_attention_layer(ctx, x, layer_weights(model, f"attn{l}"))
+    for w in model.layers:
+        x = local_attention_layer(ctx, x, w)
     h = x.mean(axis=1)
     return nets.ForwardResult(x, h, float(model["head"] @ h))
 
@@ -261,6 +260,17 @@ class TestWeights:
         with pytest.raises(KeyError):
             model["attn9.wq"]
 
+    def test_loaded_file_missing_a_layer_weight_names_it(self, tmp_path):
+        model = ReferenceModel.generate(seed=7, d=8, L=1)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        doc = json.loads(path.read_text())
+        del doc["weights"]["attn0.ln1_bias"]
+        path.write_text(json.dumps(doc))
+        loaded = ReferenceModel.load(str(path))
+        with pytest.raises(KeyError, match="no weight 'attn0.ln1_bias'"):
+            forward_polymer(loaded, parse("*CC*"))
+
     @pytest.mark.parametrize("d, L, d_thres", [
         (0, 1, 3), (-4, 1, 3), (8, 0, 3), (8, -1, 3), (8, 1, 0)],
         ids=["0-1", "-4-1", "8-0", "8--1", "d_thres-0"])
@@ -269,16 +279,19 @@ class TestWeights:
         with pytest.raises(ValueError):
             ReferenceModel.generate(seed=1, d=d, L=L, d_thres=d_thres)
 
-    def test_non_positive_d_thres_raises_at_load(self, model, tmp_path):
+    def test_bad_d_thres_raises_at_load(self, model, tmp_path):
+        # 0 and 2.0 would fail only at the first forward pass, and true
+        # would run silently as d_thres 1
         path = tmp_path / "model.json"
         model.save(str(path))
         doc = json.loads(path.read_text())
-        doc["meta"]["d_thres"] = 0
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            ReferenceModel.load(str(path))
-        with pytest.raises(ValueError):
-            dataclasses.replace(model, d_thres=0)
+        for bad in (0, True, 2.0):
+            doc["meta"]["d_thres"] = bad
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError):
+                ReferenceModel.load(str(path))
+            with pytest.raises(ValueError):
+                dataclasses.replace(model, d_thres=bad)
 
     @pytest.mark.parametrize("d, L, groups", [(1, 1, {}), (8, 2, {"g": 3}),
                                               (64, 3, {})])
@@ -315,7 +328,7 @@ class TestPrimitives:
     def test_layer_norm_stats(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(12, 5)) * 4 + 2
-        out = layer_norm(x)
+        out = layer_norm(x, np.ones(12), np.zeros(12))
         assert np.allclose(out.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(out.std(axis=0), 1.0, atol=1e-6)
 
@@ -323,7 +336,8 @@ class TestPrimitives:
         x = np.arange(8.0).reshape(4, 2)
         g = np.array([2.0, 2.0, 2.0, 2.0])
         b = np.array([1.0, 1.0, 1.0, 1.0])
-        assert np.allclose(layer_norm(x, g, b), 2 * layer_norm(x) + 1)
+        plain = layer_norm(x, np.ones(4), np.zeros(4))
+        assert np.allclose(layer_norm(x, g, b), 2 * plain + 1)
 
     def test_softmax_columns(self):
         s = np.array([[0.0, 10.0], [1.0, 10.0]])
@@ -340,7 +354,8 @@ class TestPrimitives:
             mu = x.mean(axis=0, keepdims=True)
             var = x.var(axis=0, keepdims=True)
             want = (x - mu) / np.sqrt(var + nets.LN_EPS)
-            assert np.array_equal(layer_norm(x), want)
+            assert np.array_equal(layer_norm(x, np.ones(rows),
+                                             np.zeros(rows)), want)
             assert np.array_equal(layer_norm(x, gain, bias),
                                   want * gain[:, None] + bias[:, None])
 
@@ -367,7 +382,7 @@ class TestPrimitives:
 class TestAttention:
     def test_columns_are_distributions(self, model):
         g, ctx = star_ctx("*CC(C)OC(=O)*", 2)
-        w = layer_weights(model, "attn0")
+        w = model.layers[0]
         # uniform input: a column that sums to 1 averages v to its column
         x0 = np.random.default_rng(1).normal(size=(model.d, 1))
         out = local_attention_layer(ctx, np.tile(x0, (1, g.n)), w)
@@ -411,7 +426,7 @@ class TestReferenceAttention:
     def _check_random_inputs(model, g, ctx, d_thres):
         rng = np.random.default_rng(d_thres)
         for l in range(model.L):
-            w = layer_weights(model, f"attn{l}")
+            w = dict(model.layers[l])  # a copy: the model's dicts are shared
             w["dist"] = rng.normal(size=w["dist"].shape) * 3
             w["path"] = rng.normal(size=w["path"].shape) * 3
             x = rng.normal(size=(model.d, g.n)) * 2
@@ -520,8 +535,7 @@ class TestNeighbourTables:
         for g in _oracle_chains(self.LINES, d_thres):
             ctx = build_context(g, d_thres)
             x = rng.normal(size=(model.d, g.n))
-            for l in range(model.L):
-                w = layer_weights(model, f"attn{l}")
+            for w in model.layers:
                 got = local_attention_layer(ctx, x, w)
                 want = _reference_local_attention_layer(ctx, x, w)
                 assert np.abs(got - want).max() <= 1e-12
@@ -554,8 +568,7 @@ class TestNeighbourTables:
             assert ctx.pad.any()
             moved = self._repadded(ctx, rng, extra)
             x = rng.normal(size=(model.d, g.n))
-            for l in range(model.L):
-                w = layer_weights(model, f"attn{l}")
+            for w in model.layers:
                 got = local_attention_layer(moved, x, w)
                 want = local_attention_layer(ctx, x, w)
                 # a wider row only regroups the sums over it
@@ -707,6 +720,102 @@ class TestForward:
                 b = forward_polymer(drawn, g, sd, strategy)
                 assert a.yhat == b.yhat, s
                 assert a.xts.tobytes() == b.xts.tobytes(), s
+
+
+# forward_polymer(ReferenceModel.generate(0), parse(s), strategy,
+# use_backbone).yhat for the lines of corpus(8, seed=7) and three short
+# units: per line, link, keep, remove and substitute, each with the backbone
+# on, then off
+PINNED_YHAT = {
+    "*C(NSC(O)*)N": (
+        0.9047585875178716, 0.5229985899591251,
+        0.774729759197708, 0.5565938185115481,
+        0.6624200697618043, 0.29046031945894524,
+        0.6396560690373005, 0.43601223593621774,
+    ),
+    "*C(CC(ON(C)*)CC=O)C": (
+        0.7500936979401708, 0.5993913084150205,
+        0.732534649107649, 0.6526552108291134,
+        0.7825133655979853, 0.6809889634108393,
+        0.6661201903927944, 0.5637937433733274,
+    ),
+    "*SCC(OOS*)C": (
+        0.7257152242466263, 0.3301626408973879,
+        0.754532397960171, 0.504272897880524,
+        0.9172055453907896, 0.5156722996675146,
+        0.6294385150902947, 0.349784187536863,
+    ),
+    "*CC(CC(S*)C)ON": (
+        0.7507036287340488, 0.4604032550618451,
+        0.7149074009608662, 0.5997862272111655,
+        0.8050876483668268, 0.6498440216428741,
+        0.6300478680439924, 0.5120781727380718,
+    ),
+    "*NN(C*)NN": (
+        0.4427547930479737, 0.045861884144540954,
+        0.45295472764255695, 0.2145784268594556,
+        0.4647614414580519, 0.06308212457679863,
+        0.31776266495586303, 0.06177091739984941,
+    ),
+    "*NC(CCNS*)ON": (
+        0.6862340516056007, 0.27004776088659443,
+        0.6623738625527725, 0.45162980898012195,
+        0.7653753347885921, 0.37639135365559434,
+        0.580343741576401, 0.33931468414146904,
+    ),
+    "*N(C*)CC=O": (
+        0.6786001852330544, 0.48354125532439607,
+        0.6554405300739214, 0.6019635765160463,
+        0.7725921195772789, 0.7381990129704183,
+        0.4627290487622442, 0.3968241336951026,
+    ),
+    "*C(CN(NO*)NO)O": (
+        0.7352265344836884, 0.35942899075905654,
+        0.7128986898489096, 0.4357727020956361,
+        0.7638227097876402, 0.404638767747537,
+        0.6278952392418139, 0.3140841597655061,
+    ),
+    "*C*": (
+        0.7269569580301702, 0.5160873673363353,
+        0.8205641740768053, 0.8020245052688266,
+        1.3747160975733588, 1.0001310844358244,
+        0.42849802098969725, 0.4163199859153781,
+    ),
+    "*CC*": (
+        0.7269569580301702, 0.5160873673363353,
+        0.8631634892541593, 0.8482926451035199,
+        0.8763440807816738, 0.5105349547120885,
+        0.5038931899491188, 0.4891612924594074,
+    ),
+    "*C(*)O": (
+        1.0842368385074805, 0.8584405351089528,
+        0.7548093178527926, 0.738241856042263,
+        0.9009683695663022, 0.71143258512627,
+        0.6074697801022391, 0.5270470739223255,
+    ),
+}
+
+
+class TestPinnedPredictions:
+    """Predictions against recorded values, to 1e-12 rather than bit for
+    bit: the last bits of a matrix product depend on the BLAS kernel."""
+
+    @pytest.mark.parametrize("s", list(PINNED_YHAT))
+    def test_every_strategy(self, s):
+        model = ReferenceModel.generate(0)
+        got = [forward_polymer(model, parse(s), strategy=strategy,
+                               use_backbone=use_backbone).yhat
+               for strategy in ("link", "keep", "remove", "substitute")
+               for use_backbone in (True, False)]
+        assert np.abs(np.array(got) - PINNED_YHAT[s]).max() <= 1e-12
+
+    def test_descriptors(self):
+        model = ReferenceModel.generate(
+            0, spatial_groups={"shape": 2, "charge": 1})
+        sd = SpatialDescriptors([("shape", np.array([0.5, 1.5])),
+                                 ("charge", np.array([-1.0]))])
+        yhat = forward_polymer(model, parse("*CC(C)O*"), sd).yhat
+        assert abs(yhat - 0.46854528007595503) <= 1e-12
 
 
 class TestFragCam:
