@@ -8,31 +8,27 @@ so its pairs are the chain's without repeating the unit.  Both tables also
 take a sequence of graphs and then describe their disjoint union, so that
 one layer call runs over several graphs.
 Only pairs with the strict ``dist < d_thres`` are kept, so the BFS stops at
-ring ``d_thres - 1``; hop distances feed the distance-bias lookup and
-shortest-path edge-order codes feed the path bias.
+ring ``d_thres - 1``; hop distances feed the distance-bias lookup and the
+mean edge-code one-hots along shortest paths feed the path bias.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 
 from .errors import DisconnectedError
-from .graphs import MolGraph, StarLinkGraph
+from .graphs import BOND_VALENCE, MolGraph, StarLinkGraph
 
-EDGE_CODES = ("single", "double", "triple", "aromatic", "link")
+EDGE_CODES = tuple(BOND_VALENCE)  # single, double, triple, aromatic
 _CODE_INDEX = {c: i for i, c in enumerate(EDGE_CODES)}
 _ONEHOT = np.eye(len(EDGE_CODES))
 
 DIST_CLAMP = 32  # lookup table covers 0..32 plus one overflow bucket
-
-
-def edge_code(order: str) -> int:
-    return _CODE_INDEX.get(order, _CODE_INDEX["link"])
 
 
 @dataclass
@@ -47,35 +43,23 @@ class AttentionContext:
     (key atom, image), and include the diagonal; on a periodic graph a row
     may hold one atom more than once, from different images.  The rest of
     the row, where ``pad[i, j]`` is set, is padding (key i, image 0,
-    distance 0, no path counts) that the layers must ignore.  The width D
-    is the longest row.
+    distance 0, zero path) that the layers must ignore.  The width D is
+    the longest row.
 
-    ``path_counts[i, j]`` holds the per-edge-code counts along one shortest
-    path from the key to atom i (their sum equals the distance).  That
-    path is fixed by a lowest-index-predecessor rule: each step back from
-    atom i towards the key goes to the lowest-index neighbour one step
-    closer to the key (among copies of one atom, the one that sees the key
-    in the lowest image).
+    ``path[i, j]`` is the mean edge-code one-hot (per-code counts over the
+    distance; 0 on the diagonal) along one shortest path from the key to
+    atom i.  That path is fixed by a lowest-index-predecessor rule: each
+    step back from atom i towards the key goes to the lowest-index
+    neighbour one step closer to the key (among copies of one atom, the
+    one that sees the key in the lowest image).
     """
 
     n: int
-    d_thres: int
     key: np.ndarray          # (n, D) int key atoms
     dist: np.ndarray         # (n, D) int hop distances
-    path_counts: np.ndarray  # (n, D, len(EDGE_CODES)) edge-code counts
+    path: np.ndarray         # (n, D, len(EDGE_CODES)) edge-code means
     pad: np.ndarray          # (n, D) bool, set past each row's real keys
     image: np.ndarray        # (n, D) int image shift of each key
-    _means: np.ndarray | None = field(default=None, repr=False)
-
-    def path_onehot_means(self) -> np.ndarray:
-        """(n, D, len(EDGE_CODES)) averaged edge-code one-hots per pair.
-
-        Zero on the diagonal pairs, where the path is empty, and on pads.
-        """
-        if self._means is None:
-            denom = np.maximum(self.dist, 1)
-            self._means = self.path_counts / denom[:, :, None]
-        return self._means
 
 
 def _members(graphs):
@@ -93,7 +77,8 @@ def neighbour_table(graphs: MolGraph | Sequence[MolGraph]
     member i's atoms follow the atoms of the members before it.  Both are
     (n, D) with D the highest degree (at least 1, so that a bond-free atom
     still has a row); row i is padded with ``n`` past atom i's degree, an
-    index one past the last atom, and code 0.
+    index one past the last atom, and code 0.  A bond order outside
+    ``EDGE_CODES`` raises ``KeyError``.
     """
     gs = _members(graphs)
     bonds = [b for g in gs for b in g.bonds]
@@ -103,8 +88,8 @@ def neighbour_table(graphs: MolGraph | Sequence[MolGraph]
     if len(gs) > 1:  # shift each member's bonds past the atoms before it
         uv += np.repeat(np.cumsum([0] + [g.n for g in gs[:-1]]),
                         [len(g.bonds) for g in gs])[:, None]
-    c = np.fromiter(map(edge_code, map(attrgetter("order"), bonds)),
-                    np.int64, m)
+    c = np.fromiter(map(_CODE_INDEX.__getitem__,
+                        map(attrgetter("order"), bonds)), np.int64, m)
     u, v, c = uv.T.ravel(), uv[:, ::-1].T.ravel(), np.concatenate([c, c])
     order = np.argsort(u * (n + 1) + v)
     u, v, c = u[order], v[order], c[order]
@@ -216,25 +201,27 @@ def build_context(graphs: MolGraph | StarLinkGraph
     dist = np.zeros(pad.shape, dtype=np.int64)
     dist.reshape(-1)[slot] = np.repeat(np.arange(len(rings)),
                                        [r.size for r in rings])
-    path_counts = np.zeros(pad.shape + (len(EDGE_CODES),))
-    path_counts.reshape(-1, len(EDGE_CODES))[slot] = np.concatenate(counts)
-    return AttentionContext(n, d_thres, key, dist, path_counts, pad, image)
+    path = np.zeros(pad.shape + (len(EDGE_CODES),))
+    path.reshape(-1, len(EDGE_CODES))[slot] = np.concatenate(counts)
+    path /= np.maximum(dist, 1)[:, :, None]
+    return AttentionContext(n, key, dist, path, pad, image)
 
 
 def fold_equivalent(star_ctx: AttentionContext, unroll_ctx: AttentionContext,
                     n_unit: int, copy: int) -> bool:
     """Check that a middle copy of the unrolled context folds onto the star
     context: for each atom of that copy, its row's multiset of (key mod
-    n_unit, distance, edge-code counts) over the real keys must match the
-    star atom's.  These are what the attention bias reads; a periodic row
-    may reach one atom through two images with equal entries, and each
-    must have its counterpart.
+    n_unit, distance, edge-code means) over the real keys must match the
+    star atom's (at one distance, equal means are equal counts).  These
+    are what the attention bias reads; a periodic row may reach one atom
+    through two images with equal entries, and each must have its
+    counterpart.
     """
     def row(ctx: AttentionContext, i: int) -> list:
         real = ~ctx.pad[i]
         return sorted(zip((ctx.key[i, real] % n_unit).tolist(),
                           ctx.dist[i, real].tolist(),
-                          map(tuple, ctx.path_counts[i, real].tolist())))
+                          map(tuple, ctx.path[i, real].tolist())))
 
     return all(row(unroll_ctx, copy * n_unit + i) == row(star_ctx, i)
                for i in range(n_unit))

@@ -4,12 +4,14 @@ Everything here is deterministic 64-bit float arithmetic: message-passing
 (GIN-style) layers, localized attention layers with distance and path biases,
 LayerNorm/FFN blocks, backbone-embedding injection, spatial projection,
 cross-modal fusion, mean pooling with a linear head, masked-atom corruption,
-and fragment attribution.  Weights are either loaded from a JSON file or
-regenerated bit-exactly from a seed with a counter-based generator
-("counter-mix-v1"), so no weight files need to ship.  A regenerated weight
-is drawn on its first read, from its own named stream, so a pass pays only
-for the weights it reads; ``digest`` and ``save`` draw every weight.  Each
-attention layer's weight dict is built once per model (``layers``).
+and fragment attribution, with one ``softmax`` and one two-layer ``_mlp``.
+Weights are either loaded from a JSON file or regenerated bit-exactly from
+a seed with a counter-based generator ("counter-mix-v1"), so no weight
+files need to ship.  A regenerated weight is drawn on its first read, from
+its own named stream, so a pass pays only for the weights it reads;
+``digest`` and ``save`` draw every weight.  Each attention layer's weight
+map is built once per model (``layers``); arrays and maps are read-only,
+so the digest names the weights every pass reads.
 
 Column convention: feature matrices are (d, n) with one column per atom, and
 attention matrices are column-stochastic (each column sums to 1).
@@ -24,6 +26,7 @@ import random
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -84,8 +87,8 @@ LN_EPS = 1e-12  # added to the variance in layer_norm
 
 
 class _DrawnWeights(Mapping):
-    """Read-only map from weight name to array that draws a weight from its
-    counter-mix-v1 stream on the first read and keeps it.
+    """Read-only map from weight name to read-only array that draws a
+    weight from its counter-mix-v1 stream on the first read and keeps it.
 
     Each name's table entry is its shape and the map applied to the drawn
     normals.  Names come from the table, so iterating, ``len`` and ``in``
@@ -104,8 +107,8 @@ class _DrawnWeights(Mapping):
             shape, f = self._table[name]
             arr = f(_normals(self._seed, name, math.prod(shape))
                     .reshape(shape))
-            # threads that race on one name all keep the first array
-            arr = self._drawn.setdefault(name, arr)
+            arr.flags.writeable = False
+            self._drawn[name] = arr
         return arr
 
     def __iter__(self) -> Iterator[str]:
@@ -150,12 +153,12 @@ class ReferenceModel:
                    for name in self.weights)
 
     @cached_property
-    def layers(self) -> tuple[dict[str, np.ndarray], ...]:
+    def layers(self) -> tuple[Mapping[str, np.ndarray], ...]:
         """Each attention layer's weights, as ``local_attention_layer``
-        reads them."""
+        reads them, in a read-only map (``dict`` of it makes a copy)."""
         keys = (*_ATTN_MATS, *_ATTN_VECS, "dist", "path",
                 *(f"{ln}_{s}" for ln in _ATTN_LN for s in ("gain", "bias")))
-        return tuple({k: self[f"attn{l}.{k}"] for k in keys}
+        return tuple(MappingProxyType({k: self[f"attn{l}.{k}"] for k in keys})
                      for l in range(self.L))
 
     @classmethod
@@ -230,6 +233,8 @@ class ReferenceModel:
         weights = {name: np.array([float(v) for v in spec["data"]])
                    .reshape(spec["shape"])
                    for name, spec in doc["weights"].items()}
+        for arr in weights.values():
+            arr.flags.writeable = False
         seed = (doc["meta"].get("seed") or {}).get("seed")
         return cls(weights, doc["meta"]["d_thres"], seed)
 
@@ -247,10 +252,16 @@ def layer_norm(x: np.ndarray, gain: np.ndarray,
     return xc / np.sqrt(var + LN_EPS) * gain[:, None] + bias[:, None]
 
 
-def softmax_columns(s: np.ndarray) -> np.ndarray:
-    z = s - s.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+def softmax(s: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis``; a ``-inf`` score gets weight 0."""
+    e = np.exp(s - s.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+         b2: np.ndarray) -> np.ndarray:
+    """Two affine maps with a ReLU between them, on each column of x."""
+    return w2 @ np.maximum(w1 @ x + b1[:, None], 0.0) + b2[:, None]
 
 
 def gin_layer(nbr: np.ndarray, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
@@ -265,8 +276,7 @@ def gin_layer(nbr: np.ndarray, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
     if x.shape[1] != nbr.shape[0]:
         raise ValueError("column count does not match atom count")
     padded = np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
-    s = x + padded[:, nbr].sum(axis=2)
-    return w2 @ np.maximum(w1 @ s + b1[:, None], 0.0) + b2[:, None]
+    return _mlp(x + padded[:, nbr].sum(axis=2), w1, b1, w2, b2)
 
 
 def attention_bias(ctx: AttentionContext, dist_table: np.ndarray,
@@ -275,12 +285,12 @@ def attention_bias(ctx: AttentionContext, dist_table: np.ndarray,
     the table's last bucket reads that overflow bucket, plus averaged
     path-code functional, laid out as the context's (n, D) table."""
     a_d = dist_table[np.minimum(ctx.dist, len(dist_table) - 1)]
-    a_p = ctx.path_onehot_means() @ path_weights
+    a_p = ctx.path @ path_weights
     return a_d + a_p
 
 
 def local_attention_layer(ctx: AttentionContext, x: np.ndarray,
-                          w: dict[str, np.ndarray]) -> np.ndarray:
+                          w: Mapping[str, np.ndarray]) -> np.ndarray:
     """One localized attention layer with residual LayerNorm and FFN.
 
     Scores are taken row by row on the context's table: row i scores
@@ -298,12 +308,10 @@ def local_attention_layer(ctx: AttentionContext, x: np.ndarray,
     scores = (np.matmul(k[ctx.key], q[:, :, None])[:, :, 0] / math.sqrt(d)
               + attention_bias(ctx, w["dist"], w["path"]))
     scores[ctx.pad] = -np.inf
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    a_hat = e / e.sum(axis=1, keepdims=True)
+    a_hat = softmax(scores, axis=1)
     y = np.matmul(a_hat[:, None, :], v[ctx.key])[:, 0, :].T
     x1 = layer_norm(y + x, w["ln1_gain"], w["ln1_bias"])
-    ffn = w["ffn_w2"] @ np.maximum(
-        w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]
+    ffn = _mlp(x1, w["ffn_w1"], w["ffn_b1"], w["ffn_w2"], w["ffn_b2"])
     return layer_norm(ffn + x1, w["ln2_gain"], w["ln2_bias"])
 
 
@@ -339,7 +347,7 @@ def cross_modal_fusion(xt: np.ndarray, xs: np.ndarray,
     q = model["fusion.wq"] @ xt
     k = model["fusion.wk"] @ xs
     vs = model["fusion.wv"] @ xs
-    a = softmax_columns((k.T @ q) / math.sqrt(xt.shape[0]))
+    a = softmax((k.T @ q) / math.sqrt(xt.shape[0]), axis=0)
     return layer_norm(xt + vs @ a, model["fusion.ln_gain"],
                       model["fusion.ln_bias"])
 

@@ -19,9 +19,9 @@ from polyseq import (
 )
 from polyseq import verify
 from polyseq.cli import main
-from polyseq.context import EDGE_CODES, edge_code, neighbour_table
+from polyseq.context import EDGE_CODES, neighbour_table
 from polyseq.corpus import corpus
-from polyseq.graphs import Atom, Bond, MolGraph, relabel
+from polyseq.graphs import BOND_VALENCE, Atom, Bond, MolGraph, relabel
 from polyseq.nets import ReferenceModel
 
 # Ring systems with many tied shortest paths, written with the boundary
@@ -36,7 +36,7 @@ TIED_RING_SYSTEMS = {
 }
 
 
-ONEHOT = np.eye(len(EDGE_CODES)).tolist()
+ONEHOT = dict(zip(EDGE_CODES, np.eye(len(EDGE_CODES)).tolist()))
 INF_SENTINEL = 0x7FFFFFFF  # the reference's distance to an unreached atom
 
 
@@ -49,27 +49,32 @@ def ctx_of(psmiles, d_thres=3, linked=True):
     return build_context(graph_of(psmiles, linked), d_thres)
 
 
+def path_counts(ctx):
+    """The per-code edge counts along each pair's path, given back exactly
+    by the context's means times the distance."""
+    return np.rint(ctx.path * np.maximum(ctx.dist, 1)[..., None])
+
+
 def pairs(ctx):
-    """The table's real pairs in row order: query, key, dist, path_counts."""
+    """The table's real pairs in row order: query, key, dist, path means."""
     real = ~ctx.pad
     query = np.nonzero(real)[0]
-    return query, ctx.key[real], ctx.dist[real], ctx.path_counts[real]
+    return query, ctx.key[real], ctx.dist[real], ctx.path[real]
 
 
 def densify(ctx):
     """Scatter the context's pairs into n x n arrays indexed [key, query],
     the layout of _reference_context: distances (INF_SENTINEL outside the
-    mask), path counts (zero outside) and the mask."""
+    mask), path means (zero outside) and the mask."""
     n = ctx.n
     query, key, d, c = pairs(ctx)
     dist = np.full((n, n), INF_SENTINEL, dtype=np.int64)
-    counts = np.zeros((n, n, len(EDGE_CODES)))
+    path = np.zeros((n, n, len(EDGE_CODES)))
     mask = np.zeros((n, n), dtype=bool)
     dist[key, query] = d
-    counts[key, query] = c
+    path[key, query] = c
     mask[key, query] = True
-    return SimpleNamespace(n=n, d_thres=ctx.d_thres, dist=dist,
-                           path_counts=counts, local_mask=mask)
+    return SimpleNamespace(n=n, dist=dist, path=path, local_mask=mask)
 
 
 def all_distances(g):
@@ -93,7 +98,7 @@ class TestInvariants:
     @pytest.mark.parametrize("s", ["*CONO*", "*CC(c1ccccc1)O*"])
     def test_path_counts_sum_to_distance(self, s):
         ctx = ctx_of(s)
-        assert np.array_equal(ctx.path_counts.sum(axis=2), ctx.dist)
+        assert np.array_equal(path_counts(ctx).sum(axis=2), ctx.dist)
 
     def test_mask_diagonal_always_on(self):
         ctx = ctx_of("*CONO*", d_thres=1)
@@ -107,10 +112,10 @@ class TestInvariants:
 
     def test_edge_codes_recorded(self):
         star = star_link(parse("*CC=CC*"))
-        counts = densify(build_context(star.as_graph(), 4)).path_counts
-        assert counts[1, 2].tolist() == ONEHOT[edge_code("double")]
+        path = densify(build_context(star.as_graph(), 4)).path
+        assert path[1, 2].tolist() == ONEHOT["double"]
         # 0-3 goes through the link edge, recorded as a single bond
-        assert counts[0, 3].tolist() == ONEHOT[edge_code("single")]
+        assert path[0, 3].tolist() == ONEHOT["single"]
 
     def test_deterministic_tie_break(self):
         # the star graph is two 4-rings, 0-1=2-3 and 4-5=6-7, with 3-4 and
@@ -120,18 +125,19 @@ class TestInvariants:
         g = star_link(parse("*C1C=CC1*")).as_graph()
         a = densify(build_context(g, 3))
         b = densify(build_context(g, 3))
-        assert np.array_equal(a.path_counts, b.path_counts)
-        single, double = (ONEHOT[edge_code(o)] for o in ("single", "double"))
+        assert np.array_equal(a.path, b.path)
+        single, double = ONEHOT["single"], ONEHOT["double"]
         via_double = [s + d for s, d in zip(single, double)]
+        # each pair is 2 hops apart: the means are half the counts
         for i, j in [(0, 2), (2, 0), (4, 6), (6, 4)]:
-            assert a.path_counts[i, j].tolist() == via_double
+            assert (2 * a.path[i, j]).tolist() == via_double
         for i, j in [(1, 3), (3, 1), (5, 7), (7, 5)]:
-            assert a.path_counts[i, j].tolist() == [2 * s for s in single]
+            assert a.path[i, j].tolist() == single
 
     def test_onehot_means(self):
         ctx = ctx_of("*CC=CC*", d_thres=5)
         assert (~ctx.pad).sum() == ctx.n ** 2  # the 4-ring is all in the mask
-        sums = ctx.path_onehot_means().sum(axis=2)
+        sums = ctx.path.sum(axis=2)
         off = ctx.key != np.arange(ctx.n)[:, None]
         assert np.allclose(sums[off], 1.0)
         assert np.allclose(sums[~off], 0.0)
@@ -150,7 +156,7 @@ class TestPeriodic:
         g = parse("*CC(C)O*")
         a = build_context(repeat_monomer(g, 1), 3)
         b = build_context(g, 3)
-        for name in ("key", "dist", "path_counts", "pad"):
+        for name in ("key", "dist", "path", "pad"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_unroll_sizes(self):
@@ -165,7 +171,7 @@ class TestPeriodic:
 
 def _chain_rows(ctx, n_unit, copies):
     """The real entries of the middle copy's rows of a context of the
-    copies-fold unroll, as sorted (chain key, dist, counts) per unit atom."""
+    copies-fold unroll, as sorted (chain key, dist, path) per unit atom."""
     mid = copies // 2
     q, key, d, c = pairs(ctx)
     out = []
@@ -185,7 +191,7 @@ def _periodic_rows(ctx, copies):
         real = ~ctx.pad[i]
         keys = (mid + ctx.image[i, real]) * ctx.n + ctx.key[i, real]
         out.append(sorted(zip(keys.tolist(), ctx.dist[i, real].tolist(),
-                              map(tuple, ctx.path_counts[i, real].tolist()))))
+                              map(tuple, ctx.path[i, real].tolist()))))
     return out
 
 
@@ -208,7 +214,7 @@ class TestPeriodicContext:
             a = build_context(star, d_thres)
             b = build_context(star.as_graph(), d_thres)
             _assert_table(a, periodic=True)
-            for name in ("key", "dist", "path_counts", "pad"):
+            for name in ("key", "dist", "path", "pad"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
             checked += 1
         assert checked >= 10
@@ -246,8 +252,8 @@ class TestPeriodicContext:
                                       [0, 1, 0, 1, 0]]
         assert ctx.dist.tolist() == [[0, 2, 1, 1, 2], [1, 2, 0, 2, 1],
                                      [2, 1, 1, 2, 0]]
-        single = ONEHOT[edge_code("single")]
-        assert ctx.path_counts.tolist() == [
+        single = ONEHOT["single"]
+        assert path_counts(ctx).tolist() == [
             [[d * c for c in single] for d in row] for row in ctx.dist]
 
     def test_rejects_bad_input(self):
@@ -294,13 +300,13 @@ class TestFolding:
         assert ctx.key[0, 2] == ctx.key[0, 3] == 2
         keep = [0, 1, 3, 4]
         dropped = AttentionContext(
-            ctx.n, ctx.d_thres, ctx.key.copy(), ctx.dist.copy(),
-            ctx.path_counts.copy(), ctx.pad.copy(), ctx.image.copy())
-        for name in ("key", "dist", "path_counts", "image"):
+            ctx.n, ctx.key.copy(), ctx.dist.copy(), ctx.path.copy(),
+            ctx.pad.copy(), ctx.image.copy())
+        for name in ("key", "dist", "path", "image"):
             table = getattr(dropped, name)
             table[0, :4] = getattr(ctx, name)[0, keep]
         dropped.key[0, 4], dropped.dist[0, 4] = 0, 0
-        dropped.image[0, 4], dropped.path_counts[0, 4] = 0, 0.0
+        dropped.image[0, 4], dropped.path[0, 4] = 0, 0.0
         dropped.pad[0, 4] = True
         _assert_table(dropped, periodic=True)
         assert not fold_equivalent(dropped, un_ctx, 4, 4)
@@ -318,11 +324,11 @@ def _assert_union(members, d_thres):
         assert union.pad.shape[1] >= width and union.pad[rows, width:].all()
         assert np.array_equal(union.pad[rows, :width], own.pad)
         for name, shift in (("key", start), ("dist", 0), ("image", 0),
-                            ("path_counts", 0)):
+                            ("path", 0)):
             got = getattr(union, name)[rows, :width]
             assert got.tobytes() == (getattr(own, name) + shift).tobytes()
         start += own.n
-    assert union.n == start and union.d_thres == d_thres
+    assert union.n == start
     return union
 
 
@@ -358,7 +364,7 @@ class TestUnion:
             star = star_link(parse(s))
             for g in (star, star.as_graph(), parse(s)):
                 a, b = build_context(g, d_thres), build_context([g], d_thres)
-                for name in ("key", "dist", "image", "path_counts", "pad"):
+                for name in ("key", "dist", "image", "path", "pad"):
                     assert (getattr(a, name).tobytes()
                             == getattr(b, name).tobytes())
                 assert a.n == b.n
@@ -401,7 +407,17 @@ class TestSerialization:
             [[0, 0, 1], [1, 0, 0], [2, 0, 1]],
             [[1, 0, 1], [2, 0, 0], [3, 0, 1]],
             [[0, 1, 1], [2, 0, 1], [3, 0, 0]]]}
-        assert len(EDGE_CODES) == 5
+
+
+class TestEdgeCodes:
+    def test_edge_codes_are_the_bond_orders(self):
+        assert EDGE_CODES == ("single", "double", "triple", "aromatic")
+        assert EDGE_CODES == tuple(BOND_VALENCE)
+
+    def test_unknown_bond_order_raises(self):
+        g = MolGraph([Atom("C"), Atom("C")], [Bond(0, 1, "quadruple")])
+        with pytest.raises(KeyError):
+            neighbour_table(g)
 
 
 def _reference_context(g, d_thres):
@@ -412,7 +428,7 @@ def _reference_context(g, d_thres):
     n = g.n
     ecode = np.full((n, n), -1, dtype=np.int64)
     for b in g.bonds:
-        ecode[b.u, b.v] = ecode[b.v, b.u] = edge_code(b.order)
+        ecode[b.u, b.v] = ecode[b.v, b.u] = EDGE_CODES.index(b.order)
     dist = np.full((n, n), INF_SENTINEL, dtype=np.int64)
     parent = np.full((n, n), -1, dtype=np.int64)
     for src in range(n):
@@ -435,8 +451,9 @@ def _reference_context(g, d_thres):
         ss, vv = np.nonzero(dist == d)
         pp = parent[ss, vv]
         counts[ss, vv] = counts[ss, pp] + eye[ecode[pp, vv]]
-    return SimpleNamespace(n=n, d_thres=d_thres, dist=dist,
-                           path_counts=counts, local_mask=dist < d_thres)
+    path = counts / np.maximum(dist, 1)[:, :, None]
+    return SimpleNamespace(n=n, dist=dist, path=path,
+                           local_mask=dist < d_thres)
 
 
 def _reference_to_json(star, d_thres):
@@ -464,7 +481,7 @@ def _assert_table(ctx, periodic=False):
     n, width = ctx.key.shape
     assert n == ctx.n and width >= 1
     assert ctx.dist.shape == ctx.pad.shape == ctx.image.shape == (n, width)
-    assert ctx.path_counts.shape == (n, width, len(EDGE_CODES))
+    assert ctx.path.shape == (n, width, len(EDGE_CODES))
     assert ctx.pad.dtype == bool and not ctx.pad.all(axis=0).any()
     real = (~ctx.pad).sum(axis=1)
     # real entries first: the row is unpadded up to its count
@@ -476,7 +493,7 @@ def _assert_table(ctx, periodic=False):
         assert all(0 <= k < n for k in keys)
         assert ctx.dist[i, entries.index((i, 0))] == 0
     assert np.all(ctx.dist[ctx.pad] == 0) and np.all(ctx.image[ctx.pad] == 0)
-    assert not ctx.path_counts[ctx.pad].any()
+    assert not ctx.path[ctx.pad].any()
     if not periodic:
         assert not ctx.image.any()
     # an image shift of s needs at least |s| hops
@@ -485,16 +502,16 @@ def _assert_table(ctx, periodic=False):
 
 def _assert_same_context(g):
     """build_context holds exactly the reference's masked pairs, with
-    byte-identical distances and path counts."""
+    byte-identical distances and path means."""
     for d_thres in (1, 2, 3, 4):
         ctx = build_context(g, d_thres)
         _assert_table(ctx)
         got, want = densify(ctx), _reference_context(g, d_thres)
-        assert got.n == want.n and ctx.d_thres == d_thres
+        assert got.n == want.n
         mask = want.local_mask
         assert got.local_mask.tobytes() == mask.tobytes(), d_thres
         assert ctx.dist.dtype == want.dist.dtype
-        for name in ("dist", "path_counts"):
+        for name in ("dist", "path"):
             a, b = getattr(got, name)[mask], getattr(want, name)[mask]
             assert a.tobytes() == b.tobytes(), (name, d_thres)
 
@@ -539,7 +556,7 @@ class TestReferenceBFS:
         _assert_same_context(g)
         ctx = densify(build_context(g, 2))
         assert ctx.dist.tolist() == [[0]]
-        assert ctx.path_counts.shape == (1, 1, len(EDGE_CODES))
+        assert ctx.path.shape == (1, 1, len(EDGE_CODES))
 
     def test_relabel_permutes_dist_and_mask(self):
         rng = random.Random(4)

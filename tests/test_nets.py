@@ -34,7 +34,7 @@ from polyseq.nets import (
     _normals,
     classify_atoms,
     normalize_fragmentation,
-    softmax_columns,
+    softmax,
 )
 
 
@@ -63,14 +63,14 @@ def _reference_local_attention_layer(ctx, x, w):
     node = ctx.key[real] * m + ctx.image[real] - lo
     query = np.nonzero(real)[0]
     dist[node, query] = ctx.dist[real]
-    means[node, query] = ctx.path_onehot_means()[real]
+    means[node, query] = ctx.path[real]
     mask[node, query] = True
     # every image of an atom carries that atom's features
     q, k, v = (w[name] @ x for name in ("wq", "wk", "wv"))
     k, v = np.repeat(k, m, axis=1), np.repeat(v, m, axis=1)
     bias = w["dist"][np.minimum(dist, DIST_CLAMP + 1)] + means @ w["path"]
     scores = (k.T @ q) / math.sqrt(d) + bias
-    a_hat = softmax_columns(np.where(mask, scores, -np.inf))
+    a_hat = softmax(np.where(mask, scores, -np.inf), axis=0)
     x1 = layer_norm(v @ a_hat + x, w["ln1_gain"], w["ln1_bias"])
     ffn = w["ffn_w2"] @ np.maximum(
         w["ffn_w1"] @ x1 + w["ffn_b1"][:, None], 0.0) + w["ffn_b2"][:, None]
@@ -146,11 +146,11 @@ class TestWeights:
     @pytest.mark.parametrize("args,kwargs,digest", [
         ((0,), dict(d=64, L=3, d_thres=3,
                     spatial_groups={"shape": 3, "charge": 2}),
-         "43cca928f00c3fc1"),
-        ((101,), dict(d=64, L=3, d_thres=3), "4fbdd21557b88acc"),
-        ((7,), dict(d=16, L=2, d_thres=3), "03b3078096967452"),
-        ((2 ** 64 + 5,), dict(d=16, L=1, d_thres=3), "59f18278926e9b19"),
-        ((-3,), dict(d=16, L=1, d_thres=3), "d034ba5a7dd1c0a7"),
+         "03ab9d75ae099038"),
+        ((101,), dict(d=64, L=3, d_thres=3), "bfd35541eac47979"),
+        ((7,), dict(d=16, L=2, d_thres=3), "3a5298639e20fc37"),
+        ((2 ** 64 + 5,), dict(d=16, L=1, d_thres=3), "2e2c7ccecbcb7aee"),
+        ((-3,), dict(d=16, L=1, d_thres=3), "cf765a1379d4910e"),
     ])
     def test_golden_digest(self, args, kwargs, digest):
         assert ReferenceModel.generate(*args, **kwargs).digest() == digest
@@ -191,6 +191,28 @@ class TestWeights:
         other = dataclasses.replace(model, d_thres=2)
         for name in model.weights:
             assert other[name] is model[name]
+
+    def test_weights_are_read_only(self, tmp_path):
+        # a write would leave the digest naming weights no pass reads
+        m = ReferenceModel.generate(0, d=8, L=2)
+        path = tmp_path / "model.json"
+        m.save(str(path))
+        loaded = ReferenceModel.load(str(path))
+        for model in (m, loaded):
+            digest = model.digest()
+            for l in range(model.L):
+                with pytest.raises(TypeError):
+                    model.layers[l]["dist"] = np.zeros(nets.N_DIST_BUCKETS)
+                with pytest.raises(ValueError):
+                    model.layers[l]["wq"][0, 0] += 1.0
+            for name in model.weights:
+                with pytest.raises(ValueError):
+                    model[name][...] = 0.0
+            assert model.digest() == digest
+            # dict() still copies a layer's map, for a caller's own edits
+            w = dict(model.layers[0])
+            w["dist"] = np.zeros(nets.N_DIST_BUCKETS)
+            assert model.layers[0]["dist"] is model["attn0.dist"]
 
     def test_digest_tracks_weights(self, model, tmp_path):
         path = str(tmp_path / "model.json")
@@ -341,9 +363,19 @@ class TestPrimitives:
 
     def test_softmax_columns(self):
         s = np.array([[0.0, 10.0], [1.0, 10.0]])
-        a = softmax_columns(s)
+        a = softmax(s, axis=0)
         assert np.allclose(a.sum(axis=0), 1.0)
         assert np.allclose(a[:, 1], 0.5)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_softmax_is_the_plain_formula_bitwise(self, axis):
+        rng = np.random.default_rng(axis)
+        s = rng.normal(size=(7, 5)) * 30
+        s[2, 3] = -np.inf  # a masked score
+        m = s.max(axis=axis, keepdims=True)
+        want = np.exp(s - m) / np.exp(s - m).sum(axis=axis, keepdims=True)
+        assert softmax(s, axis).tobytes() == want.tobytes()
+        assert softmax(s, axis)[2, 3] == 0.0
 
     def test_layer_norm_is_two_pass_bitwise(self):
         rng = np.random.default_rng(3)
@@ -426,7 +458,7 @@ class TestReferenceAttention:
     def _check_random_inputs(model, g, ctx, d_thres):
         rng = np.random.default_rng(d_thres)
         for l in range(model.L):
-            w = dict(model.layers[l])  # a copy: the model's dicts are shared
+            w = dict(model.layers[l])  # a copy: the model's maps are read-only
             w["dist"] = rng.normal(size=w["dist"].shape) * 3
             w["path"] = rng.normal(size=w["path"].shape) * 3
             x = rng.normal(size=(model.d, g.n)) * 2
@@ -544,7 +576,7 @@ class TestNeighbourTables:
     @staticmethod
     def _repadded(ctx, rng, extra):
         """ctx with its pads pointing at random atoms in random images and
-        holding random distances and path counts, widened by extra pad
+        holding random distances and path means, widened by extra pad
         columns."""
         n, width = ctx.key.shape
         shape = (n, width + extra)
@@ -552,13 +584,12 @@ class TestNeighbourTables:
         pad[:, :width] = ctx.pad
         key = rng.integers(0, n, size=shape)
         dist = rng.integers(0, DIST_CLAMP + 5, size=shape)
-        counts = rng.integers(0, 4, size=shape + (N_PATH_CODES,)) * 1.0
+        path = rng.random(size=shape + (N_PATH_CODES,))
         key[~pad], dist[~pad] = ctx.key[~ctx.pad], ctx.dist[~ctx.pad]
-        counts[~pad] = ctx.path_counts[~ctx.pad]
+        path[~pad] = ctx.path[~ctx.pad]
         image = rng.integers(-2, 3, size=shape)
         image[~pad] = ctx.image[~ctx.pad]
-        return AttentionContext(ctx.n, ctx.d_thres, key, dist, counts, pad,
-                                image)
+        return AttentionContext(ctx.n, key, dist, path, pad, image)
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_attention_ignores_pads(self, model, extra):
