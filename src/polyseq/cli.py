@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 verification failure.
 Line commands stream: each non-blank input line prints its result as soon as
-it is computed, in input order.  A bad record, a line or a fragcam dataset
-row, is reported on stderr as "line N: <error type>: <message>", N its line
-in the file, and a bad file as "error: <file>: <message>".  Each command
-takes only the options it reads; all randomness derives from --seed.
+it is computed, in input order.  A bad record, a line or a row of an rsit or
+fragcam dataset, is reported on stderr as "line N: <error type>: <message>",
+N its line in the file, and a bad file as "error: <file>: <message>".  Each
+command takes only the options it reads; all randomness derives from --seed.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ def _read_csv(path: str, columns: list[str]):
         if header[:len(columns)] != columns:
             raise PolyseqError(f"{path}: expected a CSV header starting "
                                f"{','.join(columns)!r}")
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise PolyseqError(f"{path}: duplicate column {repeated[0]!r}")
         rows = [(reader.line_num, [f.strip() for f in row]) for row in reader
                 if len(row) > 1 or row and row[0].strip()]
     return header, rows
@@ -280,24 +283,25 @@ def _run_verify(args) -> int:
 
 
 def _run_rsit(args) -> int:
-    """One rsit run per selected strategy: all four with --compare."""
-    samples = [sample for _, sample in _read_dataset(args.dataset)]
+    """Score each row once for every strategy, all four with --compare."""
+    samples = _read_dataset(args.dataset)
     model = _model_from(args, d_thres=args.d_thres)
     strategies = rsit_mod.STRATEGIES if args.compare else (args.strategy,)
-    reports = {s: rsit_mod.rsit(rsit_mod.ModelPredictor(model, s), samples,
-                                metric=args.metric) for s in strategies}
-    rows = [rep.row(s) for s, rep in reports.items()]
-    print(rsit_mod.format_table(rows))
+    predictors = {s: rsit_mod.ModelPredictor(model, s) for s in strategies}
+    records = []
+    errors = _each_record(samples, lambda i, row: rsit_mod.evaluate(
+        predictors, i, *row), records.append)
+    if not records:
+        raise PolyseqError(f"{args.dataset}: no sample to score")
+    reports = {s: rsit_mod.summarize([r[s] for r in records], args.metric)
+               for s in strategies}
+    print(rsit_mod.format_table([rep.row(s) for s, rep in reports.items()]))
     if args.output:
         doc = {"metric": args.metric}
         doc.update((s, rep.to_dict()) for s, rep in reports.items())
         with open(args.output, "w") as fh:
             json.dump(doc, fh, indent=2)
-    failed = [r for r in rows if r["failures"]]
-    for r in failed:
-        print(f"warning: {r['strategy']}: {r['failures']} sample(s) failed "
-              "and were excluded", file=sys.stderr)
-    return EXIT_INPUT if failed else EXIT_OK
+    return EXIT_INPUT if errors else EXIT_OK
 
 
 def _run_fragcam(args) -> int:

@@ -11,7 +11,7 @@ sample and in aggregate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .nets import ReferenceModel, forward_polymer
 from .psmiles import augment_rewrites, parse
@@ -55,27 +55,24 @@ class SampleResult:
     index: int
     psmiles: str
     label: float
-    base_prediction: float = 0.0
-    adv_loss: float = 0.0
-    adv_predict: float = 0.0
-    rewrites: int = 0
-    error: str | None = None
+    base_prediction: float
+    adv_loss: float
+    adv_predict: float
+    rewrites: int
 
 
 @dataclass
 class RsitReport:
     metric: str
-    samples: list[SampleResult] = field(default_factory=list)
-    clean_metric: float = 0.0
-    adv_metric: float = 0.0
-    rsit_gap: float = 0.0
-    failures: int = 0
+    samples: list[SampleResult]
+    clean_metric: float
+    adv_metric: float
+    rsit_gap: float
 
     def row(self, strategy: str) -> dict:
         """The table row of this report, run with the given strategy."""
         return {"strategy": strategy, "clean": self.clean_metric,
-                "adversarial": self.adv_metric, "gap": self.rsit_gap,
-                "failures": self.failures}
+                "adversarial": self.adv_metric, "gap": self.rsit_gap}
 
     def to_dict(self) -> dict:
         """The report as ``rsit --output`` writes it under its strategy."""
@@ -84,53 +81,56 @@ class RsitReport:
         return {**row, "samples": [vars(s) for s in self.samples]}
 
 
-def rsit(predictor, samples: list[tuple[str, float]],
-         metric: str = "r2") -> RsitReport:
-    """Worst case over every distinct rewrite of each sample.
-
-    The adversarial loss starts from the unaugmented sample, so it is never
-    below the clean loss; rewrites are tried in sorted order and a tie keeps
-    the earlier one.
+def evaluate(predictors: dict, index: int, s: str, y: float
+             ) -> dict[str, SampleResult]:
+    """Sample (s, y), the index-th of its dataset, under each predictor of a
+    {name: predictor} map.  The adversarial loss starts from the unaugmented
+    sample; rewrites follow in sorted order and a tie keeps the earlier one.
     """
+    rewrites = augment_rewrites(parse(s))
+    records = {}
+    for name, predictor in predictors.items():
+        base = predictor.predict(s)
+        adv_loss, adv_predict = squared_loss(base, y), base
+        for adv_x in rewrites:
+            pred = predictor.predict(adv_x)
+            loss = squared_loss(pred, y)
+            if loss > adv_loss:
+                adv_loss, adv_predict = loss, pred
+        records[name] = SampleResult(index, s, y, base, adv_loss,
+                                     adv_predict, len(rewrites))
+    return records
+
+
+def summarize(records: list[SampleResult], metric: str) -> RsitReport:
+    """The clean and adversarial metric over one predictor's records."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    report = RsitReport(metric=metric)
-    for idx, (s, y) in enumerate(samples):
-        rec = SampleResult(idx, s, y)
-        try:
-            base = predictor.predict(s)
-            rec.base_prediction = base
-            rec.adv_loss = squared_loss(base, y)
-            rec.adv_predict = base
-            rewrites = augment_rewrites(parse(s))
-            for adv_x in rewrites:
-                pred = predictor.predict(adv_x)
-                adv_loss = squared_loss(pred, y)
-                if adv_loss > rec.adv_loss:
-                    rec.adv_loss = adv_loss
-                    rec.adv_predict = pred
-            rec.rewrites = len(rewrites)
-        except Exception as exc:  # predictor failure: record, exclude
-            rec.error = f"{type(exc).__name__}: {exc}"
-            report.failures += 1
-        report.samples.append(rec)
-
-    ok = [s for s in report.samples if s.error is None]
+    if not records:
+        raise ValueError("no sample to score")
     fn, higher_better = METRICS[metric]
-    if ok:
-        labels = [s.label for s in ok]
-        report.clean_metric = fn(labels, [s.base_prediction for s in ok])
-        report.adv_metric = fn(labels, [s.adv_predict for s in ok])
-        drop = report.clean_metric - report.adv_metric
-        report.rsit_gap = drop if higher_better else -drop
-    return report
+    labels = [r.label for r in records]
+    clean = fn(labels, [r.base_prediction for r in records])
+    adv = fn(labels, [r.adv_predict for r in records])
+    # adv - clean, not -(clean - adv): a zero gap stays +0.0
+    gap = clean - adv if higher_better else adv - clean
+    return RsitReport(metric, records, clean, adv, gap)
+
+
+def rsit(predictor, samples: list[tuple[str, float]],
+         metric: str = "r2") -> RsitReport:
+    """Worst case over every rewrite of each sample; errors propagate."""
+    return summarize([evaluate({"": predictor}, i, s, y)[""]
+                      for i, (s, y) in enumerate(samples)], metric)
 
 
 def compare_strategies(model: ReferenceModel,
                        samples: list[tuple[str, float]], metric: str = "r2"
                        ) -> list[dict[str, float | str]]:
     """Clean vs adversarial table for the four endpoint strategies."""
-    return [rsit(ModelPredictor(model, s), samples, metric=metric).row(s)
+    predictors = {s: ModelPredictor(model, s) for s in STRATEGIES}
+    records = [evaluate(predictors, i, *row) for i, row in enumerate(samples)]
+    return [summarize([r[s] for r in records], metric).row(s)
             for s in STRATEGIES]
 
 

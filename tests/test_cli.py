@@ -333,31 +333,44 @@ class TestRsit:
 
     def test_output_has_one_shape(self, tmp_path, capsys):
         # single-strategy and --compare runs write one report shape, and
-        # each strategy's figures match its row of the printed table
-        def read_report(path):
-            doc = json.loads(path.read_text())
-            metric = doc.pop("metric")
-            rows = {s: (r["clean"], r["adversarial"], r["gap"], r["failures"],
-                        len(r["samples"])) for s, r in doc.items()}
-            return metric, rows
-
+        # each strategy's --compare report and table row equal its own run
         data = write_dataset(tmp_path, self.ROWS)
         opts = ["--dim", "16", "--layers", "1", "--d-thres", "2"]
-        single, both = tmp_path / "single.json", tmp_path / "compare.json"
-        assert main(["rsit", data, "--strategy", "keep", "--output",
-                     str(single)] + opts) == 0
-        table_single = capsys.readouterr().out
+        both = tmp_path / "compare.json"
         assert main(["rsit", data, "--compare", "--output", str(both)]
                     + opts) == 0
-        table_both = capsys.readouterr().out
-        metric, one = read_report(single)
-        assert metric == "r2" and list(one) == ["keep"]
-        metric, four = read_report(both)
-        assert metric == "r2"
+        table_both = capsys.readouterr().out.splitlines()
+        four = json.loads(both.read_text())
+        assert four.pop("metric") == "r2"
         assert list(four) == ["keep", "remove", "substitute", "link"]
-        assert four["keep"] == one["keep"]
-        assert one["keep"][4] == len(self.ROWS)
-        assert table_single.splitlines()[2] == table_both.splitlines()[2]
+        for row, strategy in enumerate(four, 2):
+            single = tmp_path / f"{strategy}.json"
+            assert main(["rsit", data, "--strategy", strategy, "--output",
+                         str(single)] + opts) == 0
+            table_single = capsys.readouterr().out.splitlines()
+            assert table_single[2] == table_both[row]
+            one = json.loads(single.read_text())
+            assert one.pop("metric") == "r2" and list(one) == [strategy]
+            assert set(one[strategy]) == {"clean", "adversarial", "gap",
+                                          "samples"}
+            assert one[strategy] == four[strategy]
+            assert len(one[strategy]["samples"]) == len(self.ROWS)
+            assert [s["index"] for s in one[strategy]["samples"]] == [
+                0, 1, 2, 3]
+
+    def test_compare_rewrites_each_row_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return augment_rewrites(g)
+
+        monkeypatch.setattr("polyseq.rsit.augment_rewrites", counted)
+        data = write_dataset(tmp_path, self.ROWS)
+        assert main(["rsit", data, "--compare", "--dim", "8", "--layers",
+                     "1"]) == 0
+        assert len(calls) == len(self.ROWS)
 
     def test_trials_is_gone(self, tmp_path, capsys):
         data = write_dataset(tmp_path, self.ROWS)
@@ -406,26 +419,53 @@ class TestRsit:
         assert main(["rsit", str(data)]) == 2
         assert capsys.readouterr().err == f"error: {data} {where}: {message}\n"
 
-    def test_failed_row_single_strategy(self, tmp_path, capsys):
+    def check_failed_row(self, tmp_path, capsys, compare):
+        # the bad row is named once, and the table is that of the good rows
+        opts = ["--dim", "16", "--layers", "1", "--d-thres", "2"] + compare
+        assert main(["rsit", write_dataset(tmp_path, self.ROWS)] + opts) == 0
+        want = capsys.readouterr().out
+        assert len(want.splitlines()) == (6 if compare else 3)
         data = write_dataset(tmp_path, self.ROWS + [("*C(C*", 2.0)])
-        rc = main(["rsit", data, "--dim", "16", "--layers", "1",
-                   "--d-thres", "2"])
-        assert rc == 2
+        assert main(["rsit", data] + opts) == 2
         captured = capsys.readouterr()
-        assert "link" in captured.out
-        assert captured.err == ("warning: link: 1 sample(s) failed and were "
-                                "excluded\n")
+        assert captured.out == want
+        [line] = captured.err.splitlines()
+        assert line.startswith("line 6: ParseError: ")
+
+    def test_failed_row_single_strategy(self, tmp_path, capsys):
+        self.check_failed_row(tmp_path, capsys, [])
 
     def test_failed_row_compare(self, tmp_path, capsys):
-        data = write_dataset(tmp_path, self.ROWS + [("*C(C*", 2.0)])
-        rc = main(["rsit", data, "--dim", "16", "--layers", "1",
-                   "--d-thres", "2", "--compare"])
-        assert rc == 2
+        self.check_failed_row(tmp_path, capsys, ["--compare"])
+
+    def test_lex_error_row_is_left_out(self, tmp_path, capsys):
+        opts = ["--compare", "--dim", "8", "--layers", "1"]
+        assert main(["rsit", write_dataset(tmp_path, self.ROWS)] + opts) == 0
+        want = capsys.readouterr().out
+        rows = self.ROWS[:1] + [("*CX*", 1.0)] + self.ROWS[1:]
+        assert main(["rsit", write_dataset(tmp_path, rows)] + opts) == 2
         captured = capsys.readouterr()
-        assert len(captured.out.splitlines()) == 6
-        assert captured.err.splitlines() == [
-            f"warning: {s}: 1 sample(s) failed and were excluded"
-            for s in ("keep", "remove", "substitute", "link")]
+        assert captured.out == want
+        assert captured.err == ("line 3: LexError: illegal character 'X' "
+                                "at col 2\n")
+
+    @pytest.mark.parametrize("rows", [[], [("*C(C*", 1.0), ("*CX*", 2.0)]])
+    def test_no_sample_to_score(self, tmp_path, capsys, rows):
+        data = write_dataset(tmp_path, rows)
+        assert main(["rsit", data, "--compare", "--dim", "8", "--layers",
+                     "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == len(rows) + 1
+        assert err[-1] == f"error: {data}: no sample to score"
+
+    def test_duplicate_column(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, [("*CC*", "1.0,2.0")],
+                             header="psmiles,value,value")
+        assert main(["rsit", data]) == 2
+        assert capsys.readouterr().err == (f"error: {data}: duplicate column "
+                                           "'value'\n")
 
 
 class TestFragcam:
@@ -573,6 +613,8 @@ class TestForward:
          "desc.csv: expected a CSV header starting 'psmiles'"),
         ("psmiles,x1\n*CC*,0.5\n*CC*,0.7\n", {"geom": ["x1"]},
          "desc.csv line 3: duplicate row for '*CC*'"),
+        ("psmiles,d0,d0\n*CC*,1,2\n", {"g": ["d0"]},
+         "desc.csv: duplicate column 'd0'"),
     ])
     def test_descriptor_input_mismatch(self, tmp_path, capsys, csv_text,
                                        groups_doc, fragment):

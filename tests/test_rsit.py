@@ -7,8 +7,6 @@ from polyseq import ModelPredictor, ReferenceModel
 from polyseq.corpus import corpus, labeled_corpus
 from polyseq.psmiles import augment_rewrites, parse, random_augment, write
 from polyseq.rsit import (
-    METRICS,
-    RsitReport,
     SampleResult,
     compare_strategies,
     format_table,
@@ -16,6 +14,7 @@ from polyseq.rsit import (
     rmse_score,
     rsit,
     squared_loss,
+    summarize,
 )
 
 
@@ -31,39 +30,20 @@ def _reference_rsit(predictor, samples, T, loss=squared_loss, seed=0,
     """
     if T < 0:
         raise ValueError("trial count must be >= 0")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    report = RsitReport(metric=metric)
+    records = []
     for idx, (s, y) in enumerate(samples):
-        rec = SampleResult(idx, s, y)
-        try:
-            base = predictor.predict(s)
-            rec.base_prediction = base
-            rec.adv_loss = loss(base, y)
-            rec.adv_predict = base
-            for t in range(T):
-                rng = _trial_rng(seed, idx, t)
-                adv_x = write(random_augment(parse(s), rng))
-                pred = predictor.predict(adv_x)
-                trial_loss = loss(pred, y)
-                if trial_loss > rec.adv_loss:
-                    rec.adv_loss = trial_loss
-                    rec.adv_predict = pred
-            rec.rewrites = T
-        except Exception as exc:  # predictor failure: record, exclude
-            rec.error = f"{type(exc).__name__}: {exc}"
-            report.failures += 1
-        report.samples.append(rec)
-
-    ok = [s for s in report.samples if s.error is None]
-    fn, higher_better = METRICS[metric]
-    if ok:
-        labels = [s.label for s in ok]
-        report.clean_metric = fn(labels, [s.base_prediction for s in ok])
-        report.adv_metric = fn(labels, [s.adv_predict for s in ok])
-        drop = report.clean_metric - report.adv_metric
-        report.rsit_gap = drop if higher_better else -drop
-    return report
+        base = predictor.predict(s)
+        adv_loss, adv_predict = loss(base, y), base
+        for t in range(T):
+            rng = _trial_rng(seed, idx, t)
+            adv_x = write(random_augment(parse(s), rng))
+            pred = predictor.predict(adv_x)
+            trial_loss = loss(pred, y)
+            if trial_loss > adv_loss:
+                adv_loss, adv_predict = trial_loss, pred
+        records.append(SampleResult(idx, s, y, base, adv_loss, adv_predict,
+                                    T))
+    return summarize(records, metric)
 
 
 class ConstantPredictor:
@@ -102,6 +82,13 @@ class ScriptedPredictor:
     def predict(self, psmiles):
         self.calls.append(psmiles)
         return self.values[min(len(self.calls), len(self.values)) - 1]
+
+
+class TextPredictor:
+    """Returns its prediction as a string, a bug the loss trips over."""
+
+    def predict(self, psmiles):
+        return "1.5"
 
 
 class FailingPredictor:
@@ -169,13 +156,17 @@ class TestHarness:
         assert rep.samples[0].adv_predict == -1.0
         assert rep.samples[0].adv_loss == 1.0
 
-    def test_failures_recorded_and_excluded(self):
-        rep = rsit(FailingPredictor("*CONO*"), SAMPLES)
-        assert rep.failures == 1
-        assert rep.samples[0].error and "boom" in rep.samples[0].error
-        assert rep.samples[1].error is None
-        # metric computed over the two surviving samples only
-        assert rep.clean_metric == r2_score([2.0, 1.4], [0.0, 0.0])
+    def test_predictor_error_propagates(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            rsit(FailingPredictor("*CC(C)O*"), SAMPLES)
+
+    def test_library_bug_propagates(self):
+        with pytest.raises(TypeError):
+            rsit(TextPredictor(), SAMPLES)
+
+    def test_no_sample_to_score(self):
+        with pytest.raises(ValueError, match="no sample to score"):
+            rsit(ConstantPredictor(), [])
 
     def test_rmse_gap_sign(self):
         rep = rsit(LengthPredictor(), SAMPLES, metric="rmse")
@@ -183,9 +174,17 @@ class TestHarness:
         assert rep.rsit_gap == pytest.approx(
             rep.adv_metric - rep.clean_metric)
 
+    def test_zero_rmse_gap_is_positive_zero(self):
+        rep = rsit(ConstantPredictor(), SAMPLES, metric="rmse")
+        assert rep.rsit_gap == 0.0
+        assert math.copysign(1.0, rep.rsit_gap) == 1.0
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             rsit(ConstantPredictor(), SAMPLES, metric="mae")
+        model = ReferenceModel.generate(3, d=8, L=1, d_thres=2)
+        with pytest.raises(ValueError, match="unknown metric 'mae'"):
+            compare_strategies(model, SAMPLES[:1], metric="mae")
 
 
 class TestExactOrbit:
@@ -194,7 +193,6 @@ class TestExactOrbit:
         pred = CachedPredictor(ModelPredictor(model, "keep"))
         samples = labeled_corpus(25, seed=21)
         exact = rsit(pred, samples)
-        assert exact.failures == 0
         for seed in range(4):
             for T in (1, 5, 20):
                 ref = _reference_rsit(pred, samples, T, seed=seed)
@@ -218,7 +216,6 @@ class TestModelPredictor:
         pred = ModelPredictor(model, "link")
         samples = labeled_corpus(8, seed=21)
         rep = rsit(pred, samples)
-        assert rep.failures == 0
         for s in rep.samples:
             assert abs(s.adv_predict - s.base_prediction) < 1e-9
         assert abs(rep.rsit_gap) < 1e-9
@@ -230,7 +227,6 @@ class TestModelPredictor:
         # the gap is not always 0
         pred = ModelPredictor(ReferenceModel.generate(0), "link")
         rep = rsit(pred, labeled_corpus(200, seed=14))
-        assert rep.failures == 0
         assert 0.0 <= rep.rsit_gap < 1e-15
 
     def test_keep_strategy_has_gap(self):
