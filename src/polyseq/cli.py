@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import math
 import random
@@ -45,7 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_csv(path: str, columns: list[str]):
     """The header of CSV file path, which must start with columns, and its
-    non-blank rows as (line number, fields), all fields stripped."""
+    non-blank rows as (line number, fields), all fields stripped; no row may
+    be longer than the header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
@@ -57,6 +57,9 @@ def _read_csv(path: str, columns: list[str]):
             raise PolyseqError(f"{path}: duplicate column {repeated[0]!r}")
         rows = [(reader.line_num, [f.strip() for f in row]) for row in reader
                 if len(row) > 1 or row and row[0].strip()]
+    for n, row in rows:
+        if len(row) > len(header):
+            raise PolyseqError(f"{path} line {n}: long row {row!r}")
     return header, rows
 
 
@@ -111,14 +114,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:  # nan fails both comparisons
-        raise argparse.ArgumentTypeError(f"{text} is not a finite positive "
-                                         "number")
-    return value
-
-
 def _each_record(records, fn, emit) -> int:
     """emit(fn(i, item)) for the i-th (n, item) of records, one at a time.
 
@@ -149,7 +144,6 @@ _OPTIONS = {
     "layers": dict(type=_positive_int, default=3),
     "dim": dict(type=_positive_int, default=64),
     "strategy": dict(default="link", choices=rsit_mod.STRATEGIES),
-    "tolerance": dict(type=_positive_float, default=1e-9),
 }
 
 
@@ -174,9 +168,8 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--n-variants", type=_positive_int, default=1)
 
-    p = cmd("verify", "seed", "layers", "dim", "tolerance")
-    p.add_argument("suite", choices=["theorem1", "theorem2", "theorem3",
-                                     "lemma1", "all"])
+    p = cmd("verify", "seed", "layers", "dim")
+    p.add_argument("suite", choices=[*_SUITES, "all"])
     p.add_argument("--count", type=_positive_int, default=100,
                    help="number of random monomers for the oracle suites")
 
@@ -248,34 +241,28 @@ def _run_lines(args) -> int:
     return EXIT_INPUT if failed else EXIT_OK
 
 
+# The oracle suites, in the order `verify all` runs them, each a function
+# of the drawn monomers, the twin pairs and the model.
+_SUITES = {
+    "theorem1": lambda ms, pairs, model: verify_mod.theorem1_suite(ms, model),
+    "theorem2": lambda ms, pairs, model: verify_mod.theorem2_suite(ms, model),
+    "lemma1": lambda ms, pairs, model: verify_mod.lemma1_suite(pairs),
+    "theorem3": lambda ms, pairs, model: verify_mod.twin_suite(pairs, model),
+}
+
+
 def _run_verify(args) -> int:
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
+    monomers = ([corpus_mod.random_monomer(rng) for _ in range(args.count)]
+                if {"theorem1", "theorem2"} & set(names) else None)
+    pairs = (corpus_mod.default_twin_pairs()
+             if {"lemma1", "theorem3"} & set(names) else None)
     # the weights do not depend on d_thres: one model serves every suite
-    model = None if args.suite == "lemma1" else _model_from(args)
-    reports = []
-    if args.suite in ("theorem1", "theorem2", "all"):
-        monomers = [corpus_mod.random_monomer(rng)
-                    for _ in range(args.count)]
-        if args.suite in ("theorem1", "all"):
-            reports.append(verify_mod.theorem1_suite(monomers, model,
-                                                     tol=args.tolerance))
-        if args.suite in ("theorem2", "all"):
-            neg = parse("*CNO*")
-            reports.append(verify_mod.theorem2_suite(monomers, model, neg,
-                                                     tol=args.tolerance))
-    if args.suite in ("theorem3", "lemma1", "all"):
-        pairs = corpus_mod.default_twin_pairs()
-        if args.suite in ("lemma1", "all"):
-            reports.append(verify_mod.lemma1_suite(pairs))
-        if args.suite in ("theorem3", "all"):
-            # at d_thres=2 the periodic context holds only each atom's bonds,
-            # which a pair's isomorphic linked graphs share, so only the
-            # backbone can tell the two units apart in the forward pass
-            reports.append(verify_mod.twin_suite(
-                pairs, dataclasses.replace(model, d_thres=2),
-                tol=args.tolerance))
+    model = None if names == ["lemma1"] else _model_from(args)
     failed = False
-    for rep in reports:
+    for name in names:
+        rep = _SUITES[name](monomers, pairs, model)
         for line in rep.lines():
             print(line)
         failed = failed or not rep.passed

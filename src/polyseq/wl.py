@@ -178,12 +178,10 @@ def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
     and refinement restarts from that one cell.  A leaf's certificate is the
     initial colors plus the bonds, both in rank order; the least leaf wins.
     Automorphisms prune the search (McKay & Piperno 2014, "Practical graph
-    isomorphism, II"): the swaps of structural twins (same initial color,
-    same neighbours and bond orders), and one per leaf with the best
-    certificate, which also ends the branch where its path parts from the
-    best one.  An atom in the orbit of a tried one, under those that fix
-    the individualized atoms, is skipped.  More than LEAF_BUDGET leaves
-    raise BudgetExceeded.
+    isomorphism, II"): one per leaf with the best certificate, which also
+    ends the branch where its path parts from the best one.  An atom in the
+    orbit of a tried one, under those that fix the individualized atoms, is
+    skipped.  More than LEAF_BUDGET leaves raise BudgetExceeded.
     """
     init = initial_colors(g, extra)
     adj = g.adjacency()
@@ -192,12 +190,6 @@ def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
     # colors in rank order are the sorted ones
     ranked_init = tuple(sorted(init))
     autos: list[dict[int, int]] = []  # each maps the atoms it moves
-    twin: dict[tuple, int] = {}  # the last atom of each twin group so far
-    for i in range(g.n):
-        j = twin.get(key := (init[i], tuple(adj[i])))
-        if j is not None:
-            autos.append({i: j, j: i})
-        twin[key] = i
     best = None  # (certificate, order, individualized atoms)
     leaves = 0
 

@@ -60,9 +60,7 @@ class TestAcceptance:
     def test_02_localized_attention_equivalence(self):
         start = time.monotonic()
         model = ReferenceModel.generate(seed=102, d=64, L=3, d_thres=3)
-        rep = theorem2_suite(seeded_monomers(100, seed=12), model,
-                             negative_control=parse("*CNO*"),
-                             tol=1e-9)
+        rep = theorem2_suite(seeded_monomers(100, seed=12), model, tol=1e-9)
         elapsed = time.monotonic() - start
         report("localized-attention-equivalence",
                rep.passed and elapsed < 60.0,

@@ -7,10 +7,11 @@ import pytest
 from polyseq import ReferenceModel, StarLinkGraph, parse, star_link
 from polyseq import graphs, verify
 from polyseq.context import neighbour_table
-from polyseq.corpus import corpus
+from polyseq.corpus import corpus, default_twin_pairs
 from polyseq.graphs import MolGraph, featurize, repeat_monomer
 from polyseq.nets import forward_polymer, gin_layer
-from polyseq.verify import gin_deviation, lga_deviation, theorem1_suite
+from polyseq.verify import (CaseResult, gin_deviation, lga_deviation,
+                            theorem1_suite, theorem2_suite, twin_suite)
 
 SPECIAL = ["*C*", "*CC*", "*C12CC(C1)C2*", "*CNO*", "*C1CC2CCC1C2*",
            "*C(*)O"]
@@ -99,6 +100,30 @@ class TestAttentionOracle:
         first = StarLinkGraph if auto_repeat else MolGraph
         assert len(seen) == 1 and len(seen[0]) == 2
         assert seen[0][0] is first and issubclass(seen[0][1], MolGraph)
+
+
+class TestFixedInputs:
+    """Each suite reads only its model's weights and depth; thresholds,
+    negative control and tolerance are its own."""
+
+    def test_twin_suite_ignores_the_model_threshold(self):
+        pairs = default_twin_pairs()
+        reps = [twin_suite(pairs, ReferenceModel.generate(0, d_thres=dt))
+                for dt in (2, 4)]
+        assert reps[0].passed and reps[1].lines() == reps[0].lines()
+
+    def test_theorem2_negative_control(self, model):
+        monomers = [parse(s) for s in corpus(6, seed=5) + SPECIAL]
+        worst = [max(lga_deviation(model, g, model.L, dt) for g in monomers)
+                 for dt in (2, 3)]
+        neg = lga_deviation(model, parse("*CNO*"), model.L, 3,
+                            auto_repeat=False)
+        detail = f"{len(monomers)} monomers"
+        assert theorem2_suite(monomers, model).cases == [
+            CaseResult("d_thres=2", worst[0], True, detail),
+            CaseResult("d_thres=3", worst[1], True, detail),
+            CaseResult("negative-control", neg, True,
+                       "precondition violated, must deviate")]
 
 
 class TestOnePass:
