@@ -50,7 +50,6 @@ from .wl import (
 from .context import (
     AttentionContext,
     build_context,
-    fold_equivalent,
     neighbour_table,
 )
 from .nets import (

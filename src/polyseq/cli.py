@@ -297,7 +297,6 @@ def _run_fragcam(args) -> int:
     frag_map = _load_json(args.fragments, {str: {str: [int]}},
                           "a JSON object of objects of atom-index lists")
     model = _model_from(args, d_thres=args.d_thres)
-    by_label: dict[str, list[float]] = {}
 
     def fn(i, sample):
         s = sample[0]
@@ -307,11 +306,14 @@ def _run_fragcam(args) -> int:
         scores, _ = fragcam(model, parse(s), [set(v) for v in frags.values()])
         return zip(frags, scores)
 
-    def emit(scored):
-        for label, score in scored:
+    rows = []
+    errors = _each_record(samples, fn, rows.append)
+    if not rows:
+        raise PolyseqError(f"{args.dataset}: no sample to score")
+    by_label: dict[str, list[float]] = {}
+    for row in rows:
+        for label, score in row:
             by_label.setdefault(label, []).append(score)
-
-    errors = _each_record(samples, fn, emit)
     ranking = sorted(((sum(v) / len(v), k) for k, v in by_label.items()),
                      reverse=True)
     print(f"{'fragment':<20}{'mean_score':>14}{'count':>8}")
@@ -328,6 +330,8 @@ def _run_fragcam(args) -> int:
 def _load_descriptors(args):
     """The descriptors of each --descriptors row, and the --groups widths."""
     if not args.descriptors:
+        if args.groups:
+            raise PolyseqError("--groups requires --descriptors")
         return None, None
     if not args.groups:
         raise PolyseqError("--descriptors requires --groups")

@@ -206,22 +206,3 @@ def build_context(graphs: MolGraph | StarLinkGraph
     path /= np.maximum(dist, 1)[:, :, None]
     return AttentionContext(n, key, dist, path, pad, image)
 
-
-def fold_equivalent(star_ctx: AttentionContext, unroll_ctx: AttentionContext,
-                    n_unit: int, copy: int) -> bool:
-    """Check that a middle copy of the unrolled context folds onto the star
-    context: for each atom of that copy, its row's multiset of (key mod
-    n_unit, distance, edge-code means) over the real keys must match the
-    star atom's (at one distance, equal means are equal counts).  These
-    are what the attention bias reads; a periodic row may reach one atom
-    through two images with equal entries, and each must have its
-    counterpart.
-    """
-    def row(ctx: AttentionContext, i: int) -> list:
-        real = ~ctx.pad[i]
-        return sorted(zip((ctx.key[i, real] % n_unit).tolist(),
-                          ctx.dist[i, real].tolist(),
-                          map(tuple, ctx.path[i, real].tolist())))
-
-    return all(row(unroll_ctx, copy * n_unit + i) == row(star_ctx, i)
-               for i in range(n_unit))

@@ -144,13 +144,6 @@ def default_twin_pairs() -> list[TwinPair]:
     return generate_twins(ring_pair_seed(5, 6))[:MAX_TWIN_PAIRS]
 
 
-def contiguous_fragments(n: int, n_frags: int) -> list[set[int]]:
-    """Split atoms 0..n-1 into n_frags consecutive runs (test fragmentation)."""
-    n_frags = max(1, min(n_frags, n))
-    bounds = [round(i * n / n_frags) for i in range(n_frags + 1)]
-    return [set(range(bounds[i], bounds[i + 1])) for i in range(n_frags)]
-
-
 # hand-checked cyclomatic (independent ring) counts per line
 RING_FIXTURE: list[tuple[str, int]] = [
     ("*CCO*", 0),

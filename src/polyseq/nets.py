@@ -5,13 +5,12 @@ Everything here is deterministic 64-bit float arithmetic: message-passing
 LayerNorm/FFN blocks, backbone-embedding injection, spatial projection,
 cross-modal fusion, mean pooling with a linear head, masked-atom corruption,
 and fragment attribution, with one ``softmax`` and one two-layer ``_mlp``.
-Weights are either loaded from a JSON file or regenerated bit-exactly from
-a seed with a counter-based generator ("counter-mix-v1"), so no weight
-files need to ship.  A regenerated weight is drawn on its first read, from
-its own named stream, so a pass pays only for the weights it reads;
-``digest`` and ``save`` draw every weight.  Each attention layer's weight
-map is built once per model (``layers``); arrays and maps are read-only,
-so the digest names the weights every pass reads.
+Weights are regenerated bit-exactly from a seed with a counter-based
+generator ("counter-mix-v1"), so no weight files exist.  A weight is drawn
+on its first read, from its own named stream, so a pass pays only for the
+weights it reads; ``digest`` draws every weight.  Each attention layer's
+weight map is built once per model (``layers``); arrays and maps are
+read-only, so the digest names the weights every pass reads.
 
 Column convention: feature matrices are (d, n) with one column per atom, and
 attention matrices are column-stochastic (each column sums to 1).
@@ -20,7 +19,6 @@ attention matrices are column-stochastic (each column sums to 1).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from collections.abc import Callable, Iterator, Mapping
@@ -32,7 +30,6 @@ import numpy as np
 
 from .context import AttentionContext, DIST_CLAMP, EDGE_CODES, build_context
 from .graphs import (
-    FEATURE_BLOCKS,
     MonomerGraph,
     apply_backbone_embedding,
     detect_backbone,
@@ -78,7 +75,6 @@ def _normals(seed: int, name: str, count: int) -> np.ndarray:
 
 N_PATH_CODES = len(EDGE_CODES)
 N_DIST_BUCKETS = DIST_CLAMP + 2  # 0..32 plus overflow
-N_ATOM_CLASSES = FEATURE_BLOCKS["element"]
 
 _ATTN_MATS = ("wq", "wk", "wv", "ffn_w1", "ffn_w2")
 _ATTN_VECS = ("ffn_b1", "ffn_b2")
@@ -123,17 +119,16 @@ class _DrawnWeights(Mapping):
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """Immutable bundle of named weights, the attention threshold and the
-    seed.  Width ``d`` and depth ``L`` are read off the weights: the length
-    of the head and the number of attention layers."""
+    """Immutable bundle of named weights and the attention threshold.
+    Width ``d`` and depth ``L`` are read off the weights: the length of
+    the head and the number of attention layers."""
 
     weights: Mapping[str, np.ndarray]
     d_thres: int
-    seed: int | None = None
 
     def __post_init__(self) -> None:
-        # generate, load and replace all pass here: 0 or 2.0 would fail
-        # only at the first forward pass, and True would run as 1
+        # generate and replace both pass here: 0 or 2.0 would fail only
+        # at the first forward pass, and True would run as 1
         if type(self.d_thres) is not int or self.d_thres < 1:
             raise ValueError(f"d_thres must be an int >= 1: {self.d_thres!r}")
 
@@ -203,8 +198,7 @@ class ReferenceModel:
         for name, dim in (spatial_groups or {}).items():
             mat(f"spatial.{name}", d, dim)
         vec("head", d)
-        mat("mask_classifier", N_ATOM_CLASSES, d)
-        return cls(_DrawnWeights(seed, table), d_thres, seed)
+        return cls(_DrawnWeights(seed, table), d_thres)
 
     def digest(self) -> str:
         """16-hex-digit blake2b of every weight's name and float64 bytes,
@@ -214,29 +208,6 @@ class ReferenceModel:
             h.update(name.encode())
             h.update(self.weights[name].tobytes())
         return h.hexdigest()
-
-    def save(self, path: str) -> None:
-        seed = (None if self.seed is None
-                else {"algorithm": "counter-mix-v1", "seed": self.seed})
-        weights = {name: {"shape": list(arr.shape),
-                          "data": [repr(float(v)) for v in arr.ravel()]}
-                   for name, arr in sorted(self.weights.items())}
-        doc = {"meta": {"d_thres": self.d_thres, "seed": seed},
-               "weights": weights}
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-
-    @classmethod
-    def load(cls, path: str) -> "ReferenceModel":
-        with open(path) as fh:
-            doc = json.load(fh)
-        weights = {name: np.array([float(v) for v in spec["data"]])
-                   .reshape(spec["shape"])
-                   for name, spec in doc["weights"].items()}
-        for arr in weights.values():
-            arr.flags.writeable = False
-        seed = (doc["meta"].get("seed") or {}).get("seed")
-        return cls(weights, doc["meta"]["d_thres"], seed)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray,
@@ -361,11 +332,6 @@ def mask_atoms(x: np.ndarray, p_mask: float,
     out = x.copy()
     out[:, masked] = 0.0
     return out, masked
-
-
-def classify_atoms(model: ReferenceModel, xts: np.ndarray) -> np.ndarray:
-    """Linear masked-atom classifier logits, one column per atom."""
-    return model["mask_classifier"] @ xts
 
 
 @dataclass

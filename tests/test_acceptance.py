@@ -24,7 +24,6 @@ from polyseq import (
 from polyseq.cli import main
 from polyseq.corpus import (
     RING_FIXTURE,
-    contiguous_fragments,
     corpus,
     default_twin_pairs,
     labeled_corpus,
@@ -34,6 +33,13 @@ from polyseq.rsit import compare_strategies, rsit
 from polyseq.verify import theorem1_suite, theorem2_suite, twin_suite
 
 import numpy as np
+
+
+def contiguous_fragments(n, n_frags):
+    """Split atoms 0..n-1 into n_frags consecutive runs."""
+    n_frags = max(1, min(n_frags, n))
+    bounds = [round(i * n / n_frags) for i in range(n_frags + 1)]
+    return [set(range(bounds[i], bounds[i + 1])) for i in range(n_frags)]
 
 
 def report(name, ok, detail=""):

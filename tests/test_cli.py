@@ -467,6 +467,19 @@ class TestRsit:
 
 
 class TestFragcam:
+    @pytest.mark.parametrize("rows", [[], [("*C(C*", 1.0), ("*CX*", 2.0)]])
+    def test_no_sample_to_score(self, tmp_path, capsys, rows):
+        data = write_dataset(tmp_path, rows)
+        frag_path = tmp_path / "frags.json"
+        frag_path.write_text(json.dumps({"*C(C*": {"a": [0, 1]}}))
+        assert main(["fragcam", data, "--fragments", str(frag_path),
+                     "--dim", "8", "--layers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == len(rows) + 1
+        assert err[-1] == f"error: {data}: no sample to score"
+
     def test_scores_and_ranking(self, tmp_path, capsys):
         rows = [("*CC(C)O*", 1.0)]
         data = write_dataset(tmp_path, rows)
@@ -487,7 +500,8 @@ class TestFragcam:
                    "--dim", "16", "--layers", "1"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "line 2: PolyseqError: no fragmentation for *CC*\n")
+            "line 2: PolyseqError: no fragmentation for *CC*\n"
+            f"error: {data}: no sample to score\n")
 
     def test_bad_rows_are_reported_by_csv_line(self, tmp_path, capsys):
         # a row that fails is reported as the line commands report a line,
@@ -580,6 +594,15 @@ class TestForward:
         desc.write_text("psmiles,x1\n*CC*,0.5\n")
         assert main(["forward", path, "--descriptors", str(desc)]) == 2
         assert "requires --groups" in capsys.readouterr().err
+
+    def test_groups_require_descriptors(self, tmp_path, capsys):
+        # the groups file is never opened: the missing option is the error
+        path = write_lines(tmp_path, "in.txt", ["*CC*"])
+        missing = str(tmp_path / "absent.json")
+        assert main(["forward", path, "--groups", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --groups requires --descriptors\n"
 
     def test_bad_line_in_the_middle(self, tmp_path, capsys):
         lines = ["*CONO*", "*CC(C)O*", "*C(C*", "*CCN*", "*c1ccc(*)cc1"]

@@ -10,7 +10,6 @@ from polyseq import (
     DisconnectedError,
     auto_repeat_for_lga,
     build_context,
-    fold_equivalent,
     forward_polymer,
     parse,
     repeat_monomer,
@@ -53,6 +52,25 @@ def path_counts(ctx):
     """The per-code edge counts along each pair's path, given back exactly
     by the context's means times the distance."""
     return np.rint(ctx.path * np.maximum(ctx.dist, 1)[..., None])
+
+
+def fold_equivalent(star_ctx, unroll_ctx, n_unit, copy):
+    """Check that a middle copy of the unrolled context folds onto the star
+    context: for each atom of that copy, its row's multiset of (key mod
+    n_unit, distance, edge-code means) over the real keys must match the
+    star atom's (at one distance, equal means are equal counts).  These
+    are what the attention bias reads; a periodic row may reach one atom
+    through two images with equal entries, and each must have its
+    counterpart.
+    """
+    def row(ctx, i):
+        real = ~ctx.pad[i]
+        return sorted(zip((ctx.key[i, real] % n_unit).tolist(),
+                          ctx.dist[i, real].tolist(),
+                          map(tuple, ctx.path[i, real].tolist())))
+
+    return all(row(unroll_ctx, copy * n_unit + i) == row(star_ctx, i)
+               for i in range(n_unit))
 
 
 def pairs(ctx):

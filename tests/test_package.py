@@ -1,0 +1,25 @@
+import polyseq
+
+# The package's public names: a name joins or leaves this set only on
+# purpose.  The submodules that __init__ imports are public too.
+PUBLIC = {
+    "Atom", "AttentionContext", "Bond", "BudgetExceeded", "ColoringResult",
+    "DisconnectedError", "LexError", "ModelPredictor", "MolGraph",
+    "MonomerGraph", "ParseError", "PolyseqError", "ReferenceModel",
+    "RsitReport", "SpatialDescriptors", "StarLinkGraph", "TwinPair",
+    "apply_backbone_embedding", "auto_repeat_for_lga", "build_context",
+    "canonical_form", "canonical_key", "compare_strategies",
+    "cross_modal_fusion", "detect_backbone", "featurize", "forward_polymer",
+    "fragcam", "generate_twins", "gin_layer", "isomorphic", "layer_norm",
+    "lemma1_suite", "local_attention_layer", "mask_atoms",
+    "monomer_isomorphic", "neighbour_table", "parse", "polymer_equal",
+    "primitive_reduce", "project_spatial", "random_augment",
+    "random_translation", "repeat_monomer", "ring_stats", "star_link",
+    "strategy_transform", "theorem1_suite", "theorem2_suite", "twin_suite",
+    "wl_refine", "write",
+    "context", "errors", "graphs", "nets", "psmiles", "rsit", "verify", "wl",
+}
+
+
+def test_public_names_are_pinned():
+    assert set(polyseq.__all__) == PUBLIC
