@@ -7,6 +7,8 @@ deterministic forward-only reference network layers with finite-unroll
 equivalence oracles, and a repeat/shift invariance test harness.
 """
 
+import types as _types
+
 from .errors import (
     BudgetExceeded,
     DisconnectedError,
@@ -69,4 +71,6 @@ from .verify import lemma1_suite, theorem1_suite, theorem2_suite, twin_suite
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that their imports bind
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _types.ModuleType)]

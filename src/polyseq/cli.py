@@ -1,6 +1,8 @@
 """Command-line front end for corpus processing and verification runs.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 input error, 3 verification failure,
+141 (128 + SIGPIPE) when the reader of stdout closes it first, which stops
+the command with nothing on stderr.
 Line commands stream: each non-blank input line prints its result as soon as
 it is computed, in input order.  A bad record, a line or a row of an rsit or
 fragcam dataset, is reported on stderr as "line N: <error type>: <message>",
@@ -15,6 +17,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import random
 import sys
 
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,6 +396,13 @@ def main(argv=None) -> int:
            "fragcam": _run_fragcam}.get(args.command, _run_lines)
     try:
         return run(args)
+    except BrokenPipeError:
+        # point stdout at devnull, so that the interpreter's last flush of
+        # what is still buffered cannot raise again
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_PIPE
     except (OSError, PolyseqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -45,6 +45,7 @@ FEATURE_ELEMENTS = ORGANIC_SUBSET + ("H", "*")
 # and in-ring flags, and the implicit H count 0-4.
 FEATURE_BLOCKS = {"element": len(FEATURE_ELEMENTS) + 1, "degree": 7,
                   "charge": 5, "aromatic": 1, "ring": 1, "hydrogens": 5}
+FEATURE_DIM = sum(FEATURE_BLOCKS.values())
 _BLOCK_STARTS = list(accumulate(FEATURE_BLOCKS.values(), initial=0))[:-1]
 _BLOCK_TOPS = [width - 1 for width in FEATURE_BLOCKS.values()]
 _ELEMENT_ROW = {e: row for row, e in enumerate(FEATURE_ELEMENTS)}
@@ -321,14 +322,12 @@ class MonomerGraph(MolGraph):
     freed by reference counting alone.
     """
 
-    def __init__(self, atoms, bonds, head: int, tail: int,
-                 stereo_discarded: bool = False):
+    def __init__(self, atoms, bonds, head: int, tail: int):
         super().__init__(atoms, bonds)
         if not (0 <= head < len(atoms) and 0 <= tail < len(atoms)):
             raise ValueError("boundary index out of range")
         self.head = head
         self.tail = tail
-        self.stereo_discarded = stereo_discarded
         self._derived: dict | None = None
 
     def boundary_distance(self) -> int:
@@ -410,8 +409,7 @@ def repeat_monomer(g: MonomerGraph, k: int) -> MonomerGraph:
         bonds.extend(Bond(b.u + off, b.v + off, b.order) for b in g.bonds)
         if c > 0:
             bonds.append(Bond((c - 1) * n + g.tail, off + g.head, "single"))
-    out = MonomerGraph(atoms, bonds, g.head, (k - 1) * n + g.tail,
-                       g.stereo_discarded)
+    out = MonomerGraph(atoms, bonds, g.head, (k - 1) * n + g.tail)
     # connected iff the unit is, since copies meet only at tail-head bonds
     out._connected = g._connected
     return out
@@ -482,19 +480,14 @@ def implicit_hydrogens(g: MolGraph, i: int) -> int:
     return max(0, default - math.ceil(used))
 
 
-def feature_dim() -> int:
-    """Rows of a feature column: the sum of ``FEATURE_BLOCKS``."""
-    return sum(FEATURE_BLOCKS.values())
-
-
 def featurize(g: MolGraph) -> np.ndarray:
-    """Per-atom feature vectors, one column per atom (feature_dim() rows):
+    """Per-atom feature vectors, one column per atom (FEATURE_DIM rows):
     the blocks of ``FEATURE_BLOCKS`` top to bottom, a count past either
     end of its block setting the end row.  The in-ring row flags atoms on
     a cycle of g; on a linked graph that includes the cycle the link bond
     closes, so every backbone atom has it set, where the infinite chain
     sets it only on ring atoms.  Every other row equals the chain's."""
-    x = np.zeros((feature_dim(), g.n))
+    x = np.zeros((FEATURE_DIM, g.n))
     ring = g.ring_atoms()
     element, degree, charge, aromatic, in_ring, hydrogens = _BLOCK_STARTS
     other, top_degree, top_charge, _, _, top_h = _BLOCK_TOPS
@@ -586,6 +579,5 @@ def relabel(g: MolGraph, perm: list[int]) -> MolGraph:
     atoms = [g.atoms[old] for old in perm]
     bonds = [Bond(inv[b.u], inv[b.v], b.order) for b in g.bonds]
     if isinstance(g, MonomerGraph):
-        return MonomerGraph(atoms, bonds, inv[g.head], inv[g.tail],
-                            g.stereo_discarded)
+        return MonomerGraph(atoms, bonds, inv[g.head], inv[g.tail])
     return MolGraph(atoms, bonds)

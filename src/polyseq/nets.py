@@ -30,10 +30,10 @@ import numpy as np
 
 from .context import AttentionContext, DIST_CLAMP, EDGE_CODES, build_context
 from .graphs import (
+    FEATURE_DIM,
     MonomerGraph,
     apply_backbone_embedding,
     detect_backbone,
-    feature_dim,
     featurize,
     star_link,
     strategy_transform,
@@ -177,7 +177,7 @@ class ReferenceModel:
             table[name + "_gain"] = ((size,), lambda z: 1.0 + 0.1 * z)
             table[name + "_bias"] = ((size,), lambda z: 0.1 * z)
 
-        mat("input_proj", d, feature_dim())
+        mat("input_proj", d, FEATURE_DIM)
         vec("backbone", d)
         for l in range(L):
             for k in _ATTN_MATS:
@@ -250,16 +250,6 @@ def gin_layer(nbr: np.ndarray, x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
     return _mlp(x + padded[:, nbr].sum(axis=2), w1, b1, w2, b2)
 
 
-def attention_bias(ctx: AttentionContext, dist_table: np.ndarray,
-                   path_weights: np.ndarray) -> np.ndarray:
-    """A^d + A^p per pair: distance-bucket lookup, where a distance past
-    the table's last bucket reads that overflow bucket, plus averaged
-    path-code functional, laid out as the context's (n, D) table."""
-    a_d = dist_table[np.minimum(ctx.dist, len(dist_table) - 1)]
-    a_p = ctx.path @ path_weights
-    return a_d + a_p
-
-
 def local_attention_layer(ctx: AttentionContext, x: np.ndarray,
                           w: Mapping[str, np.ndarray]) -> np.ndarray:
     """One localized attention layer with residual LayerNorm and FFN.
@@ -276,8 +266,13 @@ def local_attention_layer(ctx: AttentionContext, x: np.ndarray,
         raise ValueError("column count does not match context size")
     # row-major (n, d) projections: each row gathers whole key rows
     q, k, v = (x.T @ w[name].T for name in ("wq", "wk", "wv"))
+    # A^d + A^p per pair, summed before it joins the scores: the distance
+    # bucket (a distance past the last bucket reads that overflow bucket)
+    # plus the path-code functional
+    dist = w["dist"]
+    bias = dist[np.minimum(ctx.dist, len(dist) - 1)] + ctx.path @ w["path"]
     scores = (np.matmul(k[ctx.key], q[:, :, None])[:, :, 0] / math.sqrt(d)
-              + attention_bias(ctx, w["dist"], w["path"]))
+              + bias)
     scores[ctx.pad] = -np.inf
     a_hat = softmax(scores, axis=1)
     y = np.matmul(a_hat[:, None, :], v[ctx.key])[:, 0, :].T

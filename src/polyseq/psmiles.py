@@ -11,8 +11,8 @@ lowercase atoms, bracket atoms ``[isotope symbol chirality Hcount charge
 symbols ``- = # : / \\``.  Chirality is ``@``, ``@@`` or a class
 ``@TH1``-``2``, ``@AL1``-``2``, ``@SP1``-``3``, ``@TB1``-``20`` or
 ``@OH1``-``30``; a bracket atom has exactly its written H count (0 when
-none is written).  Directional bonds and chirality marks are accepted but
-not modeled; the parse flags ``stereo_discarded`` instead.
+none is written).  Directional bonds and chirality marks are accepted and
+dropped: a writing parses to the same graph as its unmarked writing.
 A ring bond between two atoms that are already bonded is rejected, and so
 are dot-separated components, because a repeat unit must be one connected
 fragment.
@@ -82,7 +82,6 @@ def parse(s: str) -> MonomerGraph:
     pending: str | None = None
     stack: list[int] = []
     ring_open: dict[int, tuple[int, str | None]] = {}
-    stereo = False
 
     def add_atom(atom: Atom) -> None:
         nonlocal prev, pending
@@ -134,7 +133,6 @@ def parse(s: str) -> MonomerGraph:
         elif kind == "bond":
             if pending is not None:
                 raise ParseError(f"doubled bond symbol at col {pos}")
-            stereo = stereo or tok in "/\\"
             pending = _BOND_CHARS[tok]
         elif kind == "ring":
             close_ring(int(tok.lstrip("%")))
@@ -152,7 +150,6 @@ def parse(s: str) -> MonomerGraph:
             prev = stack.pop()
         else:
             sym, h, q = m["symbol"], m["hcount"], m["charge"] or ""
-            stereo = stereo or m["chirality"] is not None
             add_atom(Atom(
                 sym.capitalize(), sym.islower(),  # "se" is aromatic Se
                 # "-2" by number, "--" by repetition
@@ -192,8 +189,7 @@ def parse(s: str) -> MonomerGraph:
         [atoms[i] for i in keep],
         [Bond(remap[b.u], remap[b.v], b.order) for b in bonds
          if b.u not in stars and b.v not in stars],
-        remap[boundary[0]], remap[boundary[1]], stereo_discarded=stereo,
-    )
+        remap[boundary[0]], remap[boundary[1]])
 
 
 def _atom_token(mol: MolGraph, i: int) -> str:

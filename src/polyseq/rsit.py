@@ -63,7 +63,6 @@ class SampleResult:
 
 @dataclass
 class RsitReport:
-    metric: str
     samples: list[SampleResult]
     clean_metric: float
     adv_metric: float
@@ -114,7 +113,7 @@ def summarize(records: list[SampleResult], metric: str) -> RsitReport:
     adv = fn(labels, [r.adv_predict for r in records])
     # adv - clean, not -(clean - adv): a zero gap stays +0.0
     gap = clean - adv if higher_better else adv - clean
-    return RsitReport(metric, records, clean, adv, gap)
+    return RsitReport(records, clean, adv, gap)
 
 
 def rsit(predictor, samples: list[tuple[str, float]],

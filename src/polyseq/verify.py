@@ -70,10 +70,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.cases)
 
-    @property
-    def max_dev(self) -> float:
-        return max((c.max_dev for c in self.cases), default=0.0)
-
     def lines(self) -> list[str]:
         out = []
         for c in self.cases:
@@ -160,8 +156,8 @@ def lga_deviation(model: ReferenceModel, g: MonomerGraph, L: int,
     return _gap(x, star.monomer.n, mid)
 
 
-def theorem1_suite(monomers: list[MonomerGraph], model: ReferenceModel,
-                   tol: float = TOLERANCE) -> SuiteReport:
+def theorem1_suite(monomers: list[MonomerGraph],
+                   model: ReferenceModel) -> SuiteReport:
     """One pass of ``model.L`` message-passing layers per monomer, over the
     unroll for L = ``model.L``, with the deviation read after each layer."""
     rep = SuiteReport("message-passing-equivalence")
@@ -169,13 +165,13 @@ def theorem1_suite(monomers: list[MonomerGraph], model: ReferenceModel,
     for g in monomers:
         worst = list(map(max, worst, _gin_deviations(model, g, model.L)))
     for L, dev in enumerate(worst, 1):
-        rep.cases.append(CaseResult(f"L={L}", dev, dev < tol,
+        rep.cases.append(CaseResult(f"L={L}", dev, dev < TOLERANCE,
                                     f"{len(monomers)} monomers"))
     return rep
 
 
-def theorem2_suite(monomers: list[MonomerGraph], model: ReferenceModel,
-                   tol: float = TOLERANCE) -> SuiteReport:
+def theorem2_suite(monomers: list[MonomerGraph],
+                   model: ReferenceModel) -> SuiteReport:
     """The periodic unit against the unroll under ``model.L`` attention
     layers at each of D_THRES_VALUES, whatever ``model.d_thres`` is, and
     NEGATIVE_CONTROL's cyclic context, which must deviate."""
@@ -185,7 +181,8 @@ def theorem2_suite(monomers: list[MonomerGraph], model: ReferenceModel,
         worst = 0.0
         for g in monomers:
             worst = max(worst, lga_deviation(model, g, L, dt))
-        rep.cases.append(CaseResult(f"d_thres={dt}", worst, worst < tol,
+        rep.cases.append(CaseResult(f"d_thres={dt}", worst,
+                                    worst < TOLERANCE,
                                     f"{len(monomers)} monomers"))
     smiles, dt = NEGATIVE_CONTROL
     neg = lga_deviation(model, parse(smiles), L, dt, auto_repeat=False)

@@ -25,8 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DisconnectedError
-from .graphs import (Atom, Bond, MolGraph, MonomerGraph, StarLinkGraph,
-                     repeat_monomer, star_link)
+from .graphs import (Atom, Bond, MolGraph, MonomerGraph, repeat_monomer,
+                     star_link)
 
 LEAF_BUDGET = 4096  # leaves a canonical labelling may visit
 MAX_UNROLL = 6  # deepest k-fold unroll searched for a twin pair's witness
@@ -320,8 +320,7 @@ def translation_variants(g: MonomerGraph) -> list[MonomerGraph]:
         cut = (min(p, c), max(p, c))
         bonds = [b for b in g.bonds if b.pair() != cut]
         bonds.append(link)
-        variants.append(MonomerGraph(g.atoms, bonds, c, p,
-                                     g.stereo_discarded))
+        variants.append(MonomerGraph(g.atoms, bonds, c, p))
     return variants
 
 
@@ -412,7 +411,7 @@ def _extract(g: MonomerGraph, nodes: set[int], head: int, tail: int) -> MonomerG
     atoms = [g.atoms[old] for old in sorted(nodes)]
     bonds = [Bond(idx[b.u], idx[b.v], b.order) for b in g.bonds
              if b.u in nodes and b.v in nodes]
-    return MonomerGraph(atoms, bonds, idx[head], idx[tail], g.stereo_discarded)
+    return MonomerGraph(atoms, bonds, idx[head], idx[tail])
 
 
 def polymer_equal(a: MonomerGraph, b: MonomerGraph) -> bool:
@@ -434,7 +433,6 @@ class TwinPair:
 
     monomer_a: MonomerGraph
     monomer_b: MonomerGraph
-    shared_star: StarLinkGraph
     witness: int
 
 
@@ -452,8 +450,7 @@ def generate_twins(h: MolGraph) -> list[TwinPair]:
     cuts = sorted(b.pair() for b in h.bonds if b.pair() not in bridge_set)
     monomers = [MonomerGraph(h.atoms, [b for b in h.bonds if b.pair() != e],
                              e[0], e[1]) for e in cuts]
-    stars = [star_link(m) for m in monomers]
-    linked = [canonical_key(s.as_graph()) for s in stars]
+    linked = [canonical_key(star_link(m).as_graph()) for m in monomers]
     polymer = [canonical_key(polymer_graph(m)) for m in monomers]
 
     @functools.cache
@@ -468,6 +465,5 @@ def generate_twins(h: MolGraph) -> list[TwinPair]:
             witness = next((k for k in range(2, MAX_UNROLL + 1)
                             if histogram(i, k) != histogram(j, k)), None)
             if witness is not None:
-                pairs.append(TwinPair(monomers[i], monomers[j], stars[i],
-                                      witness))
+                pairs.append(TwinPair(monomers[i], monomers[j], witness))
     return pairs

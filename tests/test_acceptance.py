@@ -57,20 +57,22 @@ class TestAcceptance:
     def test_01_message_passing_equivalence(self):
         start = time.monotonic()
         model = ReferenceModel.generate(seed=101, d=64, L=3, d_thres=3)
-        rep = theorem1_suite(seeded_monomers(100, seed=11), model, tol=1e-9)
+        rep = theorem1_suite(seeded_monomers(100, seed=11), model)
         elapsed = time.monotonic() - start
+        max_dev = max(c.max_dev for c in rep.cases)
         report("message-passing-equivalence",
                rep.passed and elapsed < 30.0,
-               f"max_dev={rep.max_dev:.3e} elapsed={elapsed:.1f}s")
+               f"max_dev={max_dev:.3e} elapsed={elapsed:.1f}s")
 
     def test_02_localized_attention_equivalence(self):
         start = time.monotonic()
         model = ReferenceModel.generate(seed=102, d=64, L=3, d_thres=3)
-        rep = theorem2_suite(seeded_monomers(100, seed=12), model, tol=1e-9)
+        rep = theorem2_suite(seeded_monomers(100, seed=12), model)
         elapsed = time.monotonic() - start
+        max_dev = max(c.max_dev for c in rep.cases)
         report("localized-attention-equivalence",
                rep.passed and elapsed < 60.0,
-               f"max_dev={rep.max_dev:.3e} elapsed={elapsed:.1f}s")
+               f"max_dev={max_dev:.3e} elapsed={elapsed:.1f}s")
 
     def test_03_twin_pairs(self):
         start = time.monotonic()

@@ -251,6 +251,18 @@ class TestCorpusCommands:
         assert main(["parse", "/nonexistent/path.txt"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_closed_stdout_is_not_an_input_error(self, tmp_path,
+                                                 monkeypatch, capsys):
+        # the reader stopped early (| head): 128 + SIGPIPE, stderr silent
+        class ClosedPipe(io.StringIO):
+            def write(self, s):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = write_lines(tmp_path, "in.txt", ["*CC*", "*CO*"])
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["canon", path]) == 141
+        assert capsys.readouterr().err == ""
+
 
 class TestVerify:
     def test_theorem1_small(self, capsys):
@@ -264,9 +276,7 @@ class TestVerify:
     def test_theorem1_impossible_tolerance_fails(self, monkeypatch, capsys):
         # the least positive float is below the last-bit rounding that the
         # third layer picks up, so that layer's case fails
-        suite = verify_mod.theorem1_suite
-        monkeypatch.setattr(verify_mod, "theorem1_suite",
-                            lambda ms, model: suite(ms, model, tol=5e-324))
+        monkeypatch.setattr(verify_mod, "TOLERANCE", 5e-324)
         rc = main(["verify", "theorem1", "--count", "5", "--dim", "16",
                    "--layers", "3"])
         assert rc == 3
@@ -306,7 +316,7 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines() == rep.lines()
 
     def test_lemma1_suite_fails_on_distinguishable_pair(self):
-        pair = TwinPair(parse("*CC*"), parse("*CO*"), None, 0)
+        pair = TwinPair(parse("*CC*"), parse("*CO*"), 0)
         assert not lemma1_suite([pair]).passed
 
 

@@ -27,8 +27,8 @@ from polyseq import (
 from polyseq import graphs, nets
 from polyseq.corpus import RING_FIXTURE, corpus, ring_pair_seed
 from polyseq.graphs import (
+    FEATURE_DIM,
     dump_star_graph,
-    feature_dim,
     implicit_hydrogens,
     relabel,
 )
@@ -258,7 +258,7 @@ class TestFeatures:
     def test_shape(self):
         g = star_link(parse("*CC(C)O*")).as_graph()
         x = featurize(g)
-        assert x.shape == (feature_dim(), 4)
+        assert x.shape == (FEATURE_DIM, 4)
 
     def test_one_hot_blocks(self):
         g = parse("*c1ccc(*)cc1")

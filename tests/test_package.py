@@ -1,7 +1,7 @@
 import polyseq
 
 # The package's public names: a name joins or leaves this set only on
-# purpose.  The submodules that __init__ imports are public too.
+# purpose.  The submodules that __init__ imports are not among them.
 PUBLIC = {
     "Atom", "AttentionContext", "Bond", "BudgetExceeded", "ColoringResult",
     "DisconnectedError", "LexError", "ModelPredictor", "MolGraph",
@@ -17,7 +17,6 @@ PUBLIC = {
     "random_translation", "repeat_monomer", "ring_stats", "star_link",
     "strategy_transform", "theorem1_suite", "theorem2_suite", "twin_suite",
     "wl_refine", "write",
-    "context", "errors", "graphs", "nets", "psmiles", "rsit", "verify", "wl",
 }
 
 

@@ -9,7 +9,9 @@ from polyseq import (
     LexError,
     ParseError,
     PolyseqError,
+    ReferenceModel,
     canonical_form,
+    forward_polymer,
     monomer_isomorphic,
     parse,
     random_augment,
@@ -87,10 +89,20 @@ class TestParse:
         assert monomer_isomorphic(parse("*C%11CCC1CC%111*"),
                                   parse("*C1CCC2CC12*"), allow_swap=False)
 
-    def test_stereo_is_discarded_but_flagged(self):
-        assert parse("*C/C=C/C*").stereo_discarded
-        assert parse("*N[C@H](C)C(=O)O*").stereo_discarded
-        assert not parse("*CC*").stereo_discarded
+    def test_stereo_marks_are_dropped(self):
+        # a writing parses, canonicalizes and predicts as its unmarked one
+        model = ReferenceModel.generate(0, d=16, L=2)
+        for plain, marked in [("*CC=CC*", ("*C/C=C/C*", "*C/C=C\\C*")),
+                              ("*N[CH](C)C(=O)O*", ("*N[C@H](C)C(=O)O*",
+                                                    "*N[C@@H](C)C(=O)O*"))]:
+            want = parse(plain)
+            for s in marked:
+                g = parse(s)
+                assert ((g.atoms, g.bonds, g.head, g.tail)
+                        == (want.atoms, want.bonds, want.head, want.tail)), s
+                assert canonical_form(s) == canonical_form(plain), s
+                assert (forward_polymer(model, g).yhat
+                        == forward_polymer(model, want).yhat), s
 
     @pytest.mark.parametrize("s, hcount, charge", [
         ("*C[C@TH1H](O)C*", 1, 0), ("*C[C@OH12H+]C*", 1, 1),
@@ -101,7 +113,6 @@ class TestParse:
         # the class takes its letters and number only, not the H count
         g = parse(s)
         assert (g.atoms[1].hcount, g.atoms[1].charge) == (hcount, charge)
-        assert g.stereo_discarded
 
     def test_shared_boundary_atom(self):
         g = parse("*C(*)C")

@@ -473,8 +473,7 @@ def _reference_translation_variants(g):
         hx, ty = (x, y) if x in head_side else (y, x)
         bonds = [b for b in g.bonds if b.pair() != (min(x, y), max(x, y))]
         bonds.append(Bond(g.head, g.tail, "single"))
-        variants.append(MonomerGraph(g.atoms, bonds, ty, hx,
-                                     g.stereo_discarded))
+        variants.append(MonomerGraph(g.atoms, bonds, ty, hx))
     return variants
 
 
@@ -505,7 +504,7 @@ def _reference_canonical_form(g):
     if isinstance(g, str):
         g = parse(g)
     p = _reference_primitive_reduce(g)
-    rev = MonomerGraph(p.atoms, p.bonds, p.tail, p.head, p.stereo_discarded)
+    rev = MonomerGraph(p.atoms, p.bonds, p.tail, p.head)
     keys = []
     for v in (_reference_translation_variants(p)
               + _reference_translation_variants(rev)):
@@ -589,7 +588,7 @@ def _reference_generate_twins(h, max_unroll=6):
                     break
             if witness is None:
                 continue
-            pairs.append(wl.TwinPair(a, b, star_a, witness))
+            pairs.append(wl.TwinPair(a, b, witness))
     return pairs
 
 
@@ -604,8 +603,8 @@ def _six_five_seed(orders, aromatic):
 
 def _twin_summary(pairs):
     return [(_monomer(p.monomer_a), _monomer(p.monomer_b), p.witness,
-             tuple(p.shared_star.as_graph().bonds),
-             tuple(p.shared_star.backbone)) for p in pairs]
+             tuple(wl.star_link(p.monomer_a).as_graph().bonds),
+             tuple(wl.star_link(p.monomer_a).backbone)) for p in pairs]
 
 
 def _same_twins(h, count):
@@ -1118,7 +1117,7 @@ def _long_monomers(seed, count, low=33, high=50):
 
 
 def _reversed(g):
-    return MonomerGraph(g.atoms, g.bonds, g.tail, g.head, g.stereo_discarded)
+    return MonomerGraph(g.atoms, g.bonds, g.tail, g.head)
 
 
 class TestPolymerIdentity:
