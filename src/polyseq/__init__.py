@@ -22,7 +22,6 @@ from .graphs import (
     MolGraph,
     MonomerGraph,
     StarLinkGraph,
-    apply_backbone_embedding,
     auto_repeat_for_lga,
     detect_backbone,
     featurize,
@@ -57,13 +56,13 @@ from .context import (
 from .nets import (
     ReferenceModel,
     SpatialDescriptors,
+    apply_backbone_embedding,
     cross_modal_fusion,
     forward_polymer,
     fragcam,
     gin_layer,
     layer_norm,
     local_attention_layer,
-    mask_atoms,
     project_spatial,
 )
 from .rsit import ModelPredictor, RsitReport, compare_strategies

@@ -8,8 +8,9 @@ so its pairs are the chain's without repeating the unit.  Both tables also
 take a sequence of graphs and then describe their disjoint union, so that
 one layer call runs over several graphs.
 Only pairs with the strict ``dist < d_thres`` are kept, so the BFS stops at
-ring ``d_thres - 1``; hop distances feed the distance-bias lookup and the
-mean edge-code one-hots along shortest paths feed the path bias.
+ring ``d_thres - 1``; hop distances feed the distance-bias lookup (its
+buckets and their bound, ``DIST_CLAMP``, live in ``nets``) and the mean
+edge-code one-hots along shortest paths feed the path bias.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .graphs import BOND_VALENCE, MolGraph, StarLinkGraph
 EDGE_CODES = tuple(BOND_VALENCE)  # single, double, triple, aromatic
 _CODE_INDEX = {c: i for i, c in enumerate(EDGE_CODES)}
 _ONEHOT = np.eye(len(EDGE_CODES))
-
-DIST_CLAMP = 32  # lookup table covers 0..32 plus one overflow bucket
 
 
 @dataclass

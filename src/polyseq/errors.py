@@ -18,4 +18,5 @@ class DisconnectedError(PolyseqError):
 
 
 class BudgetExceeded(PolyseqError):
-    """Canonical labelling aborted: its search passed the leaf budget."""
+    """Canonical labelling aborted: its search passed the leaf budget, or
+    went deeper than the interpreter's recursion limit."""

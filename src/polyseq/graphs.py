@@ -4,7 +4,8 @@ The data model is deliberately small: an attributed graph is a list of
 :class:`Atom` plus a list of :class:`Bond`.  A :class:`MonomerGraph` adds the
 two polymerization boundary atoms; a :class:`StarLinkGraph` adds the edge that
 joins them (closing the repeat unit into a cycle) together with the backbone
-mask.
+mask.  The backbone embedding that the network adds to the masked columns
+lives in ``nets``.
 """
 
 from __future__ import annotations
@@ -500,18 +501,6 @@ def featurize(g: MolGraph) -> np.ndarray:
         x[in_ring, i] = i in ring
         x[hydrogens + min(implicit_hydrogens(g, i), top_h), i] = 1.0
     return x
-
-
-def apply_backbone_embedding(x: np.ndarray, mask, b: np.ndarray) -> np.ndarray:
-    """Add the backbone vector to the masked columns only."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (x.shape[0],):
-        raise ValueError(f"backbone vector dim {b.shape} != feature dim "
-                         f"({x.shape[0]},)")
-    m = np.asarray(mask, dtype=float)
-    if m.shape != (x.shape[1],):
-        raise ValueError("mask length does not match atom count")
-    return x + np.outer(b, m)
 
 
 def auto_repeat_for_lga(g: MonomerGraph, d_thres: int) -> tuple[MonomerGraph, int]:

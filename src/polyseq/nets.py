@@ -1,9 +1,10 @@
 """Forward-only reference network layers with reproducible weights.
 
-Everything here is deterministic 64-bit float arithmetic: message-passing
-(GIN-style) layers, localized attention layers with distance and path biases,
-LayerNorm/FFN blocks, backbone-embedding injection, spatial projection,
-cross-modal fusion, mean pooling with a linear head, masked-atom corruption,
+The whole network lives here, in deterministic 64-bit float arithmetic:
+the backbone embedding added to the input projection, message-passing
+(GIN-style) layers, localized attention layers with distance and path
+biases (``DIST_CLAMP`` bounds the distance buckets), LayerNorm/FFN blocks,
+spatial projection, cross-modal fusion, mean pooling with a linear head,
 and fragment attribution, with one ``softmax`` and one two-layer ``_mlp``.
 Weights are regenerated bit-exactly from a seed with a counter-based
 generator ("counter-mix-v1"), so no weight files exist.  A weight is drawn
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,11 +28,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .context import AttentionContext, DIST_CLAMP, EDGE_CODES, build_context
+from .context import AttentionContext, EDGE_CODES, build_context
 from .graphs import (
     FEATURE_DIM,
     MonomerGraph,
-    apply_backbone_embedding,
     detect_backbone,
     featurize,
     star_link,
@@ -74,12 +73,25 @@ def _normals(seed: int, name: str, count: int) -> np.ndarray:
 
 
 N_PATH_CODES = len(EDGE_CODES)
-N_DIST_BUCKETS = DIST_CLAMP + 2  # 0..32 plus overflow
+DIST_CLAMP = 32  # the distance buckets cover 0..32 plus one overflow bucket
+N_DIST_BUCKETS = DIST_CLAMP + 2
 
 _ATTN_MATS = ("wq", "wk", "wv", "ffn_w1", "ffn_w2")
 _ATTN_VECS = ("ffn_b1", "ffn_b2")
 _ATTN_LN = ("ln1", "ln2")
 LN_EPS = 1e-12  # added to the variance in layer_norm
+
+
+def apply_backbone_embedding(x: np.ndarray, mask, b: np.ndarray) -> np.ndarray:
+    """Add the backbone vector to the masked columns only."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (x.shape[0],):
+        raise ValueError(f"backbone vector dim {b.shape} != feature dim "
+                         f"({x.shape[0]},)")
+    m = np.asarray(mask, dtype=float)
+    if m.shape != (x.shape[1],):
+        raise ValueError("mask length does not match atom count")
+    return x + np.outer(b, m)
 
 
 class _DrawnWeights(Mapping):
@@ -150,11 +162,12 @@ class ReferenceModel:
     @cached_property
     def layers(self) -> tuple[Mapping[str, np.ndarray], ...]:
         """Each attention layer's weights, as ``local_attention_layer``
-        reads them, in a read-only map (``dict`` of it makes a copy)."""
-        keys = (*_ATTN_MATS, *_ATTN_VECS, "dist", "path",
-                *(f"{ln}_{s}" for ln in _ATTN_LN for s in ("gain", "bias")))
-        return tuple(MappingProxyType({k: self[f"attn{l}.{k}"] for k in keys})
-                     for l in range(self.L))
+        reads them, in a read-only map (``dict`` of it makes a copy): the
+        ``attn{l}.*`` names, without their prefix."""
+        return tuple(MappingProxyType({
+            name.removeprefix(p): self[name]
+            for name in self.weights if name.startswith(p)})
+            for p in (f"attn{l}." for l in range(self.L)))
 
     @classmethod
     def generate(cls, seed: int, d: int = 64, L: int = 3, d_thres: int = 3,
@@ -318,17 +331,6 @@ def cross_modal_fusion(xt: np.ndarray, xs: np.ndarray,
                       model["fusion.ln_bias"])
 
 
-def mask_atoms(x: np.ndarray, p_mask: float,
-               rng: random.Random) -> tuple[np.ndarray, list[int]]:
-    """Zero whole atom columns independently with probability p_mask."""
-    if not 0.0 <= p_mask <= 1.0:
-        raise ValueError("p_mask must be in [0, 1]")
-    masked = [j for j in range(x.shape[1]) if rng.random() < p_mask]
-    out = x.copy()
-    out[:, masked] = 0.0
-    return out, masked
-
-
 @dataclass
 class ForwardResult:
     xts: np.ndarray       # (d, n) final per-atom representations
@@ -378,26 +380,23 @@ def forward_polymer(model: ReferenceModel, g: MonomerGraph,
 
 
 def normalize_fragmentation(frags: list[set[int]], n: int) -> list[list[int]]:
-    """Validate coverage and resolve single-atom overlaps.
+    """Each fragment's atoms, sorted, with every atom in one fragment.
 
-    Atoms claimed by several fragments go to the lowest-indexed fragment.
-    Raises ValueError if the union does not cover all n atoms.
+    An atom that several fragments name belongs to the first of them, so a
+    later fragment may keep no atom at all.  Raises ValueError for an atom
+    outside 0..n-1, or if the union does not cover all n atoms.
     """
-    seen: dict[int, int] = {}
-    out: list[list[int]] = []
+    owner: dict[int, int] = {}
     for fi, frag in enumerate(frags):
-        kept = []
         for a in sorted(frag):
             if not 0 <= a < n:
                 raise ValueError(f"fragment atom {a} out of range")
-            if a not in seen:
-                seen[a] = fi
-                kept.append(a)
-        out.append(kept)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - set(seen))
+            owner.setdefault(a, fi)
+    if len(owner) != n:
+        missing = sorted(set(range(n)) - set(owner))
         raise ValueError(f"fragmentation does not cover atoms {missing}")
-    return out
+    return [sorted({a for a in frag if owner[a] == fi})
+            for fi, frag in enumerate(frags)]
 
 
 def fragcam(model: ReferenceModel, g: MonomerGraph,
@@ -416,8 +415,7 @@ def fragcam(model: ReferenceModel, g: MonomerGraph,
     x0 = res.xts[:, :g.n]
     n_f = len(parts)
     w = model["head"]
-    h_list = [x0[:, atoms].sum(axis=1) if atoms else np.zeros(model.d)
-              for atoms in parts]
+    h_list = [x0[:, atoms].sum(axis=1) for atoms in parts]
     h = sum(h_list) / n_f
     yhat = float(w @ h)
     scores = [float(w @ hi) / n_f for hi in h_list]

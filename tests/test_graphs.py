@@ -161,6 +161,12 @@ class TestStarLink:
 
 
 class TestBackbone:
+    def test_disconnected_boundaries(self):
+        g = MonomerGraph([Atom("C")] * 4, [Bond(0, 1), Bond(2, 3)], 0, 3)
+        with pytest.raises(DisconnectedError,
+                           match="boundary atoms not connected"):
+            detect_backbone(g)
+
     def test_star_backbone_found_on_first_read(self, monkeypatch):
         calls = []
 
@@ -473,6 +479,22 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             MolGraph([Atom("C"), Atom("C")],
                      [Bond(0, 1), Bond(1, 0, "double")])
+
+    @pytest.mark.parametrize("bond", [Bond(0, 2), Bond(-1, 0), Bond(1, 1)])
+    def test_bond_endpoints_out_of_range(self, bond):
+        with pytest.raises(ValueError, match="bond endpoints out of range"):
+            MolGraph([Atom("C"), Atom("C")], [bond])
+
+    def test_bond_order_of_unbonded_pair(self):
+        g = parse("*CC=O*")
+        assert g.bond_order(2, 1) == "double"
+        with pytest.raises(KeyError):
+            g.bond_order(0, 2)
+
+    @pytest.mark.parametrize("head, tail", [(0, 2), (-1, 1)])
+    def test_boundary_out_of_range(self, head, tail):
+        with pytest.raises(ValueError, match="boundary index out of range"):
+            MonomerGraph([Atom("C"), Atom("C")], [Bond(0, 1)], head, tail)
 
     def test_disconnected_star_link(self):
         g = MonomerGraph([Atom("C"), Atom("C")], [], 0, 1)

@@ -17,20 +17,20 @@ from polyseq import (
     gin_layer,
     layer_norm,
     local_attention_layer,
-    mask_atoms,
     neighbour_table,
     parse,
     project_spatial,
     star_link,
 )
 from polyseq import graphs, nets, verify
-from polyseq.context import DIST_CLAMP, EDGE_CODES, AttentionContext
+from polyseq.context import EDGE_CODES, AttentionContext
 from polyseq.corpus import corpus
-from polyseq.graphs import (apply_backbone_embedding, auto_repeat_for_lga,
-                            featurize, relabel)
+from polyseq.graphs import auto_repeat_for_lga, featurize, relabel
 from polyseq.nets import (
+    DIST_CLAMP,
     N_PATH_CODES,
     _normals,
+    apply_backbone_embedding,
     normalize_fragmentation,
     softmax,
 )
@@ -370,6 +370,13 @@ class TestAttention:
             assert np.allclose(got[:, i], base[:, i], atol=1e-12)
             assert not np.allclose(got[:, outside], base[:, outside])
 
+    def test_column_count_checked(self, model):
+        g, ctx = star_ctx("*CC(C)O*", 2)
+        for n in (g.n - 1, g.n + 1):
+            with pytest.raises(ValueError, match="column count"):
+                local_attention_layer(ctx, np.zeros((model.d, n)),
+                                      model.layers[0])
+
 
 class TestReferenceAttention:
     """The pairwise layer matches the dense layer it replaced."""
@@ -599,25 +606,6 @@ class TestFusionAndSpatial:
         with pytest.raises(ValueError):
             cross_modal_fusion(np.zeros((model.d, 3)),
                                np.zeros((model.d + 1, 2)), model)
-
-
-class TestMasking:
-    def test_extremes(self):
-        x = np.ones((4, 6))
-        out0, m0 = mask_atoms(x, 0.0, random.Random(0))
-        assert m0 == [] and np.array_equal(out0, x)
-        out1, m1 = mask_atoms(x, 1.0, random.Random(0))
-        assert m1 == list(range(6)) and np.all(out1 == 0.0)
-        assert np.array_equal(x, np.ones((4, 6)))  # input untouched
-
-    def test_rate(self):
-        x = np.ones((2, 1000))
-        _, masked = mask_atoms(x, 0.3, random.Random(42))
-        assert 0.25 <= len(masked) / 1000 <= 0.35
-
-    def test_bad_probability(self):
-        with pytest.raises(ValueError):
-            mask_atoms(np.ones((2, 2)), 1.5, random.Random(0))
 
 
 class TestForward:

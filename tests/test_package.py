@@ -11,7 +11,7 @@ PUBLIC = {
     "canonical_form", "canonical_key", "compare_strategies",
     "cross_modal_fusion", "detect_backbone", "featurize", "forward_polymer",
     "fragcam", "generate_twins", "gin_layer", "isomorphic", "layer_norm",
-    "lemma1_suite", "local_attention_layer", "mask_atoms",
+    "lemma1_suite", "local_attention_layer",
     "monomer_isomorphic", "neighbour_table", "parse", "polymer_equal",
     "primitive_reduce", "project_spatial", "random_augment",
     "random_translation", "repeat_monomer", "ring_stats", "star_link",

@@ -183,6 +183,9 @@ class TestPolymerEqual:
     def test_different_polymers(self):
         assert not polymer_equal(parse("*CONO*"), parse("*CONN*"))
         assert not polymer_equal(parse("*CCO*"), parse("*CCN*"))
+        # primitive units of different sizes
+        assert not polymer_equal(parse("*CCO*"), parse("*CCCO*"))
+        assert not polymer_equal(parse("*CCOCCO*"), parse("*CCCO*"))
 
     def test_same_star_graph_different_polymer(self):
         # both cuts of the two-ring seed close to the same linked graph
@@ -192,6 +195,11 @@ class TestPolymerEqual:
 
 
 class TestTwins:
+    @pytest.mark.parametrize("n1, n2", [(4, 6), (6, 4)])
+    def test_ring_pair_seed_rejects_small_rings(self, n1, n2):
+        with pytest.raises(ValueError, match="rings smaller than 5"):
+            ring_pair_seed(n1, n2)
+
     def test_seed_yields_pairs(self):
         pairs = generate_twins(ring_pair_seed(5, 6))
         assert len(pairs) >= 5
