@@ -30,13 +30,7 @@ from .graphs import (
     star_link,
     strategy_transform,
 )
-from .psmiles import (
-    canonical_form,
-    parse,
-    random_augment,
-    random_translation,
-    write,
-)
+from .psmiles import canonical_form, parse, random_augment, write
 from .wl import (
     ColoringResult,
     TwinPair,
@@ -65,7 +59,7 @@ from .nets import (
     local_attention_layer,
     project_spatial,
 )
-from .rsit import ModelPredictor, RsitReport, compare_strategies
+from .rsit import ModelPredictor, RsitReport
 from .verify import lemma1_suite, theorem1_suite, theorem2_suite, twin_suite
 
 __version__ = "0.1.0"

@@ -6,8 +6,10 @@ the command with nothing on stderr.
 Line commands stream: each non-blank input line prints its result as soon as
 it is computed, in input order.  A bad record, a line or a row of an rsit or
 fragcam dataset, is reported on stderr as "line N: <error type>: <message>",
-N its line in the file, and a bad file as "error: <file>: <message>".  Each
-command takes only the options it reads; all randomness derives from --seed.
+N its line in the file, and a bad file as "error: <file>: <message>".  Input
+files may start with a UTF-8 byte-order mark; standard input is read as is.
+Each command takes only the options it reads; all randomness derives from
+--seed.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _read_csv(path: str, columns: list[str]):
     """The header of CSV file path, which must start with columns, and its
     non-blank rows as (line number, fields), all fields stripped; no row may
     be longer than the header."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         if header[:len(columns)] != columns:
@@ -101,7 +103,7 @@ def _fits(doc, shape) -> bool:
 
 def _load_json(path: str, shape, what: str):
     """The JSON document in path, which must have shape, described as what."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
@@ -228,7 +230,7 @@ def _augment_fn(args):
 def _run_lines(args) -> int:
     """Run a line command; stats prints one summary, not a line each."""
     with (contextlib.nullcontext(sys.stdin) if args.input == "-"
-          else open(args.input)) as fh:
+          else open(args.input, encoding="utf-8-sig")) as fh:
         fn = _LINE_COMMANDS[args.command](args)
         # str.splitlines, not the file, decides where a line ends, so form
         # feeds and Unicode line separators end lines too
@@ -263,7 +265,7 @@ def _run_verify(args) -> int:
     pairs = (corpus_mod.default_twin_pairs()
              if {"lemma1", "theorem3"} & set(names) else None)
     # the weights do not depend on d_thres: one model serves every suite
-    model = None if names == ["lemma1"] else _model_from(args)
+    model = _model_from(args)
     failed = False
     for name in names:
         rep = _SUITES[name](monomers, pairs, model)
@@ -284,9 +286,8 @@ def _run_rsit(args) -> int:
         predictors, i, *row), records.append)
     if not records:
         raise PolyseqError(f"{args.dataset}: no sample to score")
-    reports = {s: rsit_mod.summarize([r[s] for r in records], args.metric)
-               for s in strategies}
-    print(rsit_mod.format_table([rep.row(s) for s, rep in reports.items()]))
+    reports = rsit_mod.summarize(records, args.metric)
+    print(rsit_mod.format_table(reports))
     if args.output:
         doc = {"metric": args.metric}
         doc.update((s, rep.to_dict()) for s, rep in reports.items())

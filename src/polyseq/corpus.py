@@ -67,11 +67,10 @@ def _try_monomer(rng: random.Random) -> MonomerGraph:
             break
         roll = rng.random()
         if roll < 0.30 and capacity(host) >= 1:
-            # short side chain, optionally ending in a carbonyl-style double
+            # short side chain, optionally ending in a carbonyl-style double;
+            # the guard above leaves room for both of its atoms
             prev = host
             for _ in range(rng.randint(1, 2)):
-                if len(b.atoms) >= MAX_ATOMS:
-                    break
                 nxt = b.add(rng.choice(_SIDE_ELEMENTS))
                 b.bond(prev, nxt)
                 prev = nxt

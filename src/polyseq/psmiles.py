@@ -16,6 +16,10 @@ dropped: a writing parses to the same graph as its unmarked writing.
 A ring bond between two atoms that are already bonded is rejected, and so
 are dot-separated components, because a repeat unit must be one connected
 fragment.
+
+Augmentation has one draw, ``random_augment`` (a coin-flip doubling of the
+repeat unit, then a uniformly chosen translation), and one enumeration,
+``augment_rewrites``, of every string that draw can write.
 """
 
 from __future__ import annotations
@@ -290,21 +294,17 @@ def write(g: MonomerGraph) -> str:
     return "".join(out)
 
 
-def random_translation(g: MonomerGraph, rng: random.Random) -> MonomerGraph:
-    """Re-cut the infinite chain at a uniformly chosen period position.
+def random_augment(g: MonomerGraph, rng: random.Random) -> MonomerGraph:
+    """Repeat-unit augmentation: coin-flip doubling, then a re-cut of the
+    infinite chain at a uniformly chosen period position.
 
     The candidate cut points are the current junction (the identity
     translation) plus every bridge separating the two boundary atoms.
     """
-    variants = translation_variants(g)
-    return variants[rng.randrange(len(variants))]
-
-
-def random_augment(g: MonomerGraph, rng: random.Random) -> MonomerGraph:
-    """Repeat-unit augmentation: coin-flip doubling, then random translation."""
     if rng.random() < 0.5:
         g = repeat_monomer(g, 2)
-    return random_translation(g, rng)
+    variants = translation_variants(g)
+    return variants[rng.randrange(len(variants))]
 
 
 def augment_rewrites(g: MonomerGraph) -> list[str]:

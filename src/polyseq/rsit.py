@@ -6,6 +6,10 @@ translation), keeps the worst-loss one, and compares the aggregate metric on
 the adversarial predictions against the clean one.  A predictor that is
 invariant under repetition and translation shows a gap of exactly zero, per
 sample and in aggregate.
+
+``evaluate`` scores one sample under every predictor of a {name: predictor}
+map, ``summarize`` turns the per-sample maps into one ``RsitReport`` per
+predictor, and ``rsit`` is the one-predictor case of the two.
 """
 
 from __future__ import annotations
@@ -68,16 +72,11 @@ class RsitReport:
     adv_metric: float
     rsit_gap: float
 
-    def row(self, strategy: str) -> dict:
-        """The table row of this report, run with the given strategy."""
-        return {"strategy": strategy, "clean": self.clean_metric,
-                "adversarial": self.adv_metric, "gap": self.rsit_gap}
-
     def to_dict(self) -> dict:
-        """The report as ``rsit --output`` writes it under its strategy."""
-        row = self.row("")
-        del row["strategy"]
-        return {**row, "samples": [vars(s) for s in self.samples]}
+        """The report as ``rsit --output`` writes it under its predictor."""
+        return {"clean": self.clean_metric, "adversarial": self.adv_metric,
+                "gap": self.rsit_gap,
+                "samples": [vars(s) for s in self.samples]}
 
 
 def evaluate(predictors: dict, index: int, s: str, y: float
@@ -101,42 +100,39 @@ def evaluate(predictors: dict, index: int, s: str, y: float
     return records
 
 
-def summarize(records: list[SampleResult], metric: str) -> RsitReport:
-    """The clean and adversarial metric over one predictor's records."""
+def summarize(records: list[dict[str, SampleResult]], metric: str
+              ) -> dict[str, RsitReport]:
+    """The clean and adversarial metric of every predictor, over the
+    per-sample maps that evaluate returns, in the first map's order."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if not records:
         raise ValueError("no sample to score")
     fn, higher_better = METRICS[metric]
-    labels = [r.label for r in records]
-    clean = fn(labels, [r.base_prediction for r in records])
-    adv = fn(labels, [r.adv_predict for r in records])
-    # adv - clean, not -(clean - adv): a zero gap stays +0.0
-    gap = clean - adv if higher_better else adv - clean
-    return RsitReport(records, clean, adv, gap)
+    reports = {}
+    for name in records[0]:
+        rows = [r[name] for r in records]
+        labels = [r.label for r in rows]
+        clean = fn(labels, [r.base_prediction for r in rows])
+        adv = fn(labels, [r.adv_predict for r in rows])
+        # adv - clean, not -(clean - adv): a zero gap stays +0.0
+        gap = clean - adv if higher_better else adv - clean
+        reports[name] = RsitReport(rows, clean, adv, gap)
+    return reports
 
 
 def rsit(predictor, samples: list[tuple[str, float]],
          metric: str = "r2") -> RsitReport:
     """Worst case over every rewrite of each sample; errors propagate."""
-    return summarize([evaluate({"": predictor}, i, s, y)[""]
-                      for i, (s, y) in enumerate(samples)], metric)
+    return summarize([evaluate({"": predictor}, i, s, y)
+                      for i, (s, y) in enumerate(samples)], metric)[""]
 
 
-def compare_strategies(model: ReferenceModel,
-                       samples: list[tuple[str, float]], metric: str = "r2"
-                       ) -> list[dict[str, float | str]]:
-    """Clean vs adversarial table for the four endpoint strategies."""
-    predictors = {s: ModelPredictor(model, s) for s in STRATEGIES}
-    records = [evaluate(predictors, i, *row) for i, row in enumerate(samples)]
-    return [summarize([r[s] for r in records], metric).row(s)
-            for s in STRATEGIES]
-
-
-def format_table(rows: list[dict]) -> str:
+def format_table(reports: dict[str, RsitReport]) -> str:
+    """One row per {strategy: report} entry: clean, adversarial and gap."""
     head = f"{'strategy':<12}{'clean':>12}{'adversarial':>14}{'gap':>12}"
     lines = [head, "-" * len(head)]
-    for r in rows:
-        lines.append(f"{r['strategy']:<12}{r['clean']:>12.6f}"
-                     f"{r['adversarial']:>14.6f}{r['gap']:>12.6f}")
+    for name, r in reports.items():
+        lines.append(f"{name:<12}{r.clean_metric:>12.6f}"
+                     f"{r.adv_metric:>14.6f}{r.rsit_gap:>12.6f}")
     return "\n".join(lines)

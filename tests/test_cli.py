@@ -753,3 +753,51 @@ class TestForward:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet CSV
+    exports often do, reads as the same file without it."""
+
+    OPTS = ["--dim", "16", "--layers", "1", "--d-thres", "2"]
+
+    @staticmethod
+    def run_twice(tmp_path, capsys, name, text, argv):
+        """The captured output and exit code of argv, with its {} filled by
+        file name holding text, once plain and once after a BOM."""
+        results = []
+        for prefix in ("", "\ufeff"):
+            path = tmp_path / f"{len(prefix)}{name}"
+            path.write_text(prefix + text, encoding="utf-8")
+            rc = main([str(path) if a == "{}" else a for a in argv])
+            results.append((rc, capsys.readouterr()))
+        return results
+
+    def test_dataset(self, tmp_path, capsys):
+        text = "psmiles,value\n*CONO*,1.0\n*CC(C)O*,1.5\n*CCO*,1.2\n"
+        plain, bom = self.run_twice(tmp_path, capsys, "data.csv", text,
+                                    ["rsit", "{}", "--compare", *self.OPTS])
+        assert plain[0] == 0 and bom == plain
+
+    def test_descriptor_csv(self, tmp_path, capsys):
+        lines = write_lines(tmp_path, "in.txt", ["*CC*", "*CCO*"])
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"geom": ["x1"]}))
+        plain, bom = self.run_twice(
+            tmp_path, capsys, "desc.csv", "psmiles,x1\n*CC*,0.5\n*CCO*,1\n",
+            ["forward", lines, "--descriptors", "{}", "--groups",
+             str(groups), *self.OPTS])
+        assert plain[0] == 0 and bom == plain
+
+    def test_json_file(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, [("*CCO*", 1.0)])
+        plain, bom = self.run_twice(
+            tmp_path, capsys, "f.json", '{"*CCO*": {"a": [0, 1], "b": [2]}}',
+            ["fragcam", data, "--fragments", "{}", *self.OPTS])
+        assert plain[0] == 0 and bom == plain
+
+    def test_corpus_file(self, tmp_path, capsys):
+        plain, bom = self.run_twice(tmp_path, capsys, "in.txt",
+                                    "*CONO*\n*CC(C)O*\n", ["canon", "{}"])
+        assert plain[0] == 0 and bom == plain
+        assert len(plain[1].out.splitlines()) == 2

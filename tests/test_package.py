@@ -8,15 +8,14 @@ PUBLIC = {
     "MonomerGraph", "ParseError", "PolyseqError", "ReferenceModel",
     "RsitReport", "SpatialDescriptors", "StarLinkGraph", "TwinPair",
     "apply_backbone_embedding", "auto_repeat_for_lga", "build_context",
-    "canonical_form", "canonical_key", "compare_strategies",
-    "cross_modal_fusion", "detect_backbone", "featurize", "forward_polymer",
-    "fragcam", "generate_twins", "gin_layer", "isomorphic", "layer_norm",
-    "lemma1_suite", "local_attention_layer",
-    "monomer_isomorphic", "neighbour_table", "parse", "polymer_equal",
-    "primitive_reduce", "project_spatial", "random_augment",
-    "random_translation", "repeat_monomer", "ring_stats", "star_link",
-    "strategy_transform", "theorem1_suite", "theorem2_suite", "twin_suite",
-    "wl_refine", "write",
+    "canonical_form", "canonical_key", "cross_modal_fusion",
+    "detect_backbone", "featurize", "forward_polymer", "fragcam",
+    "generate_twins", "gin_layer", "isomorphic", "layer_norm",
+    "lemma1_suite", "local_attention_layer", "monomer_isomorphic",
+    "neighbour_table", "parse", "polymer_equal", "primitive_reduce",
+    "project_spatial", "random_augment", "repeat_monomer", "ring_stats",
+    "star_link", "strategy_transform", "theorem1_suite", "theorem2_suite",
+    "twin_suite", "wl_refine", "write",
 }
 
 

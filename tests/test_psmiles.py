@@ -15,7 +15,6 @@ from polyseq import (
     monomer_isomorphic,
     parse,
     random_augment,
-    random_translation,
     repeat_monomer,
     write,
 )
@@ -384,11 +383,9 @@ class TestAugment:
         g = repeat_monomer(parse("*CONO*"), 2)
         assert write(g) == "*CONOCONO*"
 
-    def test_random_translation_preserves_polymer(self):
+    def test_translation_variants_preserve_polymer(self):
         g = parse("*CC(C)OC(=O)*")
-        rng = random.Random(5)
-        for _ in range(10):
-            t = random_translation(g, rng)
+        for t in translation_variants(g):
             assert canonical_form(t) == canonical_form(g)
 
     def test_random_augment_canon_equal(self):

@@ -7,8 +7,9 @@ from polyseq import ModelPredictor, ReferenceModel
 from polyseq.corpus import corpus, labeled_corpus
 from polyseq.psmiles import augment_rewrites, parse, random_augment, write
 from polyseq.rsit import (
+    STRATEGIES,
     SampleResult,
-    compare_strategies,
+    evaluate,
     format_table,
     r2_score,
     rmse_score,
@@ -41,9 +42,13 @@ def _reference_rsit(predictor, samples, T, loss=squared_loss, seed=0,
             trial_loss = loss(pred, y)
             if trial_loss > adv_loss:
                 adv_loss, adv_predict = trial_loss, pred
-        records.append(SampleResult(idx, s, y, base, adv_loss, adv_predict,
-                                    T))
-    return summarize(records, metric)
+        records.append({"": SampleResult(idx, s, y, base, adv_loss,
+                                         adv_predict, T)})
+    return summarize(records, metric)[""]
+
+
+def _strategy_predictors(model):
+    return {s: ModelPredictor(model, s) for s in STRATEGIES}
 
 
 class ConstantPredictor:
@@ -183,8 +188,9 @@ class TestHarness:
         with pytest.raises(ValueError):
             rsit(ConstantPredictor(), SAMPLES, metric="mae")
         model = ReferenceModel.generate(3, d=8, L=1, d_thres=2)
+        records = [evaluate(_strategy_predictors(model), 0, *SAMPLES[0])]
         with pytest.raises(ValueError, match="unknown metric 'mae'"):
-            compare_strategies(model, SAMPLES[:1], metric="mae")
+            summarize(records, metric="mae")
 
 
 class TestExactOrbit:
@@ -238,11 +244,11 @@ class TestModelPredictor:
     def test_compare_strategies_table(self):
         samples = labeled_corpus(5, seed=4)
         model = ReferenceModel.generate(3, d=16, L=1, d_thres=2)
-        rows = compare_strategies(model, samples)
-        assert [r["strategy"] for r in rows] == ["keep", "remove",
-                                                 "substitute", "link"]
-        by = {r["strategy"]: r for r in rows}
-        assert abs(by["link"]["gap"]) < 1e-9
-        table = format_table(rows)
+        predictors = _strategy_predictors(model)
+        reports = summarize([evaluate(predictors, i, *row)
+                             for i, row in enumerate(samples)], "r2")
+        assert list(reports) == ["keep", "remove", "substitute", "link"]
+        assert abs(reports["link"].rsit_gap) < 1e-9
+        table = format_table(reports)
         assert "strategy" in table and "link" in table
         assert len(table.splitlines()) == 6
