@@ -6,8 +6,10 @@ the command with nothing on stderr.
 Line commands stream: each non-blank input line prints its result as soon as
 it is computed, in input order.  A bad record, a line or a row of an rsit or
 fragcam dataset, is reported on stderr as "line N: <error type>: <message>",
-N its line in the file, and a bad file as "error: <file>: <message>".  Input
-files may start with a UTF-8 byte-order mark; standard input is read as is.
+N its line in the file, and a bad file as "error: <file>: <message>", among
+them a file with a byte that is not UTF-8, a CSV field longer than
+csv.field_size_limit() or JSON nested past the recursion limit.  Input files
+may start with a UTF-8 byte-order mark; standard input is read as is.
 Each command takes only the options it reads; all randomness derives from
 --seed.
 """
@@ -30,7 +32,8 @@ from . import rsit as rsit_mod
 from . import verify as verify_mod
 from .context import build_context
 from .errors import PolyseqError
-from .graphs import dump_monomer, dump_star_graph, ring_stats, star_link
+from .graphs import (MolGraph, MonomerGraph, StarLinkGraph, ring_stats,
+                     star_link)
 from .nets import ReferenceModel, SpatialDescriptors, forward_polymer, fragcam
 from .psmiles import canonical_form, parse, random_augment, write
 
@@ -54,15 +57,18 @@ def _read_csv(path: str, columns: list[str]):
     be longer than the header."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if header[:len(columns)] != columns:
-            raise PolyseqError(f"{path}: expected a CSV header starting "
-                               f"{','.join(columns)!r}")
-        repeated = [h for i, h in enumerate(header) if h in header[:i]]
-        if repeated:
-            raise PolyseqError(f"{path}: duplicate column {repeated[0]!r}")
-        rows = [(reader.line_num, [f.strip() for f in row]) for row in reader
-                if len(row) > 1 or row and row[0].strip()]
+        try:
+            header = [h.strip() for h in next(reader, [])]
+            rows = [(reader.line_num, [f.strip() for f in row])
+                    for row in reader if len(row) > 1 or row and row[0].strip()]
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise PolyseqError(f"{path}: {exc}") from None
+    if header[:len(columns)] != columns:
+        raise PolyseqError(f"{path}: expected a CSV header starting "
+                           f"{','.join(columns)!r}")
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise PolyseqError(f"{path}: duplicate column {repeated[0]!r}")
     for n, row in rows:
         if len(row) > len(header):
             raise PolyseqError(f"{path} line {n}: long row {row!r}")
@@ -106,7 +112,7 @@ def _load_json(path: str, shape, what: str):
     with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:
             raise PolyseqError(f"{path}: {exc}") from None
     if not _fits(doc, shape):
         raise PolyseqError(f"{path}: expected {what}")
@@ -157,48 +163,86 @@ def build_parser() -> _Parser:
     top = _Parser(prog="polyseq", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, *options):
+    def cmd(name, run, *options):
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         for opt in options:
             p.add_argument(f"--{opt}", **_OPTIONS[opt])
         return p
 
-    for name in ("parse", "canon", "link", "backbone", "stats"):
-        p = cmd(name)
-        p.add_argument("input", help="corpus file of P-SMILES lines, or -")
+    def lines(name, per_line, *options,
+              help="corpus file of P-SMILES lines, or -"):
+        """A line command; per_line(args) is its function fn(i, s) of the
+        stripped line s and i, its index among non-blank lines."""
+        p = cmd(name, lambda args: _run_lines(args, per_line), *options)
+        p.add_argument("input", help=help)
+        return p
 
-    p = cmd("distances", "d-thres")
-    p.add_argument("input", help="corpus file of P-SMILES lines, or -")
+    lines("parse", lambda args: lambda i, s: dump_monomer(parse(s)))
+    lines("canon", lambda args: lambda i, s: canonical_form(s))
+    lines("link",
+          lambda args: lambda i, s: dump_star_graph(star_link(parse(s))))
+    lines("backbone", lambda args: lambda i, s: _backbone_json(s))
+    lines("stats", lambda args: lambda i, s: parse(s))
+    lines("distances",
+          lambda args: lambda i, s: _distances_json(s, args.d_thres),
+          "d-thres")
 
-    p = cmd("augment", "seed")
-    p.add_argument("input")
+    p = lines("augment", _augment_fn, "seed", help=None)
     p.add_argument("--n-variants", type=_positive_int, default=1)
 
-    p = cmd("verify", "seed", "layers", "dim")
+    p = cmd("verify", _run_verify, "seed", "layers", "dim")
     p.add_argument("suite", choices=[*_SUITES, "all"])
     p.add_argument("--count", type=_positive_int, default=100,
                    help="number of random monomers for the oracle suites")
 
-    p = cmd("rsit", "seed", "d-thres", "layers", "dim", "strategy")
+    p = cmd("rsit", _run_rsit, "seed", "d-thres", "layers", "dim", "strategy")
     p.add_argument("dataset", help="CSV file with header psmiles,value")
     p.add_argument("--metric", default="r2", choices=sorted(rsit_mod.METRICS))
     p.add_argument("--compare", action="store_true",
                    help="run all four strategies instead of --strategy")
     p.add_argument("--output", default=None, help="write JSON report here")
 
-    p = cmd("fragcam", "seed", "d-thres", "layers", "dim")
+    p = cmd("fragcam", _run_fragcam, "seed", "d-thres", "layers", "dim")
     p.add_argument("dataset")
     p.add_argument("--fragments", required=True,
                    help="JSON: {psmiles: {label: [atom indices]}}")
 
-    p = cmd("forward", "seed", "d-thres", "layers", "dim", "strategy")
-    p.add_argument("input")
+    p = lines("forward", _forward_fn, "seed", "d-thres", "layers", "dim",
+              "strategy", help=None)
     p.add_argument("--no-backbone", action="store_true")
     p.add_argument("--descriptors", default=None,
                    help="CSV psmiles,<col...> with descriptor values")
     p.add_argument("--groups", default=None,
                    help="JSON {group_name: [columns]}")
     return top
+
+
+def _graph_doc(g: MolGraph, atom_fields=lambda i: {}) -> dict:
+    """The atom and bond records of the JSON dumps, in a stable field order;
+    atom_fields(i) appends fields to atom i's record."""
+    return {
+        "atoms": [{"index": i, "element": a.element, "aromatic": a.aromatic,
+                   "charge": a.charge, "hcount": a.hcount, **atom_fields(i)}
+                  for i, a in enumerate(g.atoms)],
+        "bonds": [{"u": b.u, "v": b.v, "order": b.order} for b in g.bonds],
+    }
+
+
+def dump_monomer(g: MonomerGraph) -> str:
+    """Stable JSON dump of a monomer graph and its boundary atoms."""
+    return json.dumps({**_graph_doc(g), "head": g.head, "tail": g.tail},
+                      separators=(",", ":"))
+
+
+def dump_star_graph(star: StarLinkGraph) -> str:
+    """Stable JSON dump of a star-linking graph (diff-friendly field order)."""
+    m = star.monomer
+    doc = _graph_doc(m, lambda i: {"is_boundary": i in (m.head, m.tail),
+                                  "is_backbone": star.backbone[i]})
+    doc["link_edge"] = [star.link.u, star.link.v]
+    doc["meta"] = {"auto_repeat_k": star.auto_repeat_k}
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def _backbone_json(s: str) -> str:
@@ -227,11 +271,11 @@ def _augment_fn(args):
     return fn
 
 
-def _run_lines(args) -> int:
-    """Run a line command; stats prints one summary, not a line each."""
+def _run_lines(args, per_line) -> int:
+    """Run line command per_line; stats prints a summary, not a line each."""
     with (contextlib.nullcontext(sys.stdin) if args.input == "-"
           else open(args.input, encoding="utf-8-sig")) as fh:
-        fn = _LINE_COMMANDS[args.command](args)
+        fn = per_line(args)
         # str.splitlines, not the file, decides where a line ends, so form
         # feeds and Unicode line separators end lines too
         lines = (ln.strip() for chunk in fh for ln in chunk.splitlines())
@@ -239,7 +283,12 @@ def _run_lines(args) -> int:
         graphs = []
         emit = (graphs.append if args.command == "stats"
                 else lambda text: print(text, flush=True))
-        failed = _each_record(records, fn, emit)
+        try:
+            failed = _each_record(records, fn, emit)
+        except UnicodeDecodeError as exc:  # from fh: fn's are caught per line
+            if args.input == "-":
+                raise
+            raise PolyseqError(f"{args.input}: {exc}") from None
     if args.command == "stats":
         mean, frac = ring_stats(graphs)
         print(json.dumps({"polymers": len(graphs), "mean_rings": mean,
@@ -260,10 +309,8 @@ _SUITES = {
 def _run_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
-    monomers = ([corpus_mod.random_monomer(rng) for _ in range(args.count)]
-                if {"theorem1", "theorem2"} & set(names) else None)
-    pairs = (corpus_mod.default_twin_pairs()
-             if {"lemma1", "theorem3"} & set(names) else None)
+    monomers = [corpus_mod.random_monomer(rng) for _ in range(args.count)]
+    pairs = corpus_mod.default_twin_pairs()
     # the weights do not depend on d_thres: one model serves every suite
     model = _model_from(args)
     failed = False
@@ -377,26 +424,10 @@ def _forward_fn(args):
     return fn
 
 
-# Line commands: each maps the parsed arguments to its per-line function
-# fn(i, s) of the stripped line s and i, its index among non-blank lines.
-_LINE_COMMANDS = {
-    "parse": lambda args: lambda i, s: dump_monomer(parse(s)),
-    "canon": lambda args: lambda i, s: canonical_form(s),
-    "link": lambda args: lambda i, s: dump_star_graph(star_link(parse(s))),
-    "backbone": lambda args: lambda i, s: _backbone_json(s),
-    "distances": lambda args: lambda i, s: _distances_json(s, args.d_thres),
-    "augment": _augment_fn,
-    "stats": lambda args: lambda i, s: parse(s),
-    "forward": _forward_fn,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run = {"verify": _run_verify, "rsit": _run_rsit,
-           "fragcam": _run_fragcam}.get(args.command, _run_lines)
     try:
-        return run(args)
+        return args.run(args)
     except BrokenPipeError:
         # point stdout at devnull, so that the interpreter's last flush of
         # what is still buffered cannot raise again

@@ -10,7 +10,6 @@ lives in ``nets``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -531,33 +530,6 @@ def ring_stats(graphs) -> tuple[float, float]:
     mean = sum(counts) / len(counts)
     frac = sum(1 for c in counts if c > 2) / len(counts)
     return mean, frac
-
-
-def _graph_doc(g: MolGraph, atom_fields=lambda i: {}) -> dict:
-    """The atom and bond records of the JSON dumps, in a stable field order;
-    atom_fields(i) appends fields to atom i's record."""
-    return {
-        "atoms": [{"index": i, "element": a.element, "aromatic": a.aromatic,
-                   "charge": a.charge, "hcount": a.hcount, **atom_fields(i)}
-                  for i, a in enumerate(g.atoms)],
-        "bonds": [{"u": b.u, "v": b.v, "order": b.order} for b in g.bonds],
-    }
-
-
-def dump_monomer(g: MonomerGraph) -> str:
-    """Stable JSON dump of a monomer graph and its boundary atoms."""
-    return json.dumps({**_graph_doc(g), "head": g.head, "tail": g.tail},
-                      separators=(",", ":"))
-
-
-def dump_star_graph(star: StarLinkGraph) -> str:
-    """Stable JSON dump of a star-linking graph (diff-friendly field order)."""
-    m = star.monomer
-    doc = _graph_doc(m, lambda i: {"is_boundary": i in (m.head, m.tail),
-                                  "is_backbone": star.backbone[i]})
-    doc["link_edge"] = [star.link.u, star.link.v]
-    doc["meta"] = {"auto_repeat_k": star.auto_repeat_k}
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def relabel(g: MolGraph, perm: list[int]) -> MolGraph:

@@ -106,6 +106,16 @@ class TestUsage:
         assert exc.value.code == 1
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_and_runner(self, command, capsys):
+        for argv in ([command, "-h"], ["-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+        args = build_parser().parse_args([command, *COMMANDS[command]])
+        assert callable(args.run)
+
     def test_compare_keeps_strategy(self):
         args = build_parser().parse_args(
             ["rsit", "data.csv", "--compare", "--strategy", "keep"])
@@ -801,3 +811,58 @@ class TestByteOrderMark:
                                     "*CONO*\n*CC(C)O*\n", ["canon", "{}"])
         assert plain[0] == 0 and bom == plain
         assert len(plain[1].out.splitlines()) == 2
+
+
+class TestBadFile:
+    """A file the readers cannot take ends the command with one line,
+    error: <file>: <message>, and exit code 2, never a traceback."""
+
+    OPTS = ["--dim", "16", "--layers", "1"]
+
+    def check(self, capsys, argv, path, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert len(captured.err.splitlines()) == 1
+        return captured.out
+
+    @pytest.mark.parametrize("option", ["dataset", "--descriptors"])
+    def test_csv_field_past_the_limit(self, tmp_path, capsys, option):
+        big = tmp_path / "big.csv"
+        big.write_text('psmiles,value\n"' + "C" * 200_000 + '",1\n')
+        groups = tmp_path / "groups.json"
+        groups.write_text('{"g": ["value"]}')
+        argv = (["rsit", str(big)] if option == "dataset" else
+                ["forward", write_lines(tmp_path, "in.txt", ["*CC*"]),
+                 "--descriptors", str(big), "--groups", str(groups)])
+        self.check(capsys, argv + self.OPTS, big,
+                   "field larger than field limit")
+
+    @pytest.mark.parametrize("option", ["--groups", "--fragments"])
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys,
+                                                   option):
+        doc = tmp_path / "deep.json"
+        doc.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        desc = tmp_path / "desc.csv"
+        desc.write_text("psmiles,x1\n*CC*,0.5\n")
+        argv = (["fragcam", write_dataset(tmp_path, [("*CC*", 1.0)]),
+                 "--fragments", str(doc)] if option == "--fragments" else
+                ["forward", write_lines(tmp_path, "in.txt", ["*CC*"]),
+                 "--descriptors", str(desc), "--groups", str(doc)])
+        self.check(capsys, argv + self.OPTS, doc,
+                   "maximum recursion depth exceeded")
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path, capsys):
+        # padded lines fill several read chunks before the bad byte: those
+        # chunks still print
+        corpus = tmp_path / "in.txt"
+        corpus.write_bytes(b"".join([b"*CC*" + b" " * 200 + b"\n"] * 200
+                                    + [b"\xff\n"]))
+        out = self.check(capsys, ["canon", str(corpus)], corpus,
+                         "'utf-8' codec can't decode byte 0xff")
+        assert 0 < len(out.splitlines()) < 200
+        assert set(out.splitlines()) == {canonical_form("*CC*")}
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"psmiles,value\n*CC*,1\n\xff,2\n")
+        self.check(capsys, ["rsit", str(data), *self.OPTS], data,
+                   "'utf-8' codec can't decode byte 0xff")

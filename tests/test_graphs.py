@@ -25,13 +25,9 @@ from polyseq import (
     strategy_transform,
 )
 from polyseq import graphs, nets
+from polyseq.cli import dump_star_graph
 from polyseq.corpus import RING_FIXTURE, corpus, ring_pair_seed
-from polyseq.graphs import (
-    FEATURE_DIM,
-    dump_star_graph,
-    implicit_hydrogens,
-    relabel,
-)
+from polyseq.graphs import FEATURE_DIM, implicit_hydrogens, relabel
 from polyseq.verify import gin_deviation, lga_deviation
 
 # Fused, bridged and spiro ring systems, each written with its boundary
