@@ -183,7 +183,7 @@ def build_parser() -> _Parser:
     lines("link",
           lambda args: lambda i, s: dump_star_graph(star_link(parse(s))))
     lines("backbone", lambda args: lambda i, s: _backbone_json(s))
-    lines("stats", lambda args: lambda i, s: parse(s))
+    lines("stats", lambda args: lambda i, s: parse(s).cyclomatic_number())
     lines("distances",
           lambda args: lambda i, s: _distances_json(s, args.d_thres),
           "d-thres")
@@ -280,8 +280,8 @@ def _run_lines(args, per_line) -> int:
         # feeds and Unicode line separators end lines too
         lines = (ln.strip() for chunk in fh for ln in chunk.splitlines())
         records = ((n, s) for n, s in enumerate(lines, 1) if s)
-        graphs = []
-        emit = (graphs.append if args.command == "stats"
+        counts = []  # stats keeps each line's ring count, not its graph
+        emit = (counts.append if args.command == "stats"
                 else lambda text: print(text, flush=True))
         try:
             failed = _each_record(records, fn, emit)
@@ -290,8 +290,8 @@ def _run_lines(args, per_line) -> int:
                 raise
             raise PolyseqError(f"{args.input}: {exc}") from None
     if args.command == "stats":
-        mean, frac = ring_stats(graphs)
-        print(json.dumps({"polymers": len(graphs), "mean_rings": mean,
+        mean, frac = ring_stats(counts)
+        print(json.dumps({"polymers": len(counts), "mean_rings": mean,
                           "frac_more_than_2_rings": frac, "skipped": failed}))
     return EXIT_INPUT if failed else EXIT_OK
 

@@ -19,7 +19,10 @@ from .wl import generate_twins, TwinPair
 
 _PATH_ELEMENTS = ("C", "C", "C", "N", "O", "S")
 _SIDE_ELEMENTS = ("C", "C", "N", "O")
-MAX_TWIN_PAIRS = 8  # pairs the twin oracles check per run
+# pairs the twin oracles check per run: the first 8 of ring_pair_seed(5, 6),
+# all cuts of one polymer pair, *C(CCCC*)C1CCCCC1 and *C(C1CCCC1)CCCCC*, up
+# to translation, through 8 distinct units (2 as monomer_a, 6 as monomer_b)
+MAX_TWIN_PAIRS = 8
 MIN_ATOMS, MAX_ATOMS = 4, 20  # size range of a random monomer
 
 

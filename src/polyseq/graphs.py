@@ -521,10 +521,9 @@ def auto_repeat_for_lga(g: MonomerGraph, d_thres: int) -> tuple[MonomerGraph, in
     return (g if k == 1 else repeat_monomer(g, k)), k
 
 
-def ring_stats(graphs) -> tuple[float, float]:
-    """(mean rings per polymer, fraction with >2 rings); (0.0, 0.0) for no
-    graphs."""
-    counts = [g.cyclomatic_number() for g in graphs]
+def ring_stats(counts: list[int]) -> tuple[float, float]:
+    """(mean rings per polymer, fraction with >2 rings) of the polymers'
+    ``cyclomatic_number()`` counts; (0.0, 0.0) for no counts."""
     if not counts:
         return 0.0, 0.0
     mean = sum(counts) / len(counts)

@@ -22,6 +22,12 @@ The linked unit, its features and its unrolls come from the memo of
 ``star_link(g)`` on the unit (``StarLinkGraph.features`` and
 ``StarLinkGraph.unroll``), so the oracle calls on one monomer link,
 featurize and unroll it once, each unroll once per copy count.
+
+The twin suites predict and refine each distinct unit of their pairs once
+per call, however many pairs share it, in a map keyed by the unit object
+that lives for the call alone, and each pair reads its two units' results:
+``lemma1_suite`` refines a unit once, ``twin_suite`` refines it plain and
+backbone-split and predicts it without and with the backbone shift.
 """
 
 from __future__ import annotations
@@ -191,22 +197,34 @@ def theorem2_suite(monomers: list[MonomerGraph],
     return rep
 
 
-def _same_wl(p: TwinPair, backbone: bool = False) -> bool:
-    """Whether the pair's linked graphs refine to one histogram, from
-    initial colors split by the backbone mask if ``backbone``."""
-    def histogram(g: MonomerGraph):
-        star = star_link(g)
-        extra = star.backbone.__getitem__ if backbone else None
-        return wl_refine(star.as_graph(), extra).histogram
-    return histogram(p.monomer_a) == histogram(p.monomer_b)
+def _per_unit(pairs: list[TwinPair], fn) -> dict:
+    """``fn(g)`` for each distinct unit g of the pairs, keyed by the unit
+    object: one call per unit, however many pairs share it."""
+    out: dict = {}
+    for p in pairs:
+        for g in (p.monomer_a, p.monomer_b):
+            if g not in out:
+                out[g] = fn(g)
+    return out
+
+
+def _wl_histogram(g: MonomerGraph, backbone: bool = False) -> list:
+    """The refinement histogram of g's linked graph, from initial colors
+    split by the backbone mask if ``backbone``."""
+    star = star_link(g)
+    extra = star.backbone.__getitem__ if backbone else None
+    return wl_refine(star.as_graph(), extra).histogram
 
 
 def lemma1_suite(pairs: list[TwinPair]) -> SuiteReport:
     """Each twin pair has identical refinement histograms on its two linked
-    graphs: color refinement alone cannot tell twins apart."""
+    graphs: color refinement alone cannot tell twins apart.  Each distinct
+    unit is refined once."""
     rep = SuiteReport("twin-wl-histograms")
+    hist = _per_unit(pairs, _wl_histogram)
     for idx, p in enumerate(pairs):
-        rep.cases.append(CaseResult(f"pair{idx}", 0.0, _same_wl(p)))
+        rep.cases.append(CaseResult(f"pair{idx}", 0.0,
+                                    hist[p.monomer_a] == hist[p.monomer_b]))
     return rep
 
 
@@ -218,25 +236,29 @@ def twin_suite(pairs: list[TwinPair], model: ReferenceModel,
     identical predictions without the backbone shift, distinguishable
     predictions with it, and distinguishable refinement when initial colors
     are split by the backbone mask.  The forward passes run at TWIN_D_THRES
-    whatever ``model.d_thres`` is.
+    whatever ``model.d_thres`` is.  Each distinct unit is refined twice
+    (plain and backbone-split) and predicted twice (without and with the
+    shift); each pair reads the results of its two units.
     """
     model = replace(model, d_thres=TWIN_D_THRES)
+
+    def results(g: MonomerGraph) -> tuple:
+        return (_wl_histogram(g), _wl_histogram(g, backbone=True),
+                forward_polymer(model, g, use_backbone=False).yhat,
+                forward_polymer(model, g, use_backbone=True).yhat)
+
+    unit = _per_unit(pairs, results)
     rep = SuiteReport("twin-pairs")
     for idx, p in enumerate(pairs):
+        wa, sa, ya, ba = unit[p.monomer_a]
+        wb, sb, yb, bb = unit[p.monomer_b]
         rep.cases.append(CaseResult(f"pair{idx}-wl-histogram", 0.0,
-                                    _same_wl(p)))
-
-        ya = forward_polymer(model, p.monomer_a, use_backbone=False).yhat
-        yb = forward_polymer(model, p.monomer_b, use_backbone=False).yhat
+                                    wa == wb))
         dev = abs(ya - yb)
         rep.cases.append(CaseResult(f"pair{idx}-no-backbone", dev, dev < tol))
-
-        ya = forward_polymer(model, p.monomer_a, use_backbone=True).yhat
-        yb = forward_polymer(model, p.monomer_b, use_backbone=True).yhat
-        dev = abs(ya - yb)
+        dev = abs(ba - bb)
         rep.cases.append(CaseResult(f"pair{idx}-with-backbone", dev,
                                     dev > DISTINCT_FLOOR))
-
         rep.cases.append(CaseResult(f"pair{idx}-backbone-split-wl", 0.0,
-                                    not _same_wl(p, backbone=True)))
+                                    sa != sb))
     return rep

@@ -252,6 +252,10 @@ def canonical_labelling(g: MolGraph, extra=None) -> tuple[tuple, list[int]]:
         # interpreter's stack fails this graph alone, as the budget does
         raise BudgetExceeded("canonical labelling search exceeds the "
                              "recursion limit") from None
+    finally:
+        # search's closure holds search itself: break that cycle so the
+        # graph's adjacency and the best leaf go by reference counting
+        del search
     return best[0], best[1]
 
 
@@ -449,16 +453,24 @@ def generate_twins(h: MolGraph) -> list[TwinPair]:
 
     Each non-bridge edge is cut once, and each cut gets two keys: the
     canonical key of its linked graph and of its polymer graph (cuts in one
-    automorphism orbit give one polymer).  Cuts i < j with equal linked
-    keys and different polymer keys form a pair when some k-fold unroll
-    (k = 2..MAX_UNROLL, each refined at most once per cut) has different WL
-    histograms; the least such k is the witness.
+    automorphism orbit give one polymer).  A cut's ends are distinct and,
+    with its bond gone, unbonded, so ``star_link`` closes it with one single
+    bond (k = 1): the linked graph of a cut at bond e is the seed with e
+    made single.  The seed is labelled once for every single-bond cut, and
+    the linked graph of any other cut on its own.  Cuts i < j with equal
+    linked keys and different polymer keys form a pair when some k-fold
+    unroll (k = 2..MAX_UNROLL, each refined at most once per cut) has
+    different WL histograms; the least such k is the witness.
     """
     bridge_set = h.bridges()
-    cuts = sorted(b.pair() for b in h.bonds if b.pair() not in bridge_set)
-    monomers = [MonomerGraph(h.atoms, [b for b in h.bonds if b.pair() != e],
-                             e[0], e[1]) for e in cuts]
-    linked = [canonical_key(star_link(m).as_graph()) for m in monomers]
+    cuts = sorted((b for b in h.bonds if b.pair() not in bridge_set),
+                  key=Bond.pair)
+    monomers = [MonomerGraph(h.atoms, [b for b in h.bonds if b != e],
+                             *e.pair()) for e in cuts]
+    single = [e.order == "single" for e in cuts]
+    seed_key = canonical_key(h) if any(single) else None
+    linked = [seed_key if s else canonical_key(star_link(m).as_graph())
+              for s, m in zip(single, monomers)]
     polymer = [canonical_key(polymer_graph(m)) for m in monomers]
 
     @functools.cache

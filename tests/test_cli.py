@@ -4,14 +4,16 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from polyseq import (canonical_form, forward_polymer, parse, random_augment,
                      write)
+from polyseq import cli as cli_mod
 from polyseq import verify as verify_mod
 from polyseq.cli import build_parser, main
-from polyseq.corpus import default_twin_pairs
+from polyseq.corpus import corpus, default_twin_pairs
 from polyseq.nets import ReferenceModel
 from polyseq.psmiles import augment_rewrites
 from polyseq.verify import lemma1_suite, twin_suite
@@ -252,6 +254,24 @@ class TestCorpusCommands:
         assert doc["polymers"] == 3
         assert doc["mean_rings"] == pytest.approx(1.0)
         assert doc["skipped"] == 0
+
+    def test_stats_keeps_no_graphs(self, tmp_path, capsys, monkeypatch):
+        # stats needs each line's ring count only, so at most two parsed
+        # graphs (the line's and one on its way out) are ever alive at once
+        alive, peak = [], 0
+
+        def watched(s):
+            nonlocal peak
+            g = parse(s)
+            alive.append(weakref.ref(g))
+            peak = max(peak, sum(r() is not None for r in alive))
+            return g
+
+        monkeypatch.setattr(cli_mod, "parse", watched)
+        path = write_lines(tmp_path, "in.txt", corpus(300, seed=7))
+        assert main(["stats", path]) == 0
+        assert json.loads(capsys.readouterr().out)["polymers"] == 300
+        assert len(alive) == 300 and peak <= 2
 
     def test_stats_skips_bad_lines(self, tmp_path, capsys):
         path = write_lines(tmp_path, "in.txt", ["*CC*", "not-a-polymer"])

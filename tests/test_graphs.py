@@ -437,9 +437,8 @@ class TestStrategies:
 
 class TestRingStats:
     def test_counts(self):
-        graphs = [parse("*CC*"), parse("*c1ccc(*)cc1"),
-                  parse("*CC(c1ccccc1)c1ccccc1*")]
-        mean, frac = ring_stats(graphs)
+        lines = ["*CC*", "*c1ccc(*)cc1", "*CC(c1ccccc1)c1ccccc1*"]
+        mean, frac = ring_stats([parse(s).cyclomatic_number() for s in lines])
         assert mean == pytest.approx(1.0)
         assert frac == 0.0
 

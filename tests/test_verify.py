@@ -8,10 +8,13 @@ from polyseq import ReferenceModel, StarLinkGraph, parse, star_link
 from polyseq import graphs, verify
 from polyseq.context import neighbour_table
 from polyseq.corpus import corpus, default_twin_pairs
-from polyseq.graphs import MolGraph, featurize, repeat_monomer
+from polyseq.graphs import (MolGraph, MonomerGraph, featurize,
+                            repeat_monomer)
 from polyseq.nets import forward_polymer, gin_layer
 from polyseq.verify import (CaseResult, gin_deviation, lga_deviation,
-                            theorem1_suite, theorem2_suite, twin_suite)
+                            lemma1_suite, theorem1_suite, theorem2_suite,
+                            twin_suite)
+from polyseq.wl import TwinPair
 
 SPECIAL = ["*C*", "*CC*", "*C12CC(C1)C2*", "*CNO*", "*C1CC2CCC1C2*",
            "*C(*)O"]
@@ -255,6 +258,46 @@ class TestSharedUnit:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestTwinUnits:
+    """The twin suites refine and predict each distinct unit once per call:
+    the 8 default pairs share 8 units."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("forward_polymer", "wl_refine"):
+            def counted(*args, _orig=getattr(verify, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, counted)
+        return calls
+
+    def test_twin_suite_runs_each_unit_once(self, calls):
+        pairs = default_twin_pairs()
+        units = {id(g) for p in pairs for g in (p.monomer_a, p.monomer_b)}
+        assert len(pairs) == len(units) == 8
+        assert twin_suite(pairs, ReferenceModel.generate(0)).passed
+        assert calls == {"forward_polymer": 16, "wl_refine": 16}
+
+    def test_lemma1_suite_refines_each_unit_once(self, calls):
+        assert lemma1_suite(default_twin_pairs()).passed
+        assert calls == {"wl_refine": 8}
+
+    def test_sharing_changes_no_result(self):
+        def copy(g):
+            return MonomerGraph(g.atoms, g.bonds, g.head, g.tail)
+
+        pairs = default_twin_pairs()
+        own = [TwinPair(copy(p.monomer_a), copy(p.monomer_b), p.witness)
+               for p in pairs]
+        model = ReferenceModel.generate(3)
+        assert lemma1_suite(own).lines() == lemma1_suite(pairs).lines()
+        assert (twin_suite(own, model).lines()
+                == twin_suite(pairs, model).lines())
 
 
 class TestUnroll:

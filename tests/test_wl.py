@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import math
 import random
@@ -150,6 +151,36 @@ class TestCanonicalKey:
         assert canonical_key(cycle("CCCC")) != canonical_key(cycle("CCCN"))
 
 
+class TestLabellingCycles:
+    """A labelling leaves no reference cycle, on any exit, so the graph's
+    adjacency and the best leaf go by reference counting."""
+
+    @staticmethod
+    def garbage(run) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_result(self):
+        lines = corpus(50, seed=7)
+        assert self.garbage(lambda: [canonical_form(s) for s in lines]) == 0
+
+    def test_budget_exceeded(self, monkeypatch):
+        # twelve methyls on one centre need 12 leaves
+        star = MolGraph([Atom("C")] * 13, [Bond(0, i) for i in range(1, 13)])
+
+        def run():
+            with pytest.raises(BudgetExceeded):
+                canonical_key(star)
+
+        monkeypatch.setattr(wl, "LEAF_BUDGET", 3)
+        assert self.garbage(run) == 0
+
+
 class TestPrimitiveReduce:
     def test_reduces_repeats(self):
         g = parse("*CONO*")
@@ -229,6 +260,21 @@ class TestTwins:
     def test_acyclic_seed_has_no_cuts(self):
         g = MolGraph([Atom("C"), Atom("C")], [Bond(0, 1)])
         assert generate_twins(g) == []
+
+    def test_seed_labelled_once(self, monkeypatch):
+        # every cut of the two-ring seed is a single bond, whose linked
+        # graph is the seed: one label for the 11 linked graphs, then one
+        # per polymer graph
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return key(g)
+
+        key = wl.canonical_key
+        monkeypatch.setattr(wl, "canonical_key", counted)
+        assert len(generate_twins(ring_pair_seed(5, 6))) == 30
+        assert len(calls) == 12
 
     def test_pair_monomers_serialize(self):
         p = generate_twins(ring_pair_seed(5, 6))[0]
