@@ -265,9 +265,10 @@ def _distances_json(s: str, d_thres: int) -> str:
 
 def _augment_fn(args):
     def fn(i, s):
+        g = parse(s)  # random_augment leaves g as it is, so draws share it
         rngs = (random.Random(f"{args.seed}:{i}:{v}")
                 for v in range(args.n_variants))
-        return "\n".join(write(random_augment(parse(s), rng)) for rng in rngs)
+        return "\n".join(write(random_augment(g, rng)) for rng in rngs)
     return fn
 
 

@@ -18,8 +18,10 @@ are dot-separated components, because a repeat unit must be one connected
 fragment.
 
 Augmentation has one draw, ``random_augment`` (a coin-flip doubling of the
-repeat unit, then a uniformly chosen translation), and one enumeration,
-``augment_rewrites``, of every string that draw can write.
+repeat unit, then a uniformly chosen translation: the unit itself or its
+re-cut at one single-bond bridge between the boundary atoms, built alone),
+and one enumeration, ``augment_rewrites``, of every string that draw can
+write.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .graphs import (
     repeat_monomer,
     strategy_transform,
 )
-from .wl import canonical_key, polymer_graph, translation_variants
+from .wl import (_cut_bridges, _translation, canonical_key, polymer_graph,
+                 translation_variants)
 
 AROMATIC_ORGANIC = ("b", "c", "n", "o", "p", "s")
 _BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
@@ -299,12 +302,17 @@ def random_augment(g: MonomerGraph, rng: random.Random) -> MonomerGraph:
     infinite chain at a uniformly chosen period position.
 
     The candidate cut points are the current junction (the identity
-    translation) plus every bridge separating the two boundary atoms.
+    translation) plus every single-bond bridge separating the two boundary
+    atoms, in ``translation_variants`` order; the bonds of the chain to
+    ``*`` are single, so no other bond is a cut point.  Only the drawn
+    translation is built.  The doubling is memoised on g, as ``star_link``
+    memoises it, and g is never mutated.
     """
     if rng.random() < 0.5:
-        g = repeat_monomer(g, 2)
-    variants = translation_variants(g)
-    return variants[rng.randrange(len(variants))]
+        g = g._memo(2, lambda: repeat_monomer(g, 2))
+    cuts = _cut_bridges(g)
+    i = rng.randrange(1 + len(cuts))
+    return g if i == 0 else _translation(g, *cuts[i - 1])
 
 
 def augment_rewrites(g: MonomerGraph) -> list[str]:

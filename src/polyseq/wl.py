@@ -324,16 +324,18 @@ def _cut_bridges(g: MonomerGraph) -> list[tuple[int, int]]:
 
 def translation_variants(g: MonomerGraph) -> list[MonomerGraph]:
     """All monomers obtainable by re-cutting the chain of g's polymer: g,
-    then per ``_cut_bridges`` bond (p, c) g cut there and closed, headed at
-    c and tailed at p.  Raises DisconnectedError on a disconnected g."""
-    variants = [g]
-    link = Bond(g.head, g.tail, "single")
-    for p, c in _cut_bridges(g):
-        cut = (min(p, c), max(p, c))
-        bonds = [b for b in g.bonds if b.pair() != cut]
-        bonds.append(link)
-        variants.append(MonomerGraph(g.atoms, bonds, c, p))
-    return variants
+    then ``_translation(g, p, c)`` per ``_cut_bridges`` bond (p, c).
+    Raises DisconnectedError on a disconnected g."""
+    return [g] + [_translation(g, p, c) for p, c in _cut_bridges(g)]
+
+
+def _translation(g: MonomerGraph, p: int, c: int) -> MonomerGraph:
+    """g cut at its bridge (p, c) and closed by its link, headed at c and
+    tailed at p."""
+    cut = (min(p, c), max(p, c))
+    bonds = [b for b in g.bonds if b.pair() != cut]
+    bonds.append(Bond(g.head, g.tail, "single"))
+    return MonomerGraph(g.atoms, bonds, c, p)
 
 
 def primitive_reduce(g: MonomerGraph) -> MonomerGraph:

@@ -173,6 +173,21 @@ class TestCorpusCommands:
                 for i, s in enumerate(lines) for v in range(2)]
         assert capsys.readouterr().out.splitlines() == want
 
+    def test_augment_parses_each_line_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return parse(s)
+
+        monkeypatch.setattr(cli_mod, "parse", counted)
+        lines = corpus(20, seed=7)
+        path = write_lines(tmp_path, "in.txt", lines)
+        assert main(["augment", path, "--n-variants", "3", "--seed", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 60
+        assert calls == lines
+
     def test_canon_identifies_translations(self, tmp_path, capsys):
         path = write_lines(tmp_path, "in.txt",
                            ["*CONO*", "*NOCO*", "*CONOCONO*", "*CONN*"])

@@ -401,6 +401,43 @@ class TestAugment:
         repeats = sum(random_augment(g, rng).n > g.n for _ in range(2000))
         assert 0.45 <= repeats / 2000 <= 0.55
 
+    def test_random_augment_matches_reference_draw(self):
+        # the draw that built every translation and kept one
+        def reference(g, rng):
+            if rng.random() < 0.5:
+                g = repeat_monomer(g, 2)
+            variants = translation_variants(g)
+            return variants[rng.randrange(len(variants))]
+
+        for i, line in enumerate(corpus(200, seed=7)):
+            g = parse(line)
+            for v in range(5):
+                got = random_augment(g, random.Random(f"{i}:{v}"))
+                want = reference(g, random.Random(f"{i}:{v}"))
+                assert (got.atoms, got.bonds, got.head, got.tail) == (
+                    want.atoms, want.bonds, want.head, want.tail)
+                assert write(got) == write(want)
+            assert write(g) == line  # the draws share g and leave it as is
+
+    def test_random_augment_builds_only_the_drawn_translation(
+            self, monkeypatch):
+        g = parse("*CCOCN*")  # 4 cut bridges, 9 once doubled
+        assert len(translation_variants(g)) == 5
+        built = 0
+        init = MonomerGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MonomerGraph, "__init__", counted)
+        for seed in range(20):
+            g = parse("*CCOCN*")  # fresh, so no doubling is memoised yet
+            built = 0
+            random_augment(g, random.Random(seed))
+            assert built <= 2  # the doubling and the chosen cut
+
 
 class TestCanonicalForm:
     def test_translation_invariant(self):
